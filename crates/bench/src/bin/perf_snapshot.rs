@@ -1,24 +1,31 @@
 //! `perf-snapshot` — the repo's perf trajectory, as a machine-readable
 //! artifact.
 //!
-//! Runs the fixed-work kernels the Criterion benches measure interactively
-//! (`simulator_kernels_k6`, `batch_streaming`, `sampling_kernels`,
-//! `protocol_batching`, `protocol_bridging`) plus the threshold-surface
-//! server's cache-hit round trip (`server_roundtrip`) with a plain
-//! wall-clock timer and writes the results to `BENCH_8.json`, so the
-//! performance trajectory of the hot paths is recorded per revision instead
-//! of living only in scrollback. CI runs `--quick` mode on every push, which
-//! keeps the artifact (and the kernels behind it) from rotting.
+//! Runs the paper's two-species jump-chain kernel
+//! (`two_species_jump_chain`), the fixed-work kernels the Criterion benches
+//! measure interactively (`simulator_kernels_k6`, `batch_streaming`,
+//! `sampling_kernels`, `protocol_batching`, `protocol_bridging`) plus the
+//! threshold-surface server's cache-hit round trip (`server_roundtrip`)
+//! with a plain wall-clock timer and writes the results to `BENCH_8.json`,
+//! so the performance trajectory of the hot paths is recorded per revision
+//! instead of living only in scrollback. CI runs `--quick` mode on every
+//! push, which keeps the artifact (and the kernels behind it) from rotting.
 //!
 //! ```text
 //! perf-snapshot [--quick] [--out PATH]
 //! ```
 //!
-//! `--quick` shrinks the protocol-batching kernel from `n ∈ {10⁶, 10⁷}` to
-//! `n = 10⁵`, the bridging kernels to `n = 10⁴`, and trims repetitions; the
-//! JSON records which mode produced it. The headline `speedups` entries are
-//! the two acceptance comparisons:
+//! `--quick` runs 8 instead of 32 jump-chain trials per point, shrinks the
+//! protocol-batching kernel from `n ∈ {10⁶, 10⁷}` to `n = 10⁵`, the
+//! bridging kernels to `n = 10⁴`, and trims repetitions; the JSON records
+//! which mode produced it. The headline `speedups` entries are the
+//! acceptance comparisons:
 //!
+//! - `two_species_jump_chain`: the jump-chain backend's observer-free tight
+//!   loop vs its per-step driver path on identical trajectories, at the
+//!   largest paper-threshold points, plus one comparison per part of the
+//!   loop (dropping the driver, the `f64`-state loop, the skipped
+//!   zero-rate slots).
 //! - `protocol_batching`: batched vs agent-list approximate-majority
 //!   convergence at equal `n` — the batched per-interaction-equivalent cost
 //!   *falls* with `n` (one epoch of Θ(√n) interactions costs a constant
@@ -124,6 +131,121 @@ fn main() {
             wall_ms,
             events: 5_000,
         });
+    }
+
+    // ---- two_species_jump_chain: the paper's kernel. Observer-free
+    // jump-chain trials at the largest `paper-threshold` points (neutral SD
+    // at n = 65 536, gap 18; NSD at n = 16 384, gap 302), built exactly as
+    // the threshold search builds them, so they run the backend's tight
+    // loop. Four variants visit identical trajectories (equal event totals
+    // are asserted); the `speedups` compare them so that each isolates one
+    // part of the loop (the driver, the `f64`-state loop, the skipped slots):
+    //
+    // - `per_step_driver`: the per-event driver path. The stop is written
+    //   "species 0 extinct or species 1 extinct", which the backend does not
+    //   recognise as a first extinction (asserted), at the cost of one more
+    //   enum match per event than the plain condition had on that path.
+    // - `step_loop`: `LvJumpChain::step` in a caller loop, no driver.
+    // - `tight_loop_all_slots`: `run_to_consensus` on the same model with
+    //   γ = 1e-300 instead of 0, which evaluates all eight propensities; the
+    //   extra terms are below every rounding step, so the draws stay the same.
+    // - `tight_loop`: the backend's path, intraspecific slots left out.
+    {
+        use lv_crn::{SpeciesId, StopCondition};
+        use lv_lotka::LvJumpChain;
+        use lv_sim::{GapScenario, TwoSpeciesGap};
+        let trials: u64 = if quick { 8 } else { 32 };
+        let engine = backend("jump-chain").expect("builtin backend");
+        let run_trials = |scenario: &Scenario| -> u64 {
+            (0..trials)
+                .map(|trial| {
+                    engine
+                        .run(scenario, &mut seed().rng_for_trial(trial))
+                        .events
+                })
+                .sum()
+        };
+        let step_loop = |scenario: &Scenario, model: LvModel| -> u64 {
+            let initial = scenario
+                .initial()
+                .as_lv_configuration()
+                .expect("two species");
+            let budget = scenario
+                .stop()
+                .max_events()
+                .expect("the search sets a budget");
+            (0..trials)
+                .map(|trial| {
+                    let mut rng = seed().rng_for_trial(trial);
+                    let mut chain = LvJumpChain::new(model, initial);
+                    while chain.steps() < budget
+                        && !chain.state().is_consensus()
+                        && chain.step(&mut rng).is_some()
+                    {}
+                    chain.steps()
+                })
+                .sum()
+        };
+        let points = [
+            (
+                "sd_n65536_gap18",
+                CompetitionKind::SelfDestructive,
+                65_536,
+                18,
+            ),
+            (
+                "nsd_n16384_gap302",
+                CompetitionKind::NonSelfDestructive,
+                16_384,
+                302,
+            ),
+        ];
+        for (label, kind, n, gap) in points {
+            let model = LvModel::neutral(kind, 1.0, 1.0, 1.0);
+            let tight = TwoSpeciesGap::new(model, n).scenario(gap);
+            let all_slots =
+                TwoSpeciesGap::new(LvModel::with_intraspecific(kind, 1.0, 1.0, 1.0, 1e-300), n)
+                    .scenario(gap);
+            let budget = tight.stop().max_events().expect("the search sets a budget");
+            let extinct = |species| StopCondition::species_extinct(SpeciesId::new(species));
+            let per_step = tight
+                .clone()
+                .with_stop(extinct(0).or(extinct(1)).with_max_events(budget));
+            assert!(tight.stop().is_first_extinction(2));
+            assert!(!per_step.stop().is_first_extinction(2));
+            let events = run_trials(&tight);
+            assert_eq!(run_trials(&per_step), events, "{label}: paths diverged");
+            assert_eq!(step_loop(&tight, model), events, "{label}: paths diverged");
+            assert_eq!(run_trials(&all_slots), events, "{label}: paths diverged");
+            let driver_ms = time_ms(reps, || assert_eq!(run_trials(&per_step), events));
+            let step_ms = time_ms(reps, || assert_eq!(step_loop(&tight, model), events));
+            let all_slots_ms = time_ms(reps, || assert_eq!(run_trials(&all_slots), events));
+            let tight_ms = time_ms(reps, || assert_eq!(run_trials(&tight), events));
+            for (variant, wall_ms) in [
+                ("per_step_driver", driver_ms),
+                ("step_loop", step_ms),
+                ("tight_loop_all_slots", all_slots_ms),
+                ("tight_loop", tight_ms),
+            ] {
+                kernels.push(Kernel {
+                    name: format!("two_species_jump_chain/{label}_{trials}trials_{variant}"),
+                    wall_ms,
+                    events,
+                });
+            }
+            for (comparison, baseline_ms, accelerated_ms) in [
+                ("tight_loop_vs_per_step", driver_ms, tight_ms),
+                ("step_loop_vs_per_step", driver_ms, step_ms),
+                ("tight_loop_vs_step_loop", step_ms, tight_ms),
+                ("skipped_slots_vs_all_slots", all_slots_ms, tight_ms),
+            ] {
+                speedups.push(Speedup {
+                    name: format!("jump_chain_{comparison}_{label}"),
+                    baseline_ms,
+                    accelerated_ms,
+                });
+            }
+        }
     }
 
     // ---- batch_streaming: a fixed Monte-Carlo batch on the sharded

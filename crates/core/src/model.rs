@@ -154,20 +154,16 @@ impl LvModel {
     /// `i` (rate `γ_i`).
     pub fn propensities(&self, state: LvConfiguration) -> [f64; 8] {
         let (x0, x1) = state.counts();
-        let (x0f, x1f) = (x0 as f64, x1 as f64);
-        let pair = |x: u64| {
-            let xf = x as f64;
-            xf * (xf - 1.0) / 2.0
-        };
+        let rates = self.slot_rates();
+        std::array::from_fn(|slot| propensity(slot, rates[slot], x0 as f64, x1 as f64))
+    }
+
+    /// The rate of each of the eight reactions, in the order of
+    /// [`propensities`](LvModel::propensities).
+    pub(crate) fn slot_rates(&self) -> [f64; 8] {
+        let r = &self.rates;
         [
-            self.rates.beta * x0f,
-            self.rates.delta * x0f,
-            self.rates.alpha[0] * x0f * x1f,
-            self.rates.gamma[0] * pair(x0),
-            self.rates.beta * x1f,
-            self.rates.delta * x1f,
-            self.rates.alpha[1] * x0f * x1f,
-            self.rates.gamma[1] * pair(x1),
+            r.beta, r.delta, r.alpha[0], r.gamma[0], r.beta, r.delta, r.alpha[1], r.gamma[1],
         ]
     }
 
@@ -274,6 +270,21 @@ impl fmt::Display for LvModel {
             "Lotka–Volterra ({} competition, {})",
             self.kind, self.rates
         )
+    }
+}
+
+/// The propensity of reaction `slot` (in [`LvModel::propensities`] order)
+/// with rate `rate` in the state `(x0, x1)`: `rate · x_i` for births and
+/// deaths, `rate · x_0 x_1` for interspecific and `rate · x_i(x_i − 1)/2` for
+/// intraspecific competition. Every propensity of the crate's two-species
+/// chain is evaluated here, so all of them round identically.
+#[inline(always)]
+pub(crate) fn propensity(slot: usize, rate: f64, x0: f64, x1: f64) -> f64 {
+    let x = if slot < 4 { x0 } else { x1 };
+    match slot % 4 {
+        0 | 1 => rate * x,
+        2 => rate * x0 * x1,
+        _ => rate * (x * (x - 1.0) / 2.0),
     }
 }
 

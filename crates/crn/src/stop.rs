@@ -137,6 +137,21 @@ impl StopCondition {
         })
     }
 
+    /// Whether the state-based part of the condition is exactly "some
+    /// species is extinct" for a state of `species` species: a single
+    /// [`any_species_extinct`](StopCondition::any_species_extinct), or a
+    /// single [`consensus`](StopCondition::consensus) when `species == 2`.
+    /// Budgets are ignored; predicates and `or`-composed conditions answer
+    /// `false`. Simulators use this to recognise runs they can drive to
+    /// consensus without evaluating the condition after every event.
+    pub fn is_first_extinction(&self, species: usize) -> bool {
+        match self.kinds.as_slice() {
+            [StopKind::AnySpeciesExtinct] => true,
+            [StopKind::AtMostOneAlive] => species == 2,
+            _ => false,
+        }
+    }
+
     /// The event budget, if any.
     pub fn max_events(&self) -> Option<u64> {
         self.max_events
@@ -263,6 +278,23 @@ mod tests {
         assert!(!combined.is_met(&State::from(vec![600, 300])));
         assert_eq!(combined.max_events(), Some(50));
         assert_eq!(combined.max_time(), Some(7.0));
+    }
+
+    #[test]
+    fn first_extinction_shape_is_recognised() {
+        assert!(StopCondition::any_species_extinct().is_first_extinction(2));
+        assert!(StopCondition::any_species_extinct()
+            .with_max_events(9)
+            .with_max_time(1.0)
+            .is_first_extinction(3));
+        assert!(StopCondition::consensus().is_first_extinction(2));
+        assert!(!StopCondition::consensus().is_first_extinction(3));
+        assert!(!StopCondition::never().is_first_extinction(2));
+        assert!(!StopCondition::species_extinct(SpeciesId::new(0)).is_first_extinction(2));
+        assert!(!StopCondition::predicate(|s: &State| s.any_extinct()).is_first_extinction(2));
+        assert!(!StopCondition::any_species_extinct()
+            .or(StopCondition::total_at_least(10))
+            .is_first_extinction(2));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use lv_crn::simulators::{
     GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
 };
 use lv_crn::{State, StopReason};
-use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, PopulationEvent};
+use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, Population, PopulationEvent};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
 use rand::rngs::StdRng;
 
@@ -21,6 +21,16 @@ use rand::rngs::StdRng;
 /// bit for bit. `k`-species scenarios run the same embedded jump chain
 /// through the generic CRN simulator ([`lv_crn::simulators::JumpChain`]) on
 /// the model's reaction network.
+///
+/// A two-species scenario with no observers whose state condition is
+/// exactly "a species is extinct" (see
+/// [`StopCondition::is_first_extinction`](lv_crn::StopCondition::is_first_extinction))
+/// runs as one tight loop, [`LvJumpChain::run_to_consensus`], with the time
+/// budget turned into an event budget (the chain's clock is its event
+/// count). Its report — final state, events, steps, time and stop reason —
+/// equals the per-step path's bit for bit on the same RNG stream. Every
+/// other two-species scenario (any observer, predicate, population
+/// threshold or `or`-composed condition) steps through the shared driver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JumpChainBackend;
 
@@ -54,6 +64,35 @@ impl Backend for JumpChainBackend {
             .as_lv_configuration()
             .expect("two-species model has a two-species initial population");
         let mut chain = LvJumpChain::new(*model, initial);
+        let stop = scenario.stop();
+        if scenario.observers().is_empty() && stop.is_first_extinction(2) {
+            let max_events = stop.max_events().unwrap_or(u64::MAX);
+            let budget = max_events.min(stop.max_time().map_or(u64::MAX, time_budget_events));
+            let events = chain.run_to_consensus(budget, rng);
+            let time = events as f64;
+            // The per-step path's order: state condition, then events, then
+            // time; a run that ends short of all three was absorbed.
+            let reason = if chain.state().is_consensus() {
+                StopReason::ConditionMet
+            } else if events >= max_events {
+                StopReason::MaxEventsReached
+            } else if stop.max_time().is_some_and(|max_time| time >= max_time) {
+                StopReason::MaxTimeReached
+            } else {
+                StopReason::Absorbed
+            };
+            let (x0, x1) = chain.state().counts();
+            return RunReport::new(
+                self.name(),
+                scenario.initial().clone(),
+                Population::new(vec![x0, x1]),
+                reason,
+                events,
+                events,
+                time,
+                Vec::new(),
+            );
+        }
         let mut driver = Driver::new(scenario);
         loop {
             if let Some(reason) = driver.check_stop() {
@@ -68,6 +107,20 @@ impl Backend for JumpChainBackend {
                 None => return driver.finish(self.name(), StopReason::Absorbed),
             }
         }
+    }
+}
+
+/// The event count at which a jump-chain time budget binds: the first `e`
+/// with `e as f64 >= max_time`, the check the driver makes before each
+/// step. A NaN budget never binds.
+fn time_budget_events(max_time: f64) -> u64 {
+    if max_time.is_nan() {
+        u64::MAX
+    } else {
+        // Saturating: non-positive budgets bind at once, budgets beyond
+        // `u64::MAX` never. Past 2^53, where `f64` no longer holds every
+        // integer, this may bind a rounding step late: beyond any real run.
+        max_time.ceil() as u64
     }
 }
 

@@ -4,8 +4,8 @@
 //! backends must honor the same stop conditions identically.
 
 use lv_crn::{StopCondition, StopReason};
-use lv_engine::{backend, BackendRegistry, ObserverSpec, Scenario};
-use lv_lotka::{run_majority, CompetitionKind, LvModel};
+use lv_engine::{backend, BackendRegistry, ObserverSpec, RunReport, Scenario};
+use lv_lotka::{run_majority, CompetitionKind, LvJumpChain, LvModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,6 +73,140 @@ fn jump_chain_backend_reproduces_run_majority_bit_for_bit() {
                 "model {m} seed {seed} diverged"
             );
         }
+    }
+}
+
+/// Runs `scenario` on the jump chain twice on the same seed: as given, and
+/// with an observer attached, which keeps the run on the per-step driver
+/// path. Everything but the observations must be identical; returns the
+/// report of the run as given.
+fn assert_matches_per_step_path(scenario: &Scenario, seed: u64, label: &str) -> RunReport {
+    let backend = backend("jump-chain").unwrap();
+    let plain = backend.run(scenario, &mut rng(seed));
+    let observed = scenario.clone().observe(ObserverSpec::MaxPopulation);
+    let stepped = backend.run(&observed, &mut rng(seed));
+    assert_eq!(
+        plain.final_state, stepped.final_state,
+        "{label}: final state"
+    );
+    assert_eq!(plain.events, stepped.events, "{label}: events");
+    assert_eq!(plain.steps, stepped.steps, "{label}: steps");
+    assert_eq!(
+        plain.time.to_bits(),
+        stepped.time.to_bits(),
+        "{label}: time"
+    );
+    assert_eq!(plain.reason, stepped.reason, "{label}: reason");
+    plain
+}
+
+/// Observer-free two-species scenarios that stop on the first extinction
+/// run as one tight loop; they must reproduce the per-step driver path bit
+/// for bit on every model, and equal a direct
+/// `LvJumpChain::run_to_consensus` call.
+#[test]
+fn jump_chain_tight_loop_matches_the_per_step_path() {
+    let models = [
+        LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0),
+        LvModel::neutral(CompetitionKind::NonSelfDestructive, 1.0, 1.0, 1.0),
+        LvModel::with_intraspecific(CompetitionKind::SelfDestructive, 1.0, 0.5, 1.0, 2.0),
+        LvModel::balanced_intra_inter(CompetitionKind::NonSelfDestructive, 1.0, 1.0, 1.0),
+    ];
+    for (m, model) in models.iter().enumerate() {
+        for seed in 0..10u64 {
+            let (a, b) = (60 + m as u64, 40);
+            let budget = lv_engine::default_majority_budget(a + b);
+            for (shape, stop) in [
+                ("extinct", StopCondition::any_species_extinct()),
+                ("consensus", StopCondition::consensus()),
+            ] {
+                let label = format!("model {m} seed {seed} {shape}");
+                let scenario =
+                    Scenario::new(*model, (a, b)).with_stop(stop.with_max_events(budget));
+                let report = assert_matches_per_step_path(&scenario, seed, &label);
+                assert_eq!(report.reason, StopReason::ConditionMet, "{label}");
+                let mut chain = LvJumpChain::new(*model, (a, b).into());
+                let events = chain.run_to_consensus(budget, &mut rng(seed));
+                let (x0, x1) = chain.state().counts();
+                assert_eq!(report.final_state.counts(), &[x0, x1], "{label}");
+                assert_eq!(report.events, events, "{label}");
+            }
+        }
+    }
+}
+
+/// The tight loop's budgets, degenerate starts and absorption agree with
+/// the per-step path, stop reasons included; `or`-composed conditions stay
+/// on the per-step path and still end by the condition.
+#[test]
+fn jump_chain_tight_loop_matches_the_per_step_path_at_the_edges() {
+    let model = LvModel::default();
+    let extinct = StopCondition::any_species_extinct;
+    let cases = [
+        (
+            "max_events(16)",
+            (5_000, 4_990),
+            extinct().with_max_events(16),
+        ),
+        (
+            "max_time(1e-7)",
+            (2_000, 1_990),
+            extinct().with_max_events(1_000_000).with_max_time(1e-7),
+        ),
+        (
+            "max_time(7.5)",
+            (2_000, 1_990),
+            extinct().with_max_time(7.5),
+        ),
+        (
+            "max_events(8) = max_time(8)",
+            (2_000, 1_990),
+            extinct().with_max_events(8).with_max_time(8.0),
+        ),
+        ("tie", (25, 25), extinct().with_max_events(100_000)),
+        ("(10, 0)", (10, 0), extinct().with_max_events(100_000)),
+        ("(0, 0)", (0, 0), extinct().with_max_events(100_000)),
+    ];
+    let expected = [
+        (StopReason::MaxEventsReached, Some(16)),
+        (StopReason::MaxTimeReached, Some(1)),
+        (StopReason::MaxTimeReached, Some(8)),
+        (StopReason::MaxEventsReached, Some(8)),
+        (StopReason::ConditionMet, None),
+        (StopReason::ConditionMet, Some(0)),
+        (StopReason::ConditionMet, Some(0)),
+    ];
+    for ((label, start, stop), (reason, events)) in cases.into_iter().zip(expected) {
+        for seed in 0..10u64 {
+            let scenario = Scenario::new(model, start).with_stop(stop.clone());
+            let report = assert_matches_per_step_path(&scenario, seed, label);
+            assert_eq!(report.reason, reason, "{label} seed {seed}");
+            if let Some(events) = events {
+                assert_eq!(report.events, events, "{label} seed {seed}");
+            }
+        }
+    }
+
+    // A model with no positive rate is absorbed at once.
+    let frozen = Scenario::new(LvModel::no_competition(0.0, 0.0), (5, 5));
+    let report = assert_matches_per_step_path(&frozen, 1, "absorbed");
+    assert_eq!(report.reason, StopReason::Absorbed);
+
+    // Consensus OR a population threshold: supercritical growth ends on
+    // the threshold, through the per-step path either way.
+    let growth = LvModel::no_competition(2.0, 1.0);
+    let stop = extinct()
+        .or(StopCondition::total_at_least(5_000))
+        .with_max_events(10_000_000);
+    for seed in 0..10u64 {
+        let scenario = Scenario::new(growth, (100, 100)).with_stop(stop.clone());
+        let report = assert_matches_per_step_path(&scenario, seed, "or(total_at_least)");
+        assert_eq!(report.reason, StopReason::ConditionMet, "seed {seed}");
+        let state = &report.final_state;
+        assert!(
+            state.is_consensus() || state.total() >= 5_000,
+            "seed {seed}"
+        );
     }
 }
 
