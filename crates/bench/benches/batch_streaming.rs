@@ -1,6 +1,6 @@
 //! Throughput of the streaming batch executor: the same Monte-Carlo batch
 //! folded sequentially, on the work-stealing worker pool, and with early
-//! stopping — the numbers show the sharded stream's scaling and how many
+//! stopping — the numbers show the parallel stream's scaling and how many
 //! trials the sequential stopping rule saves on an easy margin.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,7 +9,7 @@ use lv_lotka::{CompetitionKind, LvModel};
 use lv_sim::{EarlyStop, MonteCarlo};
 use std::hint::black_box;
 
-/// Enough trials that worker spawn/teardown amortises and the sharded
+/// Enough trials that worker spawn/teardown amortises and the parallel
 /// stream's scaling is visible (the per-trial kernel is a few microseconds).
 const STREAM_TRIALS: u64 = 512;
 
@@ -29,7 +29,9 @@ fn bench(c: &mut Criterion) {
     // configurations onto the same sequential plan, so the two should be
     // indistinguishable. A persistent multi-×-percent gap means the clamp
     // has regressed or per-trial channel traffic has crept back into the
-    // worker loop (reports must travel in `FLUSH_TRIALS`-sized chunks).
+    // worker loop (trials this cheap must travel `FLUSH_TRIALS` to a
+    // message; only long trials, past the executor's event quantum, go out
+    // one by one).
     // `perf-snapshot` asserts this direction on every run.
     for threads in [1usize, 4] {
         let mc = MonteCarlo::new(STREAM_TRIALS, bench_seed()).with_threads(threads);

@@ -4,9 +4,11 @@
 //! Runs the paper's two-species jump-chain kernel
 //! (`two_species_jump_chain`), the fixed-work kernels the Criterion benches
 //! measure interactively (`simulator_kernels_k6`, `batch_streaming`,
-//! `sampling_kernels`, `protocol_batching`, `protocol_bridging`) plus the
-//! threshold-surface server's cache-hit round trip (`server_roundtrip`)
-//! with a plain wall-clock timer and writes the results to `BENCH_8.json`,
+//! `sampling_kernels`, `protocol_batching`, `protocol_bridging`), an
+//! early-stopped threshold probe on the parallel stream
+//! (`stream_early_stop`) plus the threshold-surface server's cache-hit
+//! round trip (`server_roundtrip`) with a plain wall-clock timer and writes
+//! the results to `BENCH_8.json`,
 //! so the performance trajectory of the hot paths is recorded per revision
 //! instead of living only in scrollback. CI runs `--quick` mode on every
 //! push, which keeps the artifact (and the kernels behind it) from rotting.
@@ -38,9 +40,11 @@
 //!   `n = 10⁴` it is measured under an interaction budget and projected to
 //!   the bridged run's interaction count for an equal-work wall-clock ratio.
 
-use lv_engine::{backend, Scenario};
+use lv_engine::{backend, Backend, RunReport, Scenario};
 use lv_lotka::{CompetitionKind, LvModel, MultiLvModel};
 use lv_sim::{MonteCarlo, Seed};
+use rand::rngs::StdRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 fn seed() -> Seed {
@@ -81,6 +85,53 @@ struct Speedup {
 impl Speedup {
     fn ratio(&self) -> f64 {
         self.baseline_ms / self.accelerated_ms
+    }
+}
+
+/// One early-stopped probe on the streaming executor: its wall time, the
+/// trials it folded, and the backend runs it paid per folded trial.
+struct StreamProbe {
+    name: String,
+    wall_ms: f64,
+    folded: u64,
+    runs_per_trial: f64,
+}
+
+/// A backend wrapper counting `Backend::run` calls, including the ones a
+/// stream makes for trials it never folds.
+struct CountingBackend {
+    inner: &'static dyn Backend,
+    runs: AtomicU64,
+}
+
+impl Backend for CountingBackend {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn description(&self) -> &'static str {
+        self.inner.description()
+    }
+
+    fn deterministic(&self) -> bool {
+        self.inner.deterministic()
+    }
+
+    fn supports_species(&self, species: usize) -> bool {
+        self.inner.supports_species(species)
+    }
+
+    fn models_kinetics(&self) -> bool {
+        self.inner.models_kinetics()
+    }
+
+    fn batched(&self) -> bool {
+        self.inner.batched()
+    }
+
+    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        self.inner.run(scenario, rng)
     }
 }
 
@@ -248,7 +299,7 @@ fn main() {
         }
     }
 
-    // ---- batch_streaming: a fixed Monte-Carlo batch on the sharded
+    // ---- batch_streaming: a fixed Monte-Carlo batch on the parallel
     // streaming executor, 1 and 4 threads.
     let stream_trials: u64 = if quick { 128 } else { 512 };
     let lv = LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0);
@@ -280,6 +331,66 @@ fn main() {
         stream_ms[1],
         stream_ms[0],
     );
+
+    // ---- stream_early_stop: one probe shaped like the E16 protocol sweep's
+    // (approximate majority at n = 10⁴, 48 trials, the boundary rule
+    // `ThresholdSearch` builds for that budget), at 1 and 2 threads. The
+    // probe's gap lies below the threshold, so the rule stops it early; a
+    // counting wrapper around the backend records `Backend::run` calls per
+    // folded trial, i.e. how many trials the parallel stream ran past the
+    // stop. Both thread counts must fold the same tally.
+    let mut stream_probes: Vec<StreamProbe> = Vec::new();
+    {
+        use lv_engine::stream::{EarlyStop, ReportStream, StreamConfig, SuccessTally};
+        use lv_sim::{GapScenario, TwoSpeciesGap};
+        use std::sync::Arc;
+        let counting: &'static CountingBackend = Box::leak(Box::new(CountingBackend {
+            inner: backend("approx-majority").expect("builtin backend"),
+            runs: AtomicU64::new(0),
+        }));
+        let (n, gap, trials) = (10_000u64, 104u64, 48u64);
+        let budget = (40.0 * n as f64 * (n as f64).ln()).ceil() as u64;
+        let scenario = TwoSpeciesGap::new(LvModel::default(), n)
+            .with_max_events(budget)
+            .scenario(gap);
+        let target = (1.0 - 1.0 / n as f64).min(1.0 - 3.0 / trials as f64);
+        let rule = EarlyStop::at_half_width(1.0 / trials as f64)
+            .with_boundary(target)
+            .with_min_trials(8);
+        let probe = |threads: usize| {
+            ReportStream::new(
+                &scenario,
+                counting,
+                StreamConfig::new(trials).with_threads(threads),
+                Arc::new(|trial| seed().rng_for_trial(trial)),
+            )
+            .fold_with(SuccessTally::new(), Some(rule), |_| {})
+        };
+        let sequential = probe(1);
+        assert!(
+            sequential.trials() < trials,
+            "the probe at gap {gap} never stopped early"
+        );
+        for threads in [1usize, 2] {
+            assert_eq!(
+                probe(threads),
+                sequential,
+                "{threads} threads changed the tally"
+            );
+            counting.runs.store(0, Ordering::Relaxed);
+            let wall_ms = time_ms(reps, || assert_eq!(probe(threads), sequential));
+            // `time_ms` runs the probe once more than `reps` (its warmup).
+            let folded = (reps.max(1) as u64 + 1) * sequential.trials();
+            stream_probes.push(StreamProbe {
+                name: format!(
+                    "stream_early_stop/approx_majority_n{n}_gap{gap}_{trials}trials_{threads}threads"
+                ),
+                wall_ms,
+                folded: sequential.trials(),
+                runs_per_trial: counting.runs.load(Ordering::Relaxed) as f64 / folded as f64,
+            });
+        }
+    }
 
     // ---- sampling_kernels: per-draw cost of the urn samplers, retired
     // inversion walk vs the constant-expected-time rejection kernels, at the
@@ -684,6 +795,19 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str("  \"stream_early_stop\": [\n");
+    for (i, p) in stream_probes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"folded_trials\": {}, \
+             \"runs_per_trial\": {:.3}}}{}\n",
+            json_escape(&p.name),
+            p.wall_ms,
+            p.folded,
+            p.runs_per_trial,
+            if i + 1 < stream_probes.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"speedups\": [\n");
     for (i, s) in speedups.iter().enumerate() {
         json.push_str(&format!(
@@ -700,6 +824,9 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("could not write {out_path}: {e}"));
     println!("{json}");
+    for p in &stream_probes {
+        println!("{}: {:.3} runs per folded trial", p.name, p.runs_per_trial);
+    }
     for s in &speedups {
         println!("{}: {:.1}x", s.name, s.ratio());
     }

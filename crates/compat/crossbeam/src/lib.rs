@@ -1,103 +1,12 @@
 //! Offline stand-in for the [`crossbeam`](https://crates.io/crates/crossbeam)
-//! crate, covering exactly the `crossbeam::thread::scope` and
-//! `crossbeam::channel` APIs the workspace uses. Since Rust 1.63 the standard
-//! library provides scoped threads, so the thread shim is a thin adapter over
-//! [`std::thread::scope`] that reproduces crossbeam's calling convention
-//! (`scope` returns a `Result`, spawned closures receive the scope handle,
-//! `join` returns a `Result`); the channel shim wraps [`std::sync::mpsc`]
-//! with crossbeam-channel's names and error types.
+//! crate, covering exactly the `crossbeam::thread::scope` API the workspace
+//! uses. Since Rust 1.63 the standard library provides scoped threads, so the
+//! shim is a thin adapter over [`std::thread::scope`] that reproduces
+//! crossbeam's calling convention (`scope` returns a `Result`, spawned
+//! closures receive the scope handle, `join` returns a `Result`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Multi-producer channels (stand-in for `crossbeam::channel`).
-///
-/// Only the bounded-channel subset the workspace uses is provided:
-/// [`bounded`], a cloneable [`Sender`] whose [`send`](Sender::send) blocks
-/// while the channel is full (the backpressure the streaming executor relies
-/// on), and a single-consumer [`Receiver`] with blocking
-/// [`Receiver::recv`]. (The real crossbeam receiver is multi-consumer; the
-/// workspace never shares one, so the `mpsc` backing is observationally
-/// identical here.)
-pub mod channel {
-    use std::fmt;
-    use std::sync::mpsc;
-
-    /// Creates a bounded channel holding at most `capacity` messages:
-    /// senders block once it is full, until the receiver drains a slot.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        (Sender { inner: tx }, Receiver { inner: rx })
-    }
-
-    /// The sending half of a bounded channel. Cloneable, so any number of
-    /// worker threads can feed one receiver.
-    #[derive(Debug)]
-    pub struct Sender<T> {
-        inner: mpsc::SyncSender<T>,
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message, blocking while the channel is full; fails only
-        /// if the receiver was dropped.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`SendError`] carrying the unsent message back.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.inner.send(value).map_err(|e| SendError(e.0))
-        }
-    }
-
-    /// The receiving half of a channel.
-    #[derive(Debug)]
-    pub struct Receiver<T> {
-        inner: mpsc::Receiver<T>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives, failing once the channel is empty
-        /// and every sender has been dropped.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`RecvError`] when the channel is disconnected and empty.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-    }
-
-    /// Error returned by [`Sender::send`] when the receiver is gone; carries
-    /// the unsent message.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] on a disconnected, empty channel.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on a disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-}
 
 /// Scoped threads (stand-in for `crossbeam::thread`).
 pub mod thread {
@@ -185,45 +94,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(result, 7);
-    }
-
-    #[test]
-    fn bounded_channel_delivers_across_threads_in_send_order_per_sender() {
-        let (tx, rx) = crate::channel::bounded::<u64>(2);
-        let producer = std::thread::spawn(move || {
-            // 100 messages through a 2-slot channel: most sends block until
-            // the receiver drains a slot, exercising the backpressure path.
-            for value in 0..100 {
-                tx.send(value).unwrap();
-            }
-        });
-        let mut received = Vec::new();
-        while let Ok(value) = rx.recv() {
-            received.push(value);
-        }
-        producer.join().unwrap();
-        assert_eq!(received, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn send_fails_with_the_message_once_the_receiver_is_gone() {
-        let (tx, rx) = crate::channel::bounded::<u64>(1);
-        drop(rx);
-        let error = tx.send(9).unwrap_err();
-        assert_eq!(error.0, 9);
-        assert!(error.to_string().contains("disconnected"));
-    }
-
-    #[test]
-    fn recv_fails_once_every_sender_is_gone() {
-        let (tx, rx) = crate::channel::bounded::<u64>(4);
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Err(crate::channel::RecvError));
     }
 }

@@ -37,11 +37,11 @@
 //!   [`RunReport::to_plurality_outcome`] as the derived plurality-consensus
 //!   view and [`RunReport::to_majority_outcome`] as its two-species
 //!   projection;
-//! * [`stream`] — streaming sharded batch execution: a work-stealing
-//!   [`ShardQueue`], a [`ReportStream`] yielding reports in trial order as
-//!   trials finish, [`OnlineAccumulator`]s folded incrementally (no batch
-//!   is ever materialised) and [`EarlyStop`], a sequential stopping rule on
-//!   the success-probability confidence width.
+//! * [`stream`] — streaming batch execution: a lock-free [`ShardQueue`]
+//!   handing out one trial per claim, a [`ReportStream`] yielding reports
+//!   in trial order as trials finish, [`OnlineAccumulator`]s folded
+//!   incrementally (no batch is ever materialised) and [`EarlyStop`], a
+//!   sequential stopping rule on the success-probability confidence width.
 //!
 //! The Monte-Carlo layer (`lv_sim::MonteCarlo`), the experiment suite and
 //! the benchmark harness are all thin adapters over scenario batches, so a

@@ -1,19 +1,21 @@
-//! Streaming sharded batch execution: run a [`Scenario`] many times and
-//! consume the [`RunReport`]s *as trials finish*, without ever materialising
-//! a batch.
+//! Streaming batch execution: run a [`Scenario`] many times and consume the
+//! [`RunReport`]s *as trials finish*, without ever materialising a batch.
 //!
 //! The pieces compose bottom-up:
 //!
-//! * [`ShardQueue`] — a lock-free work-stealing dispenser of dynamic trial
-//!   chunks: idle workers claim the next shard instead of being pinned to a
-//!   static range, so stragglers (trials that run long) never leave cores
-//!   idle;
+//! * [`ShardQueue`] — a lock-free dispenser of trial indices: idle workers
+//!   claim the next trial, one per claim and in index order, instead of
+//!   being pinned to a static range, so stragglers (trials that run long)
+//!   never leave cores idle, and an early stop wastes at most the trials
+//!   already running;
 //! * [`ReportStream`] — an iterator over `(trial, RunReport)` pairs in
-//!   strict trial order. Workers run trials out of order and feed a
-//!   crossbeam channel; a small reorder buffer on the consuming side
-//!   restores trial order, which is what makes every downstream fold
-//!   bit-identical at every thread count (trial `i` always uses the RNG the
-//!   factory returns for `i`, and results are always folded `0, 1, 2, …`);
+//!   strict trial order. Workers run trials out of order and send them,
+//!   batched by work (up to [`FLUSH_TRIALS`] trials, fewer when they are
+//!   long), through a bounded channel; a small reorder buffer on the
+//!   consuming side restores trial order, which is what makes every
+//!   downstream fold bit-identical at every thread count (trial `i` always
+//!   uses the RNG the factory returns for `i`, and results are always
+//!   folded `0, 1, 2, …`);
 //! * [`OnlineAccumulator`] — a statistic folded one report at a time:
 //!   [`SuccessTally`] (win counts), [`RunMoments`] (Welford mean/variance
 //!   of consensus event counts and extinction times), [`PluralityTally`]
@@ -52,11 +54,10 @@
 use crate::backend::Backend;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -71,12 +72,10 @@ pub type TrialRngFactory = Arc<dyn Fn(u64) -> StdRng + Send + Sync>;
 pub struct StreamConfig {
     trials: u64,
     threads: usize,
-    shard_size: Option<u64>,
 }
 
 impl StreamConfig {
-    /// A configuration running `trials` trials on all available cores with
-    /// an automatically sized shard.
+    /// A configuration running `trials` trials on all available cores.
     ///
     /// # Panics
     ///
@@ -86,11 +85,7 @@ impl StreamConfig {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        StreamConfig {
-            trials,
-            threads,
-            shard_size: None,
-        }
+        StreamConfig { trials, threads }
     }
 
     /// Restricts execution to a fixed number of worker threads.
@@ -104,18 +99,6 @@ impl StreamConfig {
         self
     }
 
-    /// Fixes the shard size (trials claimed per queue access). Smaller
-    /// shards balance load better; larger shards amortise queue traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size == 0`.
-    pub fn with_shard_size(mut self, shard_size: u64) -> Self {
-        assert!(shard_size > 0, "shards must hold at least one trial");
-        self.shard_size = Some(shard_size);
-        self
-    }
-
     /// The number of trials to run.
     pub fn trials(&self) -> u64 {
         self.trials
@@ -124,25 +107,6 @@ impl StreamConfig {
     /// The configured worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The effective shard size: the configured one, or an automatic choice
-    /// giving each worker several claims (for load balancing) while keeping
-    /// shards no larger than 256 trials.
-    ///
-    /// Load balancing only happens across *physical* cores: threads beyond
-    /// the machine's available parallelism time-slice the same cores, so
-    /// splitting the batch finer for them buys nothing and multiplies queue
-    /// and channel traffic. Oversubscribed configurations therefore get the
-    /// shard size of the physical core count.
-    pub fn effective_shard_size(&self) -> u64 {
-        self.shard_size.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let balancing = self.threads.min(cores) as u64;
-            (self.trials / (balancing * 4).max(1)).clamp(1, 256)
-        })
     }
 
     /// The number of worker threads actually spawned for `scheduled` trials:
@@ -156,11 +120,11 @@ impl StreamConfig {
     ///   traffic without adding throughput (BENCH_7 measured the 512-trial
     ///   success-probability batch *slower* at 4 threads than at 1 on a
     ///   single-core host for exactly this reason).
-    /// * **Flush chunks** — delivery happens in [`FLUSH_TRIALS`]-sized
-    ///   chunks, so a batch of `scheduled` trials contains only
-    ///   `⌈scheduled / FLUSH_TRIALS⌉` chunks of per-worker work worth
-    ///   parallelising; more workers than chunks just fragments delivery
-    ///   into sub-chunk messages.
+    /// * **Flush batches** — cheap trials travel in batches of
+    ///   [`FLUSH_TRIALS`], so a batch of `scheduled` trials contains only
+    ///   `⌈scheduled / FLUSH_TRIALS⌉` messages' worth of per-worker work
+    ///   worth parallelising; more workers than that just fragments delivery
+    ///   into smaller messages.
     ///
     /// When the clamp leaves a single worker the stream runs sequentially on
     /// the consuming thread, with no queue or channel at all.
@@ -177,56 +141,54 @@ impl StreamConfig {
     }
 }
 
-/// How many completed trials a parallel worker accumulates before flushing
-/// them to the consumer in a single channel message.
+/// The most completed trials a parallel worker holds before sending them to
+/// the consumer in a single channel message.
 ///
-/// This decouples *delivery* granularity from *load-balancing* granularity
-/// (the shard size): per-trial sends cost more than a cheap trial itself,
-/// while whole-shard messages would make an early-stopping consumer wait for
-/// a full shard per worker before its stopping rule can see the first trial.
+/// Delivery is sized by work, not by trial count alone: a worker also sends
+/// as soon as its held trials add up to 2¹⁴ [`RunReport::events`], so a long
+/// trial goes out the moment it finishes. Per-trial sends cost more than a
+/// cheap (microsecond) trial itself, so those still travel sixteen to a
+/// message; holding a long trial back would only delay the consumer's
+/// stopping rule, which sees a trial once every earlier one has arrived.
 pub const FLUSH_TRIALS: u64 = 16;
 
-/// A lock-free dispenser of dynamic trial shards.
+/// The summed [`RunReport::events`] at which a worker sends its held trials
+/// before holding [`FLUSH_TRIALS`] of them. The event count stands in for
+/// the time a trial took: the engine reads no clock.
+const FLUSH_EVENTS: u64 = 1 << 14;
+
+/// A lock-free dispenser of trial indices.
 ///
-/// Workers repeatedly [`claim`](ShardQueue::claim) the next contiguous chunk
-/// of trial indices until the queue is exhausted or
-/// [`halt`](ShardQueue::halt)ed. This replaces static per-worker ranges:
-/// a worker that finishes early simply claims more work.
+/// Workers repeatedly [`claim`](ShardQueue::claim) the next trial index, one
+/// per claim and in increasing order, until the queue is exhausted or
+/// [`halt`](ShardQueue::halt)ed. A worker that finishes early simply claims
+/// more work, and a halt leaves only the trials already claimed to run: by
+/// the time trial `i` is claimed, every trial before it has been claimed.
 #[derive(Debug)]
 pub struct ShardQueue {
     next: AtomicU64,
     trials: u64,
-    shard: u64,
     halted: AtomicBool,
 }
 
 impl ShardQueue {
-    /// A queue over trials `0..trials` handed out in chunks of `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard == 0`.
-    pub fn new(trials: u64, shard: u64) -> Self {
-        assert!(shard > 0, "shards must hold at least one trial");
+    /// A queue over trials `0..trials`.
+    pub fn new(trials: u64) -> Self {
         ShardQueue {
             next: AtomicU64::new(0),
             trials,
-            shard,
             halted: AtomicBool::new(false),
         }
     }
 
-    /// Claims the next shard of trial indices, or `None` when the queue is
-    /// exhausted or halted.
-    pub fn claim(&self) -> Option<Range<u64>> {
+    /// Claims the next trial index, or `None` when the queue is exhausted or
+    /// halted.
+    pub fn claim(&self) -> Option<u64> {
         if self.is_halted() {
             return None;
         }
-        let start = self.next.fetch_add(self.shard, Ordering::AcqRel);
-        if start >= self.trials {
-            return None;
-        }
-        Some(start..(start + self.shard).min(self.trials))
+        let trial = self.next.fetch_add(1, Ordering::AcqRel);
+        (trial < self.trials).then_some(trial)
     }
 
     /// Stops the queue: every subsequent [`claim`](ShardQueue::claim)
@@ -682,11 +644,11 @@ enum StreamInner {
     /// once, replicate the report (matching the batch runner's behaviour of
     /// executing deterministic backends a single time).
     Deterministic { report: RunReport },
-    /// Sharded multi-threaded execution feeding a reorder buffer. Each
-    /// channel message is one flushed chunk of a shard: the starting trial
-    /// index and up to [`FLUSH_TRIALS`] reports in trial order.
+    /// Multi-threaded execution feeding a reorder buffer. Each channel
+    /// message is one worker's batch of completed trials with their indices
+    /// (a worker's trials need not be contiguous).
     Parallel {
-        receiver: Receiver<(u64, Vec<RunReport>)>,
+        receiver: Receiver<Vec<(u64, RunReport)>>,
         pending: BTreeMap<u64, RunReport>,
         queue: Arc<ShardQueue>,
         workers: Vec<JoinHandle<()>>,
@@ -700,21 +662,25 @@ enum StreamInner {
 /// An iterator over `(trial, RunReport)` pairs of a streamed batch, in
 /// strict trial order.
 ///
-/// Trials execute on worker threads claiming dynamic shards from a
-/// [`ShardQueue`] and may *finish* in any order; a reorder buffer on the
-/// consuming side restores index order before yielding. Combined with the
-/// per-trial RNG contract of [`TrialRngFactory`], every fold over the stream
-/// is bit-identical regardless of thread count or scheduling. No batch is
-/// ever materialised, no matter how slow the consumer: reports travel in
-/// chunks of up to [`FLUSH_TRIALS`] per channel message (a send per trial
-/// costs more than a cheap trial itself, while whole-shard messages would
-/// delay early stopping by a shard per worker) through a *bounded* channel,
-/// so workers block on a full channel instead of racing ahead, and the
-/// reorder buffer only ever holds the few chunks in flight.
+/// Trials execute on worker threads claiming them one at a time, in index
+/// order, from a [`ShardQueue`] and may *finish* in any order; a reorder
+/// buffer on the consuming side restores index order before yielding.
+/// Combined with the per-trial RNG contract of [`TrialRngFactory`], every
+/// fold over the stream is bit-identical regardless of thread count or
+/// scheduling. No batch is ever materialised, no matter how slow the
+/// consumer: a worker sends its completed trials once it holds
+/// [`FLUSH_TRIALS`] of them or once they add up to a fixed number of events
+/// (so cheap trials share a message while a long one goes out as soon as it
+/// finishes), through a *bounded* channel, so workers block on a full
+/// channel instead of racing ahead, and the reorder buffer only ever holds
+/// the few messages in flight.
 ///
-/// Dropping the stream halts the queue and joins the workers; a panic on a
-/// worker thread is re-raised on the consuming thread once the stream
-/// reaches the panicked trial.
+/// Halting the stream (an early stop, or dropping it) stops new claims;
+/// trials already claimed finish and are discarded. A panic on a worker
+/// thread halts the queue too, and is re-raised on the consuming thread once
+/// the stream reaches the panicked trial: every trial before it was claimed
+/// earlier, so it runs and is delivered, and the consumer folds exactly the
+/// trials before the panicked one.
 pub struct ReportStream {
     inner: StreamInner,
     /// Next trial index to yield.
@@ -773,14 +739,13 @@ impl ReportStream {
                 halted: false,
             };
         }
-        let shard = config.effective_shard_size();
-        let queue = Arc::new(ShardQueue::new(scheduled, shard));
+        let queue = Arc::new(ShardQueue::new(scheduled));
         // Bounded channel = backpressure: a consumer slower than the worker
         // pool makes the workers block on `send` instead of racing ahead and
-        // buffering the whole batch. Messages are chunks of up to
-        // FLUSH_TRIALS reports, so two slots per worker cap in-flight
-        // reports at a few chunks per worker.
-        let (sender, receiver) = bounded(threads * 2);
+        // buffering the whole batch. Messages hold at most FLUSH_TRIALS
+        // reports, so two slots per worker cap in-flight reports at a few
+        // messages per worker.
+        let (sender, receiver) = sync_channel(threads * 2);
         // Build the scenario's CRN form once, before the workers clone the
         // Arc, so the reaction network is shared instead of rebuilt per
         // thread (protocol backends have no CRN form; skip for them).
@@ -794,68 +759,50 @@ impl ReportStream {
                 let scenario = Arc::clone(&scenario);
                 let queue = Arc::clone(&queue);
                 let rng_for_trial = Arc::clone(&rng_for_trial);
-                let sender: Sender<(u64, Vec<RunReport>)> = sender.clone();
+                let sender = sender.clone();
                 let panic = Arc::clone(&panic);
                 std::thread::spawn(move || {
-                    while let Some(shard) = queue.claim() {
-                        let mut chunk_start = shard.start;
-                        let mut reports =
-                            Vec::with_capacity(FLUSH_TRIALS.min(shard.end - shard.start) as usize);
-                        for trial in shard {
-                            if queue.is_halted() {
-                                // Halted mid-shard (early stop or drop): the
-                                // consumer has stopped folding, so the
-                                // partial chunk is discarded.
+                    let mut held: Vec<(u64, RunReport)> = Vec::new();
+                    let mut held_events = 0u64;
+                    // A halt only stops new claims: a claimed trial always
+                    // runs, and completed reports are always sent (after a
+                    // halt the consumer either still folds up to a panicked
+                    // trial, or drops the stream and drains the channel, so
+                    // the send cannot block forever).
+                    while let Some(trial) = queue.claim() {
+                        // Catch backend panics here rather than letting the
+                        // thread die: the queue halts at once (so the
+                        // surviving workers stop claiming trials instead of
+                        // running — and buffering — the whole rest of the
+                        // batch) and the payload is re-raised on the
+                        // consuming thread.
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let mut rng = rng_for_trial(trial);
+                            backend.run(&scenario, &mut rng)
+                        }));
+                        match result {
+                            Ok(report) => {
+                                held_events = held_events.saturating_add(report.events);
+                                held.push((trial, report));
+                            }
+                            Err(payload) => {
+                                queue.halt();
+                                let mut slot =
+                                    panic.lock().unwrap_or_else(|poison| poison.into_inner());
+                                slot.get_or_insert(payload);
+                                break;
+                            }
+                        }
+                        if held.len() as u64 >= FLUSH_TRIALS || held_events >= FLUSH_EVENTS {
+                            if sender.send(std::mem::take(&mut held)).is_err() {
+                                // Receiver gone: the stream was dropped.
                                 return;
                             }
-                            // Catch backend panics here rather than letting
-                            // the thread die: the queue halts at once (so the
-                            // surviving workers stop claiming trials instead
-                            // of running — and buffering — the whole rest of
-                            // the batch) and the payload is re-raised on the
-                            // consuming thread.
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let mut rng = rng_for_trial(trial);
-                                    backend.run(&scenario, &mut rng)
-                                }));
-                            match result {
-                                Ok(report) => reports.push(report),
-                                Err(payload) => {
-                                    queue.halt();
-                                    // Deliver the chunk's completed prefix —
-                                    // the consumer folds trials in order up
-                                    // to the panicked one before re-raising.
-                                    if !reports.is_empty() {
-                                        let _ = sender.send((chunk_start, reports));
-                                    }
-                                    let mut slot =
-                                        panic.lock().unwrap_or_else(|poison| poison.into_inner());
-                                    slot.get_or_insert(payload);
-                                    return;
-                                }
-                            }
-                            // Chunked sends: one message per FLUSH_TRIALS
-                            // completed trials, not one per trial (per-trial
-                            // sends cost more than a cheap trial itself —
-                            // the 512-trial batch-streaming bench regressed
-                            // 4-thread vs 1-thread on them) and not one per
-                            // shard (which would delay early stopping by a
-                            // whole shard per worker).
-                            if reports.len() as u64 == FLUSH_TRIALS {
-                                if sender
-                                    .send((chunk_start, std::mem::take(&mut reports)))
-                                    .is_err()
-                                {
-                                    // Receiver gone: the stream was dropped.
-                                    return;
-                                }
-                                chunk_start = trial + 1;
-                            }
+                            held_events = 0;
                         }
-                        if !reports.is_empty() && sender.send((chunk_start, reports)).is_err() {
-                            return;
-                        }
+                    }
+                    if !held.is_empty() {
+                        let _ = sender.send(held);
                     }
                 })
             })
@@ -994,10 +941,10 @@ impl Iterator for ReportStream {
                     break Some(report);
                 }
                 match receiver.recv() {
-                    Ok((start, reports)) => {
-                        debug_assert!(start >= trial, "shard at {start} delivered twice");
-                        for (offset, report) in reports.into_iter().enumerate() {
-                            pending.insert(start + offset as u64, report);
+                    Ok(reports) => {
+                        for (index, report) in reports {
+                            debug_assert!(index >= trial, "trial {index} delivered twice");
+                            pending.insert(index, report);
                         }
                     }
                     // Every sender hung up with trials still owed: a worker
@@ -1034,8 +981,8 @@ impl Drop for ReportStream {
         {
             // Drain the channel first: a worker blocked on a full bounded
             // channel must be released before it can observe the halt and
-            // exit (each worker sends at most one more report after the
-            // halt, then drops its sender, ending this loop).
+            // exit (each worker finishes the trial it holds, sends what it
+            // has completed, then drops its sender, ending this loop).
             while receiver.recv().is_ok() {}
             // Reap the workers, swallowing panics (they were either already
             // re-raised by `next`, or the stream was deliberately
@@ -1065,21 +1012,22 @@ mod tests {
 
     #[test]
     fn shard_queue_hands_out_every_trial_exactly_once() {
-        let queue = ShardQueue::new(103, 10);
+        let queue = ShardQueue::new(103);
         let mut seen = [false; 103];
-        while let Some(range) = queue.claim() {
-            for trial in range {
-                assert!(!seen[trial as usize], "trial {trial} claimed twice");
-                seen[trial as usize] = true;
-            }
+        let mut last = None;
+        while let Some(trial) = queue.claim() {
+            assert!(!seen[trial as usize], "trial {trial} claimed twice");
+            assert!(last < Some(trial), "trial {trial} claimed out of order");
+            seen[trial as usize] = true;
+            last = Some(trial);
         }
         assert!(seen.iter().all(|&s| s), "some trial was never claimed");
     }
 
     #[test]
     fn halted_queue_stops_claiming() {
-        let queue = ShardQueue::new(100, 7);
-        assert!(queue.claim().is_some());
+        let queue = ShardQueue::new(100);
+        assert_eq!(queue.claim(), Some(0));
         queue.halt();
         assert!(queue.is_halted());
         assert!(queue.claim().is_none());
@@ -1097,13 +1045,11 @@ mod tests {
         )
         .collect();
         assert_eq!(sequential.len(), 24);
-        for threads in [2, 4, 8] {
+        for threads in [2, 3, 4, 8] {
             let parallel: Vec<(u64, RunReport)> = ReportStream::new(
                 &scenario,
                 backend,
-                StreamConfig::new(24)
-                    .with_threads(threads)
-                    .with_shard_size(3),
+                StreamConfig::new(24).with_threads(threads),
                 factory(1),
             )
             .collect();
@@ -1293,6 +1239,51 @@ mod tests {
         // The queue was halted by the panicking worker, so the surviving
         // workers did not burn through (and buffer) the remaining trials.
         assert!(stream.next().is_none());
+    }
+
+    #[test]
+    fn a_worker_panic_is_raised_after_exactly_the_trials_before_it() {
+        // The RNG factory panics at trial `p`, inside the second worker's
+        // first trials. Every trial before `p` was claimed before it, so it
+        // must run and reach the consumer, even when its worker is still
+        // busy when the panic halts the queue: the consumer folds exactly
+        // trials 0..p, then sees the panic.
+        let model = LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0);
+        let scenario = Scenario::majority(model, 300, 200);
+        let backend = backend("jump-chain").unwrap();
+        for threads in [2, 4] {
+            for p in 9..=14u64 {
+                for round in 0..8 {
+                    let inner = factory(round);
+                    let rng_for_trial: TrialRngFactory = Arc::new(move |trial| {
+                        assert_ne!(trial, p, "rng factory refused trial {p}");
+                        inner(trial)
+                    });
+                    let stream = ReportStream::new(
+                        &scenario,
+                        backend,
+                        StreamConfig::new(64).with_threads(threads),
+                        rng_for_trial,
+                    );
+                    let mut folded = 0u64;
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        for _ in stream {
+                            folded += 1;
+                        }
+                    }));
+                    let payload = result.expect_err("the worker panic must reach the consumer");
+                    let message = payload.downcast_ref::<String>().map(String::as_str);
+                    assert!(
+                        message.is_some_and(|m| m.contains("refused trial")),
+                        "unexpected panic payload {message:?}"
+                    );
+                    assert_eq!(
+                        folded, p,
+                        "{threads} threads, round {round}: folded {folded} trials before the panic at {p}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

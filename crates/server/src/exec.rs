@@ -6,7 +6,7 @@
 //! answer is a pure function of `(spec, n, gap, seed, lo, hi)`:
 //!
 //! * [`InProcessExecutor`] runs the range on the embedded
-//!   [`ReportStream`](lv_engine::stream::ReportStream) sharded executor;
+//!   [`ReportStream`](lv_engine::stream::ReportStream) streaming executor;
 //! * [`WorkerPool`] chunks the range across spawned worker *processes*
 //!   (the `lv-serve --worker` mode of the same binary) speaking the wire
 //!   protocol over stdio. A worker that dies mid-range costs nothing but

@@ -11,7 +11,7 @@
 //!   run would have produced;
 //! * concurrent identical queries **coalesce** behind one in-flight
 //!   computation;
-//! * trial execution is pluggable: in-process sharded streaming
+//! * trial execution is pluggable: in-process streaming
 //!   ([`InProcessExecutor`]) or a multi-process [`WorkerPool`] fanning
 //!   trial ranges out over spawned `lv-serve --worker` processes —
 //!   bit-identical to in-process at any worker count, because every trial

@@ -6,7 +6,7 @@
 //!
 //! * [`MonteCarlo`] — a seeded, optionally multi-threaded trial runner with
 //!   [`SuccessEstimate`] results (Wilson confidence intervals). Batches run
-//!   on the engine's streaming executor (work-stealing shards, reports
+//!   on the engine's streaming executor (per-trial claims, reports
 //!   folded into [`OnlineAccumulator`]s in trial order as trials finish —
 //!   nothing materialised, bit-identical at every thread count), and the
 //!   `_until` estimator variants stop early once an [`EarlyStop`]

@@ -386,8 +386,8 @@ impl fmt::Display for PluralityStats {
 /// All estimates are reproducible given the seed: trial `i` always uses the
 /// RNG stream [`Seed::rng_for_trial`]`(i)`, independent of threading.
 /// Batches execute through the engine's streaming executor
-/// ([`ReportStream`]): worker threads claim dynamic shards from a
-/// work-stealing queue and reports are folded into
+/// ([`ReportStream`]): worker threads claim trials one at a time from a
+/// lock-free queue and reports are folded into
 /// [`OnlineAccumulator`]s *in trial order, as trials finish* — no estimator
 /// materialises a batch, and every result is bit-identical for every thread
 /// count (the default uses all available cores). The `_until` estimator
@@ -410,7 +410,6 @@ pub struct MonteCarlo {
     threads: usize,
     max_events_factor: u64,
     backend: &'static str,
-    shard_size: Option<u64>,
 }
 
 impl MonteCarlo {
@@ -431,7 +430,6 @@ impl MonteCarlo {
             threads,
             max_events_factor: 200,
             backend: "jump-chain",
-            shard_size: None,
         }
     }
 
@@ -451,19 +449,6 @@ impl MonteCarlo {
     /// consensus time of Theorem 13).
     pub fn with_max_events_factor(mut self, factor: u64) -> Self {
         self.max_events_factor = factor;
-        self
-    }
-
-    /// Fixes the streaming shard size (trials claimed per work-stealing
-    /// queue access; the default sizes shards automatically). Results are
-    /// identical for every shard size — only scheduling granularity changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size == 0`.
-    pub fn with_shard_size(mut self, shard_size: u64) -> Self {
-        assert!(shard_size > 0, "shards must hold at least one trial");
-        self.shard_size = Some(shard_size);
         self
     }
 
@@ -594,11 +579,7 @@ impl MonteCarlo {
 
     /// The streaming configuration for this runner's trial/thread settings.
     fn stream_config(&self) -> StreamConfig {
-        let config = StreamConfig::new(self.trials).with_threads(self.threads);
-        match self.shard_size {
-            Some(shard) => config.with_shard_size(shard),
-            None => config,
-        }
+        StreamConfig::new(self.trials).with_threads(self.threads)
     }
 
     /// The per-trial RNG factory: exactly [`Seed::rng_for_trial`], the

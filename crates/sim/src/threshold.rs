@@ -829,6 +829,42 @@ mod tests {
     }
 
     #[test]
+    fn protocol_searches_are_identical_at_every_thread_count() {
+        // The E16 protocol sweep's path: adaptive probes of 48 trials on the
+        // parallel stream, where the early stop halts the queue mid-batch.
+        // The threshold and every probe's trial and success counts must not
+        // depend on how many workers ran them.
+        let nlogn = (40.0 * 1_000f64 * 1_000f64.ln()).ceil() as u64;
+        let cases = [
+            (
+                "approx-majority",
+                TwoSpeciesGap::new(LvModel::default(), 1_000).with_max_events(nlogn),
+            ),
+            (
+                "czyzowicz-lv",
+                TwoSpeciesGap::new(LvModel::default(), 300).with_max_events(4 * 300 * 300),
+            ),
+        ];
+        for (backend, factory) in cases {
+            let search = |threads| {
+                ThresholdSearch::new(48, Seed::from(19))
+                    .with_backend(backend)
+                    .with_threads(threads)
+                    .find_gap(&factory)
+            };
+            let sequential = search(1);
+            assert!(sequential.probes.len() > 1, "{backend}: a one-probe search");
+            for threads in [2, 4] {
+                assert_eq!(
+                    search(threads),
+                    sequential,
+                    "{backend} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn plurality_search_covers_k_species() {
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let search = ThresholdSearch::new(40, Seed::from(13));

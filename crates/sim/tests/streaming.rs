@@ -225,13 +225,14 @@ fn streamed_plurality_stats_match_the_materialising_reference() {
 #[test]
 fn shard_size_never_changes_results() {
     let scenario = Scenario::majority(model(), 60, 50);
-    let reference = MonteCarlo::new(64, Seed::from(34)).consensus_stats_scenario(&scenario);
-    for shard in [1, 3, 64, 1_000] {
-        let sharded = MonteCarlo::new(64, Seed::from(34))
-            .with_shard_size(shard)
-            .with_threads(4)
+    let reference = MonteCarlo::new(64, Seed::from(34))
+        .with_threads(1)
+        .consensus_stats_scenario(&scenario);
+    for threads in [2, 3, 4, 8] {
+        let scheduled = MonteCarlo::new(64, Seed::from(34))
+            .with_threads(threads)
             .consensus_stats_scenario(&scenario);
-        assert_eq!(sharded, reference, "shard size {shard}");
+        assert_eq!(scheduled, reference, "{threads} threads");
     }
 }
 
