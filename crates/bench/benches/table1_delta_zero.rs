@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lv_bench::{bench_seed, BENCH_N, BENCH_TRIALS};
 use lv_lotka::LvModel;
 use lv_protocols::AndaurResourceModel;
-use lv_sim::{MonteCarlo, ThresholdSearch};
+use lv_sim::ThresholdSearch;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -19,17 +19,26 @@ fn bench(c: &mut Criterion) {
     });
 
     let andaur = AndaurResourceModel::for_population(BENCH_N);
-    let mc = MonteCarlo::new(BENCH_TRIALS, bench_seed()).with_threads(1);
     let gap = ((BENCH_N as f64) * (BENCH_N as f64).ln()).sqrt() as u64;
     let a = (BENCH_N + gap) / 2;
     let b_count = BENCH_N - a;
     group.bench_function(format!("andaur_success_probability_n{BENCH_N}"), |b| {
         b.iter(|| {
-            black_box(mc.estimate(|_, rng| {
-                andaur
-                    .run_majority(black_box(a), black_box(b_count), rng, 400 * BENCH_N)
-                    .majority_won
-            }))
+            let seed = bench_seed();
+            black_box(
+                (0..BENCH_TRIALS)
+                    .filter(|&trial| {
+                        andaur
+                            .run_majority(
+                                black_box(a),
+                                black_box(b_count),
+                                &mut seed.rng_for_trial(trial),
+                                400 * BENCH_N,
+                            )
+                            .majority_won
+                    })
+                    .count(),
+            )
         })
     });
     group.finish();

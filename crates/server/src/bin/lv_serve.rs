@@ -6,6 +6,8 @@
 //!          --workers 4                     # multi-process trial execution
 //!          --threads 8                     # in-process executor threads
 //!          --cache-snapshot surface.json   # warm-start + save on shutdown
+//!                                          # (an unreadable file is moved
+//!                                          # to surface.json.unreadable)
 //! lv-serve --worker [--threads 1]          # worker mode (spawned by pools)
 //! ```
 
@@ -13,7 +15,7 @@ use lv_server::{
     BindAddr, InProcessExecutor, Server, ServiceConfig, SurfaceSnapshot, ThresholdService,
     TrialExecutor, WorkerPool,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Options {
@@ -72,6 +74,19 @@ fn parse_number(text: &str, flag: &str) -> usize {
     })
 }
 
+/// Reads the snapshot at `path`: `None` when there is no file yet, an error
+/// when the file exists but cannot be read or parsed.
+fn read_snapshot(path: &Path) -> Result<Option<SurfaceSnapshot>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.to_string()),
+    };
+    serde::json::from_str(&text)
+        .map(Some)
+        .map_err(|e| e.to_string())
+}
+
 fn main() -> ExitCode {
     let options = parse_options();
 
@@ -103,15 +118,29 @@ fn main() -> ExitCode {
 
     let mut service = ThresholdService::new(executor, ServiceConfig::default());
     if let Some(path) = &options.snapshot {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match serde::json::from_str::<SurfaceSnapshot>(&text) {
-                Ok(snapshot) => {
-                    service = service.with_snapshot(&snapshot);
-                    eprintln!("warm-started cache from {}", path.display());
+        match read_snapshot(path) {
+            Ok(Some(snapshot)) => {
+                service = service.with_snapshot(&snapshot);
+                eprintln!("warm-started cache from {}", path.display());
+            }
+            Ok(None) => eprintln!("no snapshot at {} yet; starting cold", path.display()),
+            Err(e) => {
+                // Shutdown writes a fresh snapshot to `path`: move the
+                // unreadable one aside first so its bytes survive.
+                let mut aside = path.as_os_str().to_owned();
+                aside.push(".unreadable");
+                if let Err(move_error) = std::fs::rename(path, &aside) {
+                    eprintln!(
+                        "snapshot {} is unreadable ({e}) and cannot be moved aside: {move_error}",
+                        path.display()
+                    );
+                    return ExitCode::FAILURE;
                 }
-                Err(e) => eprintln!("ignoring unreadable snapshot {}: {e}", path.display()),
-            },
-            Err(_) => eprintln!("no snapshot at {} yet; starting cold", path.display()),
+                eprintln!(
+                    "moved unreadable snapshot {0} to {0}.unreadable ({e}); starting cold",
+                    path.display()
+                );
+            }
         }
     }
 

@@ -11,16 +11,18 @@
 //!
 //! A `Shutdown` request flips the stop flag: the acceptor stops accepting,
 //! in-flight connections drain, and (when configured) the cache is written
-//! to the snapshot path for the next warm start.
+//! to the snapshot path for the next warm start: to a temporary file first,
+//! then renamed over the old snapshot, so a crash mid-write loses nothing.
 
 use crate::error::ServiceError;
 use crate::proto::{Hello, Request, Response};
 use crate::service::ThresholdService;
 use crate::wire::{read_message, write_message, WireError, MAX_FRAME_BYTES};
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -74,7 +76,8 @@ impl Server {
         })
     }
 
-    /// Writes the cache to `path` on graceful shutdown.
+    /// Writes the cache to `path` on graceful shutdown (via a temporary
+    /// file renamed over `path`).
     pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.snapshot_path = Some(path.into());
         self
@@ -153,13 +156,24 @@ impl Server {
         }
         if let Some(path) = &self.snapshot_path {
             let text = serde::json::to_string(&self.service.snapshot());
-            std::fs::write(path, text)?;
+            write_replacing(path, text.as_bytes())?;
         }
         if let Listener::Unix(_, path) = &self.listener {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
     }
+}
+
+/// Writes `bytes` to `<path>.tmp`, syncs it and renames it over `path`, so
+/// a crash mid-write leaves the previous file whole.
+fn write_replacing(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 /// How often an idle connection wakes to poll the stop flag.

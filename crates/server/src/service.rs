@@ -31,7 +31,7 @@ use crate::proto::{
 use crate::spec::ScenarioSpec;
 use crate::sync;
 use lv_engine::wilson;
-use lv_sim::{GapProbe, GapScenario, Seed, ThresholdResult};
+use lv_sim::{lattice_search, Seed, ThresholdSearch};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -345,9 +345,10 @@ impl ThresholdService {
         })
     }
 
-    /// Answers a `Threshold`: the doubling-then-binary lattice search of
-    /// [`lv_sim::ThresholdSearch::find_gap`], with every probe memoized as
-    /// a surface cell — a repeated search re-reads its probes from cache.
+    /// Answers a `Threshold`: the lattice walk of [`lv_sim::lattice_search`]
+    /// (the one [`ThresholdSearch::find_gap`] runs), with every probe
+    /// memoized as a surface cell — a repeated search re-reads its probes
+    /// from cache.
     pub fn threshold(&self, request: &ThresholdRequest) -> Result<ThresholdResponse, ServiceError> {
         let spec = request.spec.clone().validated()?;
         let family = spec.family(request.n)?;
@@ -364,7 +365,7 @@ impl ThresholdService {
         }
         let n = request.n;
         let target = if request.target == 0.0 {
-            (1.0 - 1.0 / n as f64).min(1.0 - 3.0 / budget as f64)
+            ThresholdSearch::default_target(n, budget)
         } else if request.target > 0.0 && request.target < 1.0 {
             request.target
         } else {
@@ -374,85 +375,18 @@ impl ThresholdService {
             )));
         };
 
-        let (min_gap, stride, max_gap) = (family.min_gap(), family.stride(), family.max_gap());
-        let max_index = (max_gap - min_gap) / stride;
-        let gap_at = |index: u64| min_gap + index * stride;
-        let mut fresh_total = 0u64;
-        let mut probes: Vec<GapProbe> = Vec::new();
-        let run = |index: u64,
-                   probes: &mut Vec<GapProbe>,
-                   fresh_total: &mut u64|
-         -> Result<GapProbe, ServiceError> {
-            let (stats, fresh) =
-                self.probe_cell(&spec, fingerprint, n, gap_at(index), target, budget)?;
-            *fresh_total += fresh;
-            let probe = GapProbe {
-                gap: gap_at(index),
-                trials: stats.trials,
-                successes: stats.successes,
-                estimate: stats.point(),
-                reached_target: stats.point() >= target,
-            };
-            probes.push(probe);
-            Ok(probe)
-        };
-
-        let finish = |threshold_index: u64,
-                      at: GapProbe,
-                      saturated: bool,
-                      probes: Vec<GapProbe>,
-                      fresh_total: u64| {
-            ThresholdResponse {
-                fingerprint: spec.fingerprint_hex(),
-                result: ThresholdResult {
-                    n,
-                    species: family.species_count(),
-                    backend: spec.backend.clone(),
-                    threshold: gap_at(threshold_index),
-                    target,
-                    success_at_threshold: at.estimate,
-                    saturated,
-                    probes,
-                },
-                fresh_trials: fresh_total,
-            }
-        };
-
-        let mut upper = 0u64;
-        let mut at_upper = run(0, &mut probes, &mut fresh_total)?;
-        if !at_upper.reached_target {
-            let mut lower;
-            loop {
-                lower = upper;
-                if upper == max_index {
-                    let response = finish(max_index, at_upper, true, probes, fresh_total);
-                    self.count_request(fresh_total);
-                    return Ok(response);
-                }
-                upper = if upper == 0 {
-                    1
-                } else {
-                    (upper * 2).min(max_index)
-                };
-                at_upper = run(upper, &mut probes, &mut fresh_total)?;
-                if at_upper.reached_target {
-                    break;
-                }
-            }
-            while upper - lower > 1 {
-                let mid = lower + (upper - lower) / 2;
-                let at_mid = run(mid, &mut probes, &mut fresh_total)?;
-                if at_mid.reached_target {
-                    upper = mid;
-                    at_upper = at_mid;
-                } else {
-                    lower = mid;
-                }
-            }
-        }
-        let response = finish(upper, at_upper, false, probes, fresh_total);
-        self.count_request(fresh_total);
-        Ok(response)
+        let mut fresh_trials = 0u64;
+        let result = lattice_search(&family, &spec.backend, target, |gap| {
+            let (stats, fresh) = self.probe_cell(&spec, fingerprint, n, gap, target, budget)?;
+            fresh_trials += fresh;
+            Ok::<_, ServiceError>((stats.successes, stats.trials))
+        })?;
+        self.count_request(fresh_trials);
+        Ok(ThresholdResponse {
+            fingerprint: spec.fingerprint_hex(),
+            result,
+            fresh_trials,
+        })
     }
 
     /// Answers a `SweepSurface`: every requested `(n, gap)` snapped to the

@@ -203,6 +203,53 @@ fn unix_socket_serving_cache_and_graceful_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An unreadable snapshot is moved aside at startup, so the snapshot the
+/// server writes at shutdown does not destroy it.
+#[test]
+fn unreadable_snapshot_bytes_survive_a_start_stop_cycle() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("lv-server-quarantine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("lv.sock");
+    let snapshot_path = dir.join("surface.json");
+    let aside = dir.join("surface.json.unreadable");
+    let _ = std::fs::remove_file(&aside);
+    let garbage: &[u8] = b"{\"schema_version\": 1, \"entries\": [\xff truncated";
+    std::fs::write(&snapshot_path, garbage).unwrap();
+
+    let mut server = Command::new(env!("CARGO_BIN_EXE_lv-serve"))
+        .arg("--unix")
+        .arg(&socket)
+        .arg("--cache-snapshot")
+        .arg(&snapshot_path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(server.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("listening on"), "server said {line:?}");
+    Client::connect_unix(&socket).unwrap().shutdown().unwrap();
+    assert!(server.wait().unwrap().success());
+
+    assert_eq!(
+        std::fs::read(&aside).expect("the unreadable snapshot was not moved aside"),
+        garbage
+    );
+    let text = std::fs::read_to_string(&snapshot_path).unwrap();
+    let fresh: Result<lv_server::SurfaceSnapshot, _> = serde::json::from_str(&text);
+    assert!(fresh.is_ok(), "shutdown wrote an unreadable snapshot");
+    assert!(
+        !dir.join("surface.json.tmp").exists(),
+        "temporary file left behind"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Delegates to the in-process executor except at `gap == 2`, where it
 /// panics mid-request — simulating a handler blowing up while the service
 /// holds internal locks.

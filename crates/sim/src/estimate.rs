@@ -56,12 +56,6 @@ impl SuccessEstimate {
     pub fn is_plausibly_at_least(&self, target: f64, z: f64) -> bool {
         self.wilson_interval(z).1 >= target
     }
-
-    /// Merges two estimates of the same quantity (e.g. from different worker
-    /// threads).
-    pub fn merge(&self, other: &SuccessEstimate) -> SuccessEstimate {
-        SuccessEstimate::new(self.successes + other.successes, self.trials + other.trials)
-    }
 }
 
 impl fmt::Display for SuccessEstimate {
@@ -115,13 +109,6 @@ mod tests {
         let e = SuccessEstimate::new(95, 100);
         assert!(e.is_plausibly_at_least(0.97, 1.96));
         assert!(!e.is_plausibly_at_least(0.999, 1.96));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let merged = SuccessEstimate::new(10, 20).merge(&SuccessEstimate::new(5, 30));
-        assert_eq!(merged.successes(), 15);
-        assert_eq!(merged.trials(), 50);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use lv_engine::presets;
 pub fn e14_multispecies_plurality(config: ExperimentConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "E14",
-        "k-species plurality consensus: presets × backends via Scenario/run_batch",
+        "k-species plurality consensus: presets × backends via Scenario/fold",
     );
     let n: u64 = match config.profile {
         Profile::Quick => 300,

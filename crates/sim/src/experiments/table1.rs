@@ -252,9 +252,14 @@ pub fn e5_delta_zero(config: ExperimentConfig) -> ExperimentReport {
         let rho = |gap: u64, tag: &str| {
             let a = (n + gap) / 2;
             let b = n - a;
-            let mc = MonteCarlo::new(trials, config.seed_for(&format!("e5-andaur-{n}-{tag}")));
-            mc.estimate(|_, rng| model.run_majority(a, b, rng, 400 * n).majority_won)
-                .point()
+            let seed = config.seed_for(&format!("e5-andaur-{n}-{tag}"));
+            let wins = (0..trials)
+                .filter(|&trial| {
+                    let mut rng = seed.rng_for_trial(trial);
+                    model.run_majority(a, b, &mut rng, 400 * n).majority_won
+                })
+                .count();
+            wins as f64 / trials as f64
         };
         let big_gap = ScalingLaw::SqrtNLogN.eval(n as f64) as u64;
         let small_gap = ((n as f64).sqrt() / 4.0) as u64;

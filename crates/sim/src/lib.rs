@@ -16,7 +16,8 @@
 //!   the [`GapScenario`] factories) for which the estimated success
 //!   probability reaches the paper's `1 − 1/n` criterion, on any registered
 //!   backend, with adaptive early-stopped probes that report the trials
-//!   actually spent;
+//!   actually spent. Its lattice walk, [`lattice_search`], is shared with
+//!   the threshold server;
 //! * [`ScalingLaw`] / [`ScalingFit`] — least-squares fits of measured
 //!   thresholds or times against the candidate asymptotic laws
 //!   (`log² n`, `√(n log n)`, `√n`, `n`, …);
@@ -61,7 +62,8 @@ pub use montecarlo::{
 pub use scaling::{ScalingFit, ScalingLaw};
 pub use seed::Seed;
 pub use threshold::{
-    GapProbe, GapScenario, PluralityGap, ThresholdResult, ThresholdSearch, TwoSpeciesGap,
+    lattice_search, GapProbe, GapScenario, PluralityGap, ThresholdResult, ThresholdSearch,
+    TwoSpeciesGap,
 };
 // The streaming vocabulary used by `MonteCarlo`'s batch API, re-exported so
 // estimator callers need not depend on `lv_engine` directly.

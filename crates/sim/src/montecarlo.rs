@@ -7,7 +7,6 @@ use lv_engine::stream::{
 };
 use lv_engine::{RunReport, Scenario};
 use lv_lotka::LvModel;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -385,15 +384,17 @@ impl fmt::Display for PluralityStats {
 ///
 /// All estimates are reproducible given the seed: trial `i` always uses the
 /// RNG stream [`Seed::rng_for_trial`]`(i)`, independent of threading.
-/// Batches execute through the engine's streaming executor
-/// ([`ReportStream`]): worker threads claim trials one at a time from a
-/// lock-free queue and reports are folded into
+/// Every batch executes through the engine's streaming executor
+/// ([`ReportStream`], the only batch executor): worker threads claim trials
+/// one at a time from a lock-free queue and reports are folded into
 /// [`OnlineAccumulator`]s *in trial order, as trials finish* — no estimator
 /// materialises a batch, and every result is bit-identical for every thread
 /// count (the default uses all available cores). The `_until` estimator
 /// variants add sequential early stopping: they end the stream once the
 /// success-probability confidence interval is tight enough and report the
-/// actual number of trials spent.
+/// actual number of trials spent. Custom statistics implement an
+/// [`OnlineAccumulator`] for [`MonteCarlo::fold`], or iterate
+/// [`MonteCarlo::stream`] directly.
 ///
 /// Every trial executes through the engine [`Backend`](lv_engine::Backend)
 /// selected with [`MonteCarlo::with_backend`] (default: the exact
@@ -499,79 +500,6 @@ impl MonteCarlo {
             .with_stop(StopCondition::any_species_extinct().with_max_events(self.budget(a + b)))
     }
 
-    /// Estimates an arbitrary per-trial success predicate in parallel.
-    pub fn estimate<F>(&self, success: F) -> SuccessEstimate
-    where
-        F: Fn(u64, &mut StdRng) -> bool + Sync,
-    {
-        let counts = self.map_reduce(
-            |trial, rng| u64::from(success(trial, rng)),
-            0u64,
-            |acc, v| acc + v,
-        );
-        SuccessEstimate::new(counts, self.trials)
-    }
-
-    /// Runs every trial through `map` and folds the results with `reduce`.
-    /// Trials are distributed over the configured number of threads.
-    ///
-    /// `reduce` must be associative; `init` must be a left identity of it
-    /// (or at least the caller must accept the canonical grouping below).
-    /// The result is the canonical left fold
-    /// `reduce(…reduce(reduce(init, p₀), p₁)…, pₖ)` where each partial `pᵢ`
-    /// is the reduction of one worker's chunk of mapped values *without*
-    /// `init` — so `init` enters the fold exactly once regardless of the
-    /// thread count, and any associative accumulator (including a
-    /// non-identity `init`) is thread-count invariant.
-    pub fn map_reduce<T, M, R>(&self, map: M, init: T, reduce: R) -> T
-    where
-        T: Clone + Send,
-        M: Fn(u64, &mut StdRng) -> T + Sync,
-        R: Fn(T, T) -> T + Sync + Send + Copy,
-    {
-        let threads = self.threads.min(self.trials as usize).max(1);
-        if threads == 1 {
-            let mut acc = init;
-            for trial in 0..self.trials {
-                let mut rng = self.seed.rng_for_trial(trial);
-                acc = reduce(acc, map(trial, &mut rng));
-            }
-            return acc;
-        }
-        let chunk = self.trials.div_ceil(threads as u64);
-        let partials = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..threads as u64 {
-                let start = worker * chunk;
-                let end = ((worker + 1) * chunk).min(self.trials);
-                if start >= end {
-                    continue;
-                }
-                let map = &map;
-                handles.push(scope.spawn(move |_| {
-                    // Seed each worker's partial with its first mapped value
-                    // (not with `init`): folding `init` into every partial
-                    // *and* into the final fold would make any non-identity
-                    // `init` enter the result once per thread plus once more,
-                    // i.e. a thread-count-dependent answer.
-                    let mut rng = self.seed.rng_for_trial(start);
-                    let mut acc = map(start, &mut rng);
-                    for trial in start + 1..end {
-                        let mut rng = self.seed.rng_for_trial(trial);
-                        acc = reduce(acc, map(trial, &mut rng));
-                    }
-                    acc
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope failed");
-        partials.into_iter().fold(init, reduce)
-    }
-
     /// The resolved backend for this runner.
     fn resolved_backend(&self) -> &'static dyn lv_engine::Backend {
         lv_engine::backend(self.backend).expect("constructor validated the backend name")
@@ -624,26 +552,6 @@ impl MonteCarlo {
     {
         self.stream(scenario)
             .fold_with(accumulator, early, progress)
-    }
-
-    /// Runs the scenario once per trial on the configured backend and folds
-    /// the reports.
-    ///
-    /// Reports are folded strictly in trial order (`reduce(acc, map(i, rᵢ))`
-    /// for `i = 0, 1, …`), so for an associative `reduce` the result is
-    /// thread-count invariant. Prefer implementing an
-    /// [`OnlineAccumulator`] and using [`MonteCarlo::fold`] for new code —
-    /// this adapter exists for closure-style callers.
-    pub fn run_batch<T, M, R>(&self, scenario: &Scenario, map: M, init: T, reduce: R) -> T
-    where
-        M: Fn(u64, RunReport) -> T,
-        R: Fn(T, T) -> T,
-    {
-        let mut acc = init;
-        for (trial, report) in self.stream(scenario) {
-            acc = reduce(acc, map(trial, report));
-        }
-        acc
     }
 
     /// Estimates the probability that the initial majority species wins
@@ -1026,27 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_visits_every_trial_once() {
-        let mc = MonteCarlo::new(1_000, Seed::from(4)).with_threads(3);
-        let sum = mc.map_reduce(|trial, _| trial, 0u64, |a, b| a + b);
-        assert_eq!(sum, 999 * 1_000 / 2);
-    }
-
-    #[test]
-    fn map_reduce_folds_a_non_identity_init_exactly_once() {
-        // Regression test: the old implementation seeded every worker's
-        // partial with `init` *and* folded `init` into the final result, so
-        // a non-identity accumulator gave thread-count-dependent answers
-        // (1 thread: init + Σ; w threads: (w + 1)·init + Σ).
-        let expected = 100 + 999 * 1_000 / 2;
-        for threads in [1, 2, 8] {
-            let mc = MonteCarlo::new(1_000, Seed::from(4)).with_threads(threads);
-            let sum = mc.map_reduce(|trial, _| trial, 100u64, |a, b| a + b);
-            assert_eq!(sum, expected, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn early_stopped_estimates_report_actual_trials_and_meet_the_target() {
         let rule = EarlyStop::at_half_width(0.1).with_min_trials(8);
         let mc = MonteCarlo::new(100_000, Seed::from(21));
@@ -1160,7 +1047,9 @@ mod tests {
         let mc = MonteCarlo::new(32, Seed::from(23)).with_threads(4);
         let scenario = Scenario::majority(model(), 50, 40);
         let max = mc.fold(&scenario, MaxEvents::default()).finish();
-        let reference = mc.run_batch(&scenario, |_, r| r.events, 0, u64::max);
+        let reference = Iterator::fold(mc.stream(&scenario), 0, |acc, (_, report)| {
+            acc.max(report.events)
+        });
         assert_eq!(max, reference);
         assert!(max > 0);
     }

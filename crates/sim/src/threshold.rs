@@ -36,6 +36,7 @@ use lv_engine::stream::EarlyStop;
 use lv_engine::Scenario;
 use lv_lotka::{LvModel, MultiLvModel};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::fmt;
 
 /// A family of scenarios over one population size, indexed by the initial
@@ -364,9 +365,93 @@ impl fmt::Display for ThresholdResult {
     }
 }
 
+/// The threshold walk every search shares: doubling followed by binary search
+/// on the feasible-gap lattice of `family`, using the monotonicity of the
+/// success probability `ρ(∆)` in `∆`.
+///
+/// `probe(gap)` returns the `(successes, trials)` measured at `gap`; a probe
+/// reaches the target when its point estimate does. The walk probes lattice
+/// index 0, then 1, 2, 4, … (capped at the largest index) until a probe
+/// reaches the target, then bisects between the last failing and the first
+/// succeeding index. When even the largest feasible gap fails, the result
+/// saturates there. A probe error ends the walk and is returned as is.
+///
+/// # Panics
+///
+/// Panics if the family's lattice is empty or malformed
+/// (`min_gap = 0`, `stride = 0` or `max_gap < min_gap`).
+pub fn lattice_search<G, E>(
+    family: &G,
+    backend: &str,
+    target: f64,
+    mut probe: impl FnMut(u64) -> Result<(u64, u64), E>,
+) -> Result<ThresholdResult, E>
+where
+    G: GapScenario + ?Sized,
+{
+    let (min_gap, stride, max_gap) = (family.min_gap(), family.stride(), family.max_gap());
+    assert!(min_gap >= 1 && stride >= 1 && max_gap >= min_gap);
+    debug_assert_eq!((max_gap - min_gap) % stride, 0, "max_gap off the lattice");
+    let max_index = (max_gap - min_gap) / stride;
+    let gap_at = |index: u64| min_gap + index * stride;
+
+    let mut probes = Vec::new();
+    let mut run = |index: u64| -> Result<GapProbe, E> {
+        let gap = gap_at(index);
+        let (successes, trials) = probe(gap)?;
+        let estimate = successes as f64 / trials as f64;
+        let at = GapProbe {
+            gap,
+            trials,
+            successes,
+            estimate,
+            reached_target: estimate >= target,
+        };
+        probes.push(at);
+        Ok(at)
+    };
+
+    // Doubling phase on lattice indices: find a succeeding upper bound.
+    let (mut lower, mut upper) = (0u64, 0u64);
+    let mut at_upper = run(0)?;
+    while !at_upper.reached_target && upper < max_index {
+        lower = upper;
+        upper = if upper == 0 {
+            1
+        } else {
+            (upper * 2).min(max_index)
+        };
+        at_upper = run(upper)?;
+    }
+    let saturated = !at_upper.reached_target;
+    // Binary search between the last failing and the first succeeding
+    // lattice index.
+    while !saturated && upper - lower > 1 {
+        let mid = lower + (upper - lower) / 2;
+        let at_mid = run(mid)?;
+        if at_mid.reached_target {
+            upper = mid;
+            at_upper = at_mid;
+        } else {
+            lower = mid;
+        }
+    }
+    Ok(ThresholdResult {
+        n: family.population(),
+        species: family.species_count(),
+        backend: backend.to_string(),
+        threshold: gap_at(upper),
+        target,
+        success_at_threshold: at_upper.estimate,
+        saturated,
+        probes,
+    })
+}
+
 /// Empirical threshold search by doubling followed by binary search on the
-/// feasible-gap lattice (using the monotonicity of the success probability
-/// `ρ(∆)` in `∆`, which holds for all the paper's models).
+/// feasible-gap lattice ([`lattice_search`], using the monotonicity of the
+/// success probability `ρ(∆)` in `∆`, which holds for all the paper's
+/// models).
 ///
 /// The paper's criterion is `target(n) = 1 − 1/n`; resolving that exactly
 /// needs `ω(n)` trials per gap, so the search uses the configured trial
@@ -445,13 +530,21 @@ impl ThresholdSearch {
 
     /// The success-probability target for population size `n`.
     pub fn target(&self, n: u64) -> f64 {
+        Self::default_target(n, self.trials)
+    }
+
+    /// The default target of a search spending `trials` trials per probe at
+    /// population size `n`: the paper's `1 − 1/n`, clamped to the
+    /// resolvable `1 − 3/trials`.
+    pub fn default_target(n: u64, trials: u64) -> f64 {
         let paper = 1.0 - 1.0 / n as f64;
-        let resolvable = 1.0 - 3.0 / self.trials as f64;
+        let resolvable = 1.0 - 3.0 / trials as f64;
         paper.min(resolvable)
     }
 
-    /// Runs one adaptive probe of the factory at `gap` against `target`.
-    fn probe<G: GapScenario>(&self, factory: &G, gap: u64, target: f64) -> GapProbe {
+    /// Runs one adaptive probe of the factory at `gap` against `target`,
+    /// returning `(successes, trials)`.
+    fn probe<G: GapScenario>(&self, factory: &G, gap: u64, target: f64) -> (u64, u64) {
         let n = factory.population();
         let seed = self
             .seed
@@ -472,18 +565,11 @@ impl ThresholdSearch {
             .with_min_trials(8.min(self.trials));
         let scenario = factory.scenario(gap);
         let estimate = mc.scenario_success_probability_until(&scenario, rule);
-        GapProbe {
-            gap,
-            trials: estimate.trials(),
-            successes: estimate.successes(),
-            estimate: estimate.point(),
-            reached_target: estimate.point() >= target,
-        }
+        (estimate.successes(), estimate.trials())
     }
 
     /// Finds the empirical threshold of any gap family on the configured
-    /// backend: doubling followed by binary search on the feasible-gap
-    /// lattice.
+    /// backend: the [`lattice_search`] walk, one adaptive probe per gap.
     ///
     /// # Panics
     ///
@@ -497,73 +583,11 @@ impl ThresholdSearch {
             self.backend,
             factory.species_count()
         );
-        let n = factory.population();
-        let target = self.target(n);
-        let (min_gap, stride, max_gap) = (factory.min_gap(), factory.stride(), factory.max_gap());
-        assert!(min_gap >= 1 && stride >= 1 && max_gap >= min_gap);
-        debug_assert_eq!((max_gap - min_gap) % stride, 0, "max_gap off the lattice");
-        let max_index = (max_gap - min_gap) / stride;
-        let gap_at = |index: u64| min_gap + index * stride;
-
-        let mut probes = Vec::new();
-        let run = |index: u64, probes: &mut Vec<GapProbe>| {
-            let probe = self.probe(factory, gap_at(index), target);
-            probes.push(probe);
-            probe
-        };
-
-        // Doubling phase on lattice indices: find a succeeding upper bound.
-        let mut upper = 0u64;
-        let mut at_upper = run(0, &mut probes);
-        if !at_upper.reached_target {
-            let mut lower;
-            loop {
-                lower = upper;
-                if upper == max_index {
-                    return ThresholdResult {
-                        n,
-                        species: factory.species_count(),
-                        backend: self.backend.to_string(),
-                        threshold: gap_at(max_index),
-                        target,
-                        success_at_threshold: at_upper.estimate,
-                        saturated: true,
-                        probes,
-                    };
-                }
-                upper = if upper == 0 {
-                    1
-                } else {
-                    (upper * 2).min(max_index)
-                };
-                at_upper = run(upper, &mut probes);
-                if at_upper.reached_target {
-                    break;
-                }
-            }
-            // Binary search between the last failing and the first
-            // succeeding lattice index.
-            while upper - lower > 1 {
-                let mid = lower + (upper - lower) / 2;
-                let at_mid = run(mid, &mut probes);
-                if at_mid.reached_target {
-                    upper = mid;
-                    at_upper = at_mid;
-                } else {
-                    lower = mid;
-                }
-            }
-        }
-        ThresholdResult {
-            n,
-            species: factory.species_count(),
-            backend: self.backend.to_string(),
-            threshold: gap_at(upper),
-            target,
-            success_at_threshold: at_upper.estimate,
-            saturated: false,
-            probes,
-        }
+        let target = self.target(factory.population());
+        let Ok(result) = lattice_search(factory, self.backend, target, |gap| {
+            Ok::<_, Infallible>(self.probe(factory, gap, target))
+        });
+        result
     }
 
     /// Finds the two-species threshold for the model at population size `n`
@@ -609,6 +633,122 @@ mod tests {
 
     fn sd_model() -> LvModel {
         LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0)
+    }
+
+    /// A lattice `2, 5, 8, …` with `max_index + 1` gaps; it builds no
+    /// scenario (the probe closures below never ask for one).
+    struct Lattice {
+        max_index: u64,
+    }
+
+    impl GapScenario for Lattice {
+        fn population(&self) -> u64 {
+            1_000
+        }
+        fn species_count(&self) -> usize {
+            2
+        }
+        fn min_gap(&self) -> u64 {
+            2
+        }
+        fn stride(&self) -> u64 {
+            3
+        }
+        fn max_gap(&self) -> u64 {
+            2 + 3 * self.max_index
+        }
+        fn scenario(&self, _gap: u64) -> Scenario {
+            unreachable!("the lattice walk never builds a scenario")
+        }
+    }
+
+    /// The probe order of the walk as first written, for a probe that
+    /// succeeds exactly at lattice indices `>= threshold`: indices
+    /// `0, 1, 2, 4, 8, …` capped at `max_index` until one succeeds (or the
+    /// cap fails: saturation), then bisection between the last failure and
+    /// the first success. Returns `(index, saturated, order)`.
+    fn reference_walk(max_index: u64, threshold: u64) -> (u64, bool, Vec<u64>) {
+        let mut order = Vec::new();
+        let mut failed = 0;
+        let mut succeeded = None;
+        for k in 0.. {
+            let index = if k == 0 {
+                0
+            } else {
+                (1u64 << (k - 1)).min(max_index)
+            };
+            order.push(index);
+            if index >= threshold {
+                succeeded = Some(index);
+                break;
+            }
+            if index == max_index {
+                return (max_index, true, order);
+            }
+            failed = index;
+        }
+        let mut hi = succeeded.expect("the loop ends on success or saturation");
+        let mut lo = failed;
+        while hi > 0 && hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            order.push(mid);
+            if mid >= threshold {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        (hi, false, order)
+    }
+
+    #[test]
+    fn lattice_search_matches_the_reference_walk_exhaustively() {
+        for max_index in 0..=64u64 {
+            let lattice = Lattice { max_index };
+            // `max_index + 1` is "never succeeds".
+            for threshold in 0..=max_index + 1 {
+                let mut probed = Vec::new();
+                let Ok(result) = lattice_search(&lattice, "test", 0.9, |gap| {
+                    let index = (gap - 2) / 3;
+                    assert_eq!(2 + 3 * index, gap, "probed off the lattice");
+                    probed.push(index);
+                    Ok::<_, Infallible>(if index >= threshold {
+                        (10, 10)
+                    } else {
+                        (1, 10)
+                    })
+                });
+                let (index, saturated, order) = reference_walk(max_index, threshold);
+                let case = format!("max_index {max_index}, threshold {threshold}");
+                assert_eq!(probed, order, "{case}: probe order");
+                assert_eq!(result.threshold, 2 + 3 * index, "{case}: threshold");
+                assert_eq!(result.saturated, saturated, "{case}: saturation");
+                assert_eq!(saturated, threshold > max_index, "{case}");
+                let gaps: Vec<u64> = order.iter().map(|i| 2 + 3 * i).collect();
+                let recorded: Vec<u64> = result.probes.iter().map(|p| p.gap).collect();
+                assert_eq!(recorded, gaps, "{case}: recorded probes");
+                let expected = if saturated { 0.1 } else { 1.0 };
+                assert_eq!(result.success_at_threshold, expected, "{case}");
+                assert_eq!(result.target, 0.9);
+                assert_eq!(result.backend, "test");
+            }
+        }
+    }
+
+    #[test]
+    fn a_probe_error_ends_the_walk() {
+        let mut calls = 0;
+        let result = lattice_search(&Lattice { max_index: 40 }, "test", 0.9, |gap| {
+            calls += 1;
+            if calls == 3 {
+                Err(gap)
+            } else {
+                Ok((0, 10))
+            }
+        });
+        // Indices 0, 1, then 2 (gap 8) fails to measure.
+        assert_eq!(result, Err(8));
+        assert_eq!(calls, 3);
     }
 
     #[test]
