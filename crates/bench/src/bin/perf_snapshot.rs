@@ -23,11 +23,12 @@
 //! which mode produced it. The headline `speedups` entries are the
 //! acceptance comparisons:
 //!
-//! - `two_species_jump_chain`: the jump-chain backend's observer-free tight
-//!   loop vs its per-step driver path on identical trajectories, at the
-//!   largest paper-threshold points, plus one comparison per part of the
-//!   loop (dropping the driver, the `f64`-state loop, the skipped
-//!   zero-rate slots).
+//! - `two_species_jump_chain`: the jump-chain backend's observer-free
+//!   competition-run kernel vs a `step` loop and vs the per-step driver
+//!   path, on the same trial seeds at the largest paper-threshold points,
+//!   timed interleaved. The kernel is exact in law, so its events per trial
+//!   are checked against the step loop's in law, and it must beat the step
+//!   loop by 5× or more.
 //! - `protocol_batching`: batched vs agent-list approximate-majority
 //!   convergence at equal `n` — the batched per-interaction-equivalent cost
 //!   *falls* with `n` (one epoch of Θ(√n) interactions costs a constant
@@ -63,6 +64,58 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds of each arm over `reps` repetitions
+/// (after one warmup of each), timed interleaved: every repetition runs
+/// each arm once, starting from a different arm each time, so a slow phase
+/// of a shared host slows every arm alike.
+fn time_interleaved_ms<const N: usize>(reps: usize, arms: [&dyn Fn() -> Vec<u64>; N]) -> [f64; N] {
+    for arm in arms {
+        arm();
+    }
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for rep in 0..reps.max(1) {
+        for offset in 0..N {
+            let slot = (rep + offset) % N;
+            let start = Instant::now();
+            std::hint::black_box(arms[slot]());
+            samples[slot].push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    samples.map(|mut arm| {
+        arm.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        arm[arm.len() / 2]
+    })
+}
+
+/// Asserts that two samples of events per trial agree in law: their means
+/// and their standard deviations each within 4 standard errors.
+fn assert_events_agree_in_law(label: &str, x: &[u64], y: &[u64]) {
+    let moments = |sample: &[u64]| {
+        let n = sample.len() as f64;
+        let mean = sample.iter().map(|&e| e as f64).sum::<f64>() / n;
+        let var = sample
+            .iter()
+            .map(|&e| (e as f64 - mean).powi(2))
+            .sum::<f64>()
+            / (n - 1.0);
+        (n, mean, var)
+    };
+    let ((nx, mx, vx), (ny, my, vy)) = (moments(x), moments(y));
+    let mean_se = (vx / nx + vy / ny).sqrt();
+    // The standard error of a sample SD is about SD/√(2(n − 1)).
+    let sd_se = (vx / (2.0 * (nx - 1.0)) + vy / (2.0 * (ny - 1.0))).sqrt();
+    assert!(
+        (mx - my).abs() <= 4.0 * mean_se,
+        "{label}: mean events per trial {mx:.0} vs {my:.0} (se {mean_se:.0})"
+    );
+    assert!(
+        (vx.sqrt() - vy.sqrt()).abs() <= 4.0 * sd_se,
+        "{label}: events per trial SD {:.0} vs {:.0} (se {sd_se:.0})",
+        vx.sqrt(),
+        vy.sqrt()
+    );
 }
 
 struct Kernel {
@@ -243,36 +296,39 @@ fn main() {
     // ---- two_species_jump_chain: the paper's kernel. Observer-free
     // jump-chain trials at the largest `paper-threshold` points (neutral SD
     // at n = 65 536, gap 18; NSD at n = 16 384, gap 302), built exactly as
-    // the threshold search builds them, so they run the backend's tight
-    // loop. Four variants visit identical trajectories (equal event totals
-    // are asserted); the `speedups` compare them so that each isolates one
-    // part of the loop (the driver, the `f64`-state loop, the skipped slots):
+    // the threshold search builds them, on the same trial seeds in three
+    // variants:
     //
     // - `per_step_driver`: the per-event driver path. The stop is written
     //   "species 0 extinct or species 1 extinct", which the backend does not
-    //   recognise as a first extinction (asserted), at the cost of one more
-    //   enum match per event than the plain condition had on that path.
-    // - `step_loop`: `LvJumpChain::step` in a caller loop, no driver.
-    // - `tight_loop_all_slots`: `run_to_consensus` on the same model with
-    //   γ = 1e-300 instead of 0, which evaluates all eight propensities; the
-    //   extra terms are below every rounding step, so the draws stay the same.
-    // - `tight_loop`: the backend's path, intraspecific slots left out.
+    //   recognise as a first extinction (asserted).
+    // - `step_loop`: `LvJumpChain::step` in a caller loop, no driver. It
+    //   draws exactly as the driver path does (equal events asserted).
+    // - `kernel`: the backend's path, `run_to_consensus`, which skips runs
+    //   of competitions. It is exact in law, not draw for draw, so its
+    //   events per trial are checked against the step loop's in law: mean
+    //   and standard deviation within 4 standard errors.
+    //
+    // The three variants are timed interleaved, one batch of each per
+    // repetition in rotating order, as `batch_streaming` is. Direction
+    // guard: the kernel's median must beat the step loop's by 5× or more.
     {
         use lv_crn::{SpeciesId, StopCondition};
         use lv_lotka::LvJumpChain;
         use lv_sim::{GapScenario, TwoSpeciesGap};
         let trials: u64 = if quick { 8 } else { 32 };
+        let jump_reps = if quick { 21 } else { 51 };
         let engine = backend("jump-chain").expect("builtin backend");
-        let run_trials = |scenario: &Scenario| -> u64 {
+        let run_trials = |scenario: &Scenario| -> Vec<u64> {
             (0..trials)
                 .map(|trial| {
                     engine
                         .run(scenario, &mut seed().rng_for_trial(trial))
                         .events
                 })
-                .sum()
+                .collect()
         };
-        let step_loop = |scenario: &Scenario, model: LvModel| -> u64 {
+        let step_loop = |scenario: &Scenario, model: LvModel| -> Vec<u64> {
             let initial = scenario
                 .initial()
                 .as_lv_configuration()
@@ -291,7 +347,7 @@ fn main() {
                     {}
                     chain.steps()
                 })
-                .sum()
+                .collect()
         };
         let points = [
             (
@@ -310,9 +366,6 @@ fn main() {
         for (label, kind, n, gap) in points {
             let model = LvModel::neutral(kind, 1.0, 1.0, 1.0);
             let tight = TwoSpeciesGap::new(model, n).scenario(gap);
-            let all_slots =
-                TwoSpeciesGap::new(LvModel::with_intraspecific(kind, 1.0, 1.0, 1.0, 1e-300), n)
-                    .scenario(gap);
             let budget = tight.stop().max_events().expect("the search sets a budget");
             let extinct = |species| StopCondition::species_extinct(SpeciesId::new(species));
             let per_step = tight
@@ -320,19 +373,21 @@ fn main() {
                 .with_stop(extinct(0).or(extinct(1)).with_max_events(budget));
             assert!(tight.stop().is_first_extinction(2));
             assert!(!per_step.stop().is_first_extinction(2));
-            let events = run_trials(&tight);
-            assert_eq!(run_trials(&per_step), events, "{label}: paths diverged");
-            assert_eq!(step_loop(&tight, model), events, "{label}: paths diverged");
-            assert_eq!(run_trials(&all_slots), events, "{label}: paths diverged");
-            let driver_ms = time_ms(reps, || assert_eq!(run_trials(&per_step), events));
-            let step_ms = time_ms(reps, || assert_eq!(step_loop(&tight, model), events));
-            let all_slots_ms = time_ms(reps, || assert_eq!(run_trials(&all_slots), events));
-            let tight_ms = time_ms(reps, || assert_eq!(run_trials(&tight), events));
-            for (variant, wall_ms) in [
-                ("per_step_driver", driver_ms),
-                ("step_loop", step_ms),
-                ("tight_loop_all_slots", all_slots_ms),
-                ("tight_loop", tight_ms),
+            let stepped = step_loop(&tight, model);
+            assert_eq!(run_trials(&per_step), stepped, "{label}: paths diverged");
+            let skipped = run_trials(&tight);
+            assert_events_agree_in_law(label, &skipped, &stepped);
+            let events: u64 = stepped.iter().sum();
+            let arms: [&dyn Fn() -> Vec<u64>; 3] = [
+                &|| run_trials(&per_step),
+                &|| step_loop(&tight, model),
+                &|| run_trials(&tight),
+            ];
+            let [driver_ms, step_ms, kernel_ms] = time_interleaved_ms(jump_reps, arms);
+            for (variant, wall_ms, events) in [
+                ("per_step_driver", driver_ms, events),
+                ("step_loop", step_ms, events),
+                ("kernel", kernel_ms, skipped.iter().sum()),
             ] {
                 kernels.push(Kernel {
                     name: format!("two_species_jump_chain/{label}_{trials}trials_{variant}"),
@@ -341,10 +396,9 @@ fn main() {
                 });
             }
             for (comparison, baseline_ms, accelerated_ms) in [
-                ("tight_loop_vs_per_step", driver_ms, tight_ms),
+                ("kernel_vs_per_step", driver_ms, kernel_ms),
+                ("kernel_vs_step_loop", step_ms, kernel_ms),
                 ("step_loop_vs_per_step", driver_ms, step_ms),
-                ("tight_loop_vs_step_loop", step_ms, tight_ms),
-                ("skipped_slots_vs_all_slots", all_slots_ms, tight_ms),
             ] {
                 speedups.push(Speedup {
                     name: format!("jump_chain_{comparison}_{label}"),
@@ -352,6 +406,11 @@ fn main() {
                     accelerated_ms,
                 });
             }
+            assert!(
+                step_ms >= 5.0 * kernel_ms,
+                "{label}: the competition-run kernel is not 5x the step loop: \
+                 {kernel_ms:.3} ms vs {step_ms:.3} ms per {trials} trials"
+            );
         }
     }
 

@@ -1,6 +1,8 @@
 use crate::config::LvConfiguration;
 use crate::events::LvEvent;
 use crate::model::{propensity, LvModel};
+use crate::rates::CompetitionKind;
+use lv_crn::distributions::{sample_binomial, sample_geometric};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -16,38 +18,60 @@ const ALL_SLOTS: [usize; REACTIONS] = [0, 1, 2, 3, 4, 5, 6, 7];
 /// two intraspecific reactions have rate zero there, and a zero-rate term
 /// changes no partial sum of the propensity fold, so leaving them out keeps
 /// every draw bit-identical. It saves two of eight propensity evaluations
-/// per event: perf-snapshot's `jump_chain_skipped_slots_vs_all_slots`.
+/// per event.
 const INTERSPECIFIC_SLOTS: [usize; 6] = [0, 1, 2, 4, 5, 6];
 
-/// Counts below this are exact in `f64`, so the tight loop can keep the
-/// state in floating point and skip the integer-to-float conversions and
-/// the event decoding of [`LvJumpChain::step`]: perf-snapshot's
-/// `jump_chain_tight_loop_vs_step_loop`.
-const EXACT_COUNTS: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
+/// The births and deaths of both species: the events that end a run of
+/// interspecific competitions.
+const ESCAPE_SLOTS: [usize; 4] = [0, 1, 4, 5];
 
-/// The model compiled once per chain: each reaction's rate, event and
-/// `(Δx_0, Δx_1)` delta in [`LvModel::propensities`] order, and whether any
-/// intraspecific reaction has positive rate.
+/// The two interspecific competition reactions.
+const COMPETITION_SLOTS: [usize; 2] = [2, 6];
+
+/// While both counts are at least this large,
+/// [`LvJumpChain::run_to_consensus`] skips runs of competitions; below it,
+/// where a window of `⌊min(a, b)/2⌋` steps is too short to pay for its
+/// draws, it takes exact [`step`](LvJumpChain::step)s.
+const RUN_MIN_COUNT: u64 = 16;
+
+/// The model compiled once per chain: each reaction's rate and event in
+/// [`LvModel::propensities`] order, whether any intraspecific reaction has
+/// positive rate, and the probability that an interspecific competition
+/// kills an individual of species 0.
 #[derive(Debug, Clone, Copy)]
 struct ReactionTable {
     rates: [f64; REACTIONS],
-    deltas: [(f64, f64); REACTIONS],
     events: [LvEvent; REACTIONS],
     intraspecific: bool,
+    /// `α_1/(α_0 + α_1)` (NaN without interspecific competition).
+    victim_zero: f64,
 }
 
 impl ReactionTable {
     fn compile(model: &LvModel) -> Self {
-        let events: [LvEvent; REACTIONS] = ALL_SLOTS.map(LvModel::event_for_index);
+        let rates = model.slot_rates();
+        let competition: f64 = COMPETITION_SLOTS.iter().map(|&slot| rates[slot]).sum();
         ReactionTable {
-            rates: model.slot_rates(),
-            deltas: events.map(|event| {
-                let (d0, d1) = event.delta(model.kind());
-                (d0 as f64, d1 as f64)
-            }),
-            events,
+            rates,
+            events: ALL_SLOTS.map(LvModel::event_for_index),
             intraspecific: !model.rates().has_no_intraspecific(),
+            // Attacker 1 (slot 6) kills an individual of species 0.
+            victim_zero: rates[6] / competition,
         }
+    }
+
+    /// Whether [`LvJumpChain::run_to_consensus`] can skip runs of
+    /// competitions: interspecific competition only (`γ = 0`, `α_0 + α_1 > 0`).
+    fn skips_competitions(&self) -> bool {
+        !self.intraspecific && self.rates[2] + self.rates[6] > 0.0
+    }
+
+    /// The probability `q(a, b)` that the next event in `(a, b)` is a birth or
+    /// a death rather than a competition. It decreases in both counts.
+    fn escape_probability(&self, a: u64, b: u64) -> f64 {
+        let (x0, x1) = (a as f64, b as f64);
+        let escape = self.total(&ESCAPE_SLOTS, x0, x1);
+        escape / (escape + self.total(&COMPETITION_SLOTS, x0, x1))
     }
 
     /// The propensity of reaction `slot` in the state `(x0, x1)`, through
@@ -118,16 +142,18 @@ impl ReactionTable {
 /// harness uses this type in its inner loop.
 ///
 /// [`new`](LvJumpChain::new) compiles the model once into a table of its
-/// reaction rates and `(Δx_0, Δx_1)` deltas, leaving out the intraspecific
-/// reactions when their rate is zero. Every draw — [`step`](LvJumpChain::step),
-/// the class-conditioned steps of the pseudo-coupling, and
-/// [`run_to_consensus`](LvJumpChain::run_to_consensus) — goes through one
-/// selection routine over that table: the left fold of the propensities in
-/// [`LvModel::propensities`] order and a walk of its running prefix sums.
-/// So all of them consume the RNG stream identically, and
-/// `run_to_consensus` visits exactly the states of a loop of `step` calls,
-/// only without a per-event callback (and with the state held in `f64`,
-/// exact below 2^53 individuals).
+/// reaction rates and events, leaving out the intraspecific reactions when
+/// their rate is zero. Every single-event draw — [`step`](LvJumpChain::step)
+/// and the class-conditioned steps of the pseudo-coupling — goes through
+/// one selection routine over that table: the left fold of the propensities
+/// in [`LvModel::propensities`] order and a walk of its running prefix sums,
+/// so they consume the RNG stream identically.
+///
+/// [`run_to_consensus`](LvJumpChain::run_to_consensus) is **exact in law**
+/// but not draw for draw: for models with interspecific competition only it
+/// skips whole runs of competitions, so it ends in the same distribution of
+/// states and event counts as a loop of `step` calls, on a different RNG
+/// stream.
 ///
 /// ```
 /// use lv_lotka::{CompetitionKind, LvJumpChain, LvModel};
@@ -141,10 +167,12 @@ impl ReactionTable {
 /// }
 /// assert!(chain.state().is_consensus());
 ///
-/// // The same run without a per-event loop in the caller.
-/// let mut tight = LvJumpChain::new(model, (80, 20).into());
-/// let events = tight.run_to_consensus(u64::MAX, &mut rand::rngs::StdRng::seed_from_u64(5));
-/// assert_eq!((tight.state(), events), (chain.state(), chain.steps()));
+/// // The same chain run to consensus without a per-event loop in the
+/// // caller: another sample of the same law.
+/// let mut fast = LvJumpChain::new(model, (80, 20).into());
+/// let events = fast.run_to_consensus(u64::MAX, &mut rng);
+/// assert!(fast.state().is_consensus());
+/// assert_eq!(fast.steps(), events);
 /// ```
 #[derive(Clone)]
 pub struct LvJumpChain {
@@ -226,10 +254,18 @@ impl LvJumpChain {
         self.table.total(&ALL_SLOTS, x0 as f64, x1 as f64) <= 0.0
     }
 
+    /// Whether [`run_to_consensus`](LvJumpChain::run_to_consensus) skips
+    /// runs of competitions for this model, costing `O(log n)` draws per
+    /// run instead of one per event: interspecific competition only.
+    pub fn skips_competitions(&self) -> bool {
+        self.table.skips_competitions()
+    }
+
     /// Samples and applies one reaction. Returns the event, or `None` if the
     /// chain is absorbed (the state is then left unchanged).
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<LvEvent> {
-        // Constant slot lists, as in `run_to_consensus`.
+        // Each branch hands the selection a constant slot list, so the
+        // compiler evaluates the propensities without a table walk.
         if self.table.intraspecific {
             self.step_within(&ALL_SLOTS, rng)
         } else {
@@ -240,56 +276,104 @@ impl LvJumpChain {
     /// Steps until some species is extinct, the chain is absorbed, or
     /// `max_events` events have fired, whichever comes first, and returns
     /// the number of events fired. Nothing is checked or recorded per event
-    /// beyond the state itself.
+    /// beyond the state itself. A start at consensus or a zero budget fires
+    /// nothing and draws nothing.
     ///
-    /// On the same RNG stream this visits exactly the states of calling
-    /// [`step`](LvJumpChain::step) in a loop guarded by
-    /// `!state().is_consensus()` and the event budget: the budget and
-    /// extinction are checked before each draw, so a start at consensus or
-    /// a zero budget fires nothing and draws nothing.
+    /// The result is exact in law: the final state and the event count have
+    /// the distribution of calling [`step`](LvJumpChain::step) in a loop
+    /// guarded by `!state().is_consensus()` and the event budget, but the RNG
+    /// stream is consumed differently. Models with intraspecific competition
+    /// or without interspecific competition run exactly that loop. For the
+    /// others, while both counts are at least 16, whole runs of competitions
+    /// are skipped: an event in `(a, b)` is a birth or death ("escape") with
+    /// probability `q(a, b) = e(a+b)/(c·ab + e(a+b))`, where `e = β + δ` and
+    /// `c = α_0 + α_1`. This `q` decreases in both counts, and over a window
+    /// of `w = min(⌊min(a, b)/2⌋, events left)` steps no competition lowers
+    /// a count by more than `w`, so `q(a − w, b − w)` bounds every escape
+    /// probability in the window. Escape candidates are drawn by thinning
+    /// against that bound, a `Geometric` gap then acceptance with
+    /// probability `q/bound`. The steps in between are competitions: `(−m,
+    /// −m)` under self-destructive competition, and under non-self-destructive
+    /// competition `Binomial(m, α_1/c)` deaths of species 0. An accepted
+    /// escape is drawn from the birth and death propensities and starts a
+    /// new window. Windows never cross the event budget, so a truncated run
+    /// is exact too. So a trial costs `O(log n)` draws instead of `Θ(n)`.
     pub fn run_to_consensus<R: Rng + ?Sized>(&mut self, max_events: u64, rng: &mut R) -> u64 {
-        // Each branch hands the loop a constant slot list, so the compiler
-        // evaluates the propensities without a table walk.
-        let mut events = if self.table.intraspecific {
-            self.run_exact_f64(&ALL_SLOTS, max_events, rng)
+        let mut events = if self.table.skips_competitions() {
+            self.run_competitions(max_events, rng)
         } else {
-            self.run_exact_f64(&INTERSPECIFIC_SLOTS, max_events, rng)
+            0
         };
-        // Populations of 2^53 and more continue on exact integer steps.
         while events < max_events && !self.state.is_consensus() && self.step(rng).is_some() {
             events += 1;
         }
         events
     }
 
-    /// The body of [`run_to_consensus`](LvJumpChain::run_to_consensus)
-    /// while the total population is below [`EXACT_COUNTS`], with the state
-    /// held in `f64`, where every count and delta is exact.
-    #[inline(always)]
-    fn run_exact_f64<R: Rng + ?Sized>(
-        &mut self,
-        slots: &[usize],
-        max_events: u64,
-        rng: &mut R,
-    ) -> u64 {
-        let (x0, x1) = self.state.counts();
-        if x0.saturating_add(x1) >= EXACT_COUNTS as u64 {
-            return 0;
-        }
-        let (mut y0, mut y1) = (x0 as f64, x1 as f64);
+    /// The competition-run kernel of
+    /// [`run_to_consensus`](LvJumpChain::run_to_consensus): fires events in
+    /// windows while both counts are at least [`RUN_MIN_COUNT`] and the
+    /// budget lasts, and returns the number fired.
+    fn run_competitions<R: Rng + ?Sized>(&mut self, max_events: u64, rng: &mut R) -> u64 {
+        let (mut a, mut b) = self.state.counts();
         let mut events = 0;
-        while events < max_events && y0 != 0.0 && y1 != 0.0 && y0 + y1 < EXACT_COUNTS {
-            let Some(slot) = self.table.choose(slots, y0, y1, rng) else {
-                break;
-            };
-            let (d0, d1) = self.table.deltas[slot];
-            y0 += d0;
-            y1 += d1;
-            events += 1;
+        while a.min(b) >= RUN_MIN_COUNT && events < max_events {
+            let window = (a.min(b) / 2).min(max_events - events);
+            let bound = self.table.escape_probability(a - window, b - window);
+            let mut left = window;
+            // Every pass after the first follows a rejected candidate, which
+            // is a competition too: it is applied with that pass's run, so
+            // under NSD one binomial draws both.
+            let mut rejected = 0;
+            loop {
+                // The steps before the next escape candidate are competitions.
+                let run = if bound > 0.0 {
+                    sample_geometric(rng, bound).min(left)
+                } else {
+                    left
+                };
+                self.compete(rejected + run, &mut a, &mut b, rng);
+                left -= run;
+                if left == 0 {
+                    break;
+                }
+                left -= 1;
+                if rng.gen::<f64>() * bound < self.table.escape_probability(a, b) {
+                    let (x0, x1) = (a as f64, b as f64);
+                    let slot = self
+                        .table
+                        .choose(&ESCAPE_SLOTS, x0, x1, rng)
+                        .expect("an accepted escape has positive propensity");
+                    let state = LvConfiguration::new(a, b);
+                    (a, b) = self.table.events[slot]
+                        .apply(self.model.kind(), state)
+                        .counts();
+                    break;
+                }
+                rejected = 1;
+            }
+            events += window - left;
         }
-        self.state = LvConfiguration::new(y0 as u64, y1 as u64);
+        self.state = LvConfiguration::new(a, b);
         self.steps += events;
         events
+    }
+
+    /// Applies `m` interspecific competitions to `(a, b)`.
+    fn compete<R: Rng + ?Sized>(&self, m: u64, a: &mut u64, b: &mut u64, rng: &mut R) {
+        match self.model.kind() {
+            CompetitionKind::SelfDestructive => {
+                *a -= m;
+                *b -= m;
+            }
+            CompetitionKind::NonSelfDestructive => {
+                // Each victim is of species 0 with the state-free chance
+                // α_1/(α_0 + α_1).
+                let zero = sample_binomial(rng, m, self.table.victim_zero);
+                *a -= zero;
+                *b -= m - zero;
+            }
+        }
     }
 
     /// Samples one reaction **conditioned on** it belonging to the given set
@@ -327,7 +411,7 @@ impl LvJumpChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rates::{CompetitionKind, SpeciesIndex};
+    use crate::rates::{LvRates, SpeciesIndex};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -530,29 +614,177 @@ mod tests {
         }
     }
 
-    /// The tight loop against a plain `step` loop with the same guard.
-    fn assert_run_matches_step_loop(model: LvModel, start: LvConfiguration, budget: u64) {
-        let mut stepped = LvJumpChain::new(model, start);
-        let mut r = rng(9);
-        while stepped.steps() < budget
-            && !stepped.state().is_consensus()
-            && stepped.step(&mut r).is_some()
-        {}
-        let mut tight = LvJumpChain::new(model, start);
-        let mut t = rng(9);
-        let events = tight.run_to_consensus(budget, &mut t);
-        assert_eq!(tight.state(), stepped.state(), "{model} from {start}");
-        assert_eq!((events, tight.steps()), (stepped.steps(), stepped.steps()));
-        assert_eq!(t.gen::<u64>(), r.gen::<u64>(), "stream position");
+    /// A plain `step` loop with the guard of `run_to_consensus`.
+    fn step_loop(
+        model: LvModel,
+        start: LvConfiguration,
+        budget: u64,
+        r: &mut StdRng,
+    ) -> LvJumpChain {
+        let mut chain = LvJumpChain::new(model, start);
+        while chain.steps() < budget && !chain.state().is_consensus() && chain.step(r).is_some() {}
+        chain
+    }
+
+    /// `run_to_consensus` from `start`; its return value must be the steps.
+    fn run(model: LvModel, start: LvConfiguration, budget: u64, r: &mut StdRng) -> LvJumpChain {
+        let mut chain = LvJumpChain::new(model, start);
+        let events = chain.run_to_consensus(budget, r);
+        assert_eq!(events, chain.steps());
+        chain
+    }
+
+    /// Models with interspecific competition only, which skip competition
+    /// runs: neutral SD and NSD, and one of each kind with `β ≠ δ` and
+    /// `α_0 ≠ α_1`.
+    fn skipping_models() -> [LvModel; 4] {
+        use CompetitionKind::*;
+        let asymmetric = |kind, beta, delta, alpha| {
+            LvModel::new(
+                kind,
+                LvRates {
+                    beta,
+                    delta,
+                    alpha,
+                    gamma: [0.0, 0.0],
+                },
+            )
+        };
+        [
+            LvModel::neutral(SelfDestructive, 1.0, 1.0, 1.0),
+            LvModel::neutral(NonSelfDestructive, 1.0, 1.0, 1.0),
+            asymmetric(SelfDestructive, 1.5, 0.5, [0.7, 1.3]),
+            asymmetric(NonSelfDestructive, 0.8, 1.2, [1.4, 0.6]),
+        ]
+    }
+
+    /// The starts of the law tests: a clear majority, a near tie and a
+    /// lopsided start, all with both counts large enough to skip runs.
+    const STARTS: [(u64, u64); 3] = [(60, 40), (52, 48), (90, 30)];
+
+    /// The two-sample Kolmogorov–Smirnov statistic of two samples.
+    fn ks_statistic(mut x: Vec<u64>, mut y: Vec<u64>) -> f64 {
+        x.sort_unstable();
+        y.sort_unstable();
+        let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+        while i < x.len() && j < y.len() {
+            let value = x[i].min(y[j]);
+            while i < x.len() && x[i] == value {
+                i += 1;
+            }
+            while j < y.len() && y[j] == value {
+                j += 1;
+            }
+            d = d.max((i as f64 / x.len() as f64 - j as f64 / y.len() as f64).abs());
+        }
+        d
     }
 
     #[test]
     fn run_to_consensus_matches_a_step_loop() {
+        // Without competition runs to skip, the loop is the step loop: the
+        // same states on the same draws.
         for model in models() {
+            if LvJumpChain::new(model, LvConfiguration::new(1, 1)).skips_competitions() {
+                continue;
+            }
             for (a, b) in [(60, 40), (25, 25), (10, 0), (0, 0), (3, 200)] {
                 for budget in [0, 1, 16, 100_000] {
-                    assert_run_matches_step_loop(model, LvConfiguration::new(a, b), budget);
+                    let start = LvConfiguration::new(a, b);
+                    let (mut r, mut t) = (rng(9), rng(9));
+                    let stepped = step_loop(model, start, budget, &mut r);
+                    let tight = run(model, start, budget, &mut t);
+                    assert_eq!(tight.state(), stepped.state(), "{model} from {start}");
+                    assert_eq!(tight.steps(), stepped.steps(), "{model} from {start}");
+                    assert_eq!(t.gen::<u64>(), r.gen::<u64>(), "stream position");
                 }
+            }
+        }
+        // With them, the events per trial have the step loop's law: a
+        // two-sample KS test at level 1e-6 on 10 000 trials a side.
+        let trials = 10_000;
+        let critical = (-(0.5e-6f64).ln() / 2.0).sqrt() * (2.0 / trials as f64).sqrt();
+        for (m, model) in skipping_models().into_iter().enumerate() {
+            for (a, b) in STARTS {
+                let start = LvConfiguration::new(a, b);
+                let (mut r, mut t) = (rng(100 + m as u64), rng(200 + m as u64));
+                let stepped: Vec<u64> = (0..trials)
+                    .map(|_| step_loop(model, start, u64::MAX, &mut r).steps())
+                    .collect();
+                let fast: Vec<u64> = (0..trials)
+                    .map(|_| run(model, start, u64::MAX, &mut t).steps())
+                    .collect();
+                let d = ks_statistic(stepped, fast);
+                assert!(
+                    d <= critical,
+                    "{model} from {start}: KS D = {d:.4} > {critical:.4}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_to_consensus_wins_with_the_exact_probability() {
+        // ρ_0 from the exact first-step recurrence (cap 3n), against 40 000
+        // trials of the kernel per start: |z| ≤ 4, with a continuity
+        // correction, since a clear majority under self-destructive
+        // competition loses with probability 2·10⁻⁶ from (60, 40) and
+        // 10⁻¹⁵ from (90, 30).
+        let trials = 40_000u64;
+        for (m, model) in skipping_models().into_iter().enumerate() {
+            let options = crate::exact::SolverOptions {
+                cap: 360,
+                ..Default::default()
+            };
+            let exact = crate::exact::solve_absorption(&model, options);
+            assert!(exact.converged(), "{model}");
+            for (a, b) in STARTS {
+                assert!(3 * (a + b) <= options.cap);
+                let rho = exact.probability(a, b);
+                let start = LvConfiguration::new(a, b);
+                let mut r = rng(300 + m as u64);
+                let wins = (0..trials)
+                    .filter(|_| {
+                        run(model, start, u64::MAX, &mut r).state().winner()
+                            == Some(SpeciesIndex::Zero)
+                    })
+                    .count() as f64;
+                let n = trials as f64;
+                let sd = (n * rho * (1.0 - rho)).sqrt();
+                let excess = ((wins - n * rho).abs() - 0.5).max(0.0);
+                assert!(
+                    excess <= 4.0 * sd,
+                    "{model} from {start}: {wins} wins of {trials}, exact ρ = {rho:.6}, z = {:.2}",
+                    excess / sd
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_to_consensus_honours_the_event_budget_exactly() {
+        // Windows never cross the budget: from (60, 40) no 16 events can
+        // reach consensus, so exactly 16 fire; a zero budget draws nothing.
+        for model in skipping_models() {
+            let start = LvConfiguration::new(60, 40);
+            for seed in 0..20 {
+                let chain = run(model, start, 16, &mut rng(seed));
+                assert_eq!(chain.steps(), 16, "{model}");
+                let (a, b) = chain.state().counts();
+                assert!(a >= 44 && b >= 24, "{model}: {a}, {b}");
+            }
+            let mut r = rng(1);
+            assert_eq!(run(model, start, 0, &mut r).state(), start);
+            assert_eq!(r.gen::<u64>(), rng(1).gen::<u64>(), "a zero budget drew");
+            for (a, b) in [(10, 0), (0, 0)] {
+                let start = LvConfiguration::new(a, b);
+                let mut r = rng(2);
+                assert_eq!(run(model, start, 100, &mut r).state(), start);
+                assert_eq!(
+                    r.gen::<u64>(),
+                    rng(2).gen::<u64>(),
+                    "a consensus start drew"
+                );
             }
         }
         // No positive rate: absorbed at once.
@@ -564,15 +796,28 @@ mod tests {
 
     #[test]
     fn run_to_consensus_stays_exact_beyond_f64_integers() {
-        // Pure growth from just below 2^53 crosses into the range where f64
-        // no longer holds every count; the loop hands over to integer steps.
+        // Counts above 2^53 are not all representable in f64; the state
+        // stays in u64, so every competition is counted exactly.
+        let big = 1u64 << 53;
+        let start = LvConfiguration::new(big + 10, big);
+        for model in skipping_models() {
+            let chain = run(model, start, 20, &mut rng(3));
+            assert_eq!(chain.steps(), 20);
+            let (a, b) = chain.state().counts();
+            // An escape has probability below 10⁻¹⁴ per event here.
+            match model.kind() {
+                CompetitionKind::SelfDestructive => {
+                    assert_eq!((a, b), (big - 10, big - 20), "{model}")
+                }
+                CompetitionKind::NonSelfDestructive => {
+                    assert_eq!(a + b, 2 * big + 10 - 20, "{model}")
+                }
+            }
+        }
+        // Pure growth has no competition to skip: integer steps.
         let growth = LvModel::no_competition(1.0, 0.0);
-        let edge = 1u64 << 52;
-        assert_run_matches_step_loop(growth, LvConfiguration::new(edge, edge - 3), 20);
-        assert_run_matches_step_loop(growth, LvConfiguration::new(1 << 60, 1 << 60), 20);
-        let mut chain = LvJumpChain::new(growth, LvConfiguration::new(edge, edge - 3));
-        chain.run_to_consensus(20, &mut rng(2));
-        assert_eq!(chain.state().total(), 2 * edge - 3 + 20);
+        let chain = run(growth, LvConfiguration::new(big, big - 3), 20, &mut rng(2));
+        assert_eq!(chain.state().total(), 2 * big - 3 + 20);
     }
 
     #[test]

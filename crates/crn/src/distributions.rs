@@ -1,12 +1,23 @@
-//! Small sampling utilities used by the stochastic simulators.
+//! The sampling kernels of the workspace.
 //!
 //! The workspace deliberately restricts third-party dependencies to a small
-//! offline set; `rand_distr` is not among them, so the few distributions the
-//! simulators need (exponential waiting times for Gillespie-style methods,
-//! Poisson event counts for tau-leaping) are implemented here with standard
-//! textbook algorithms.
+//! offline set; `rand_distr` is not among them, so the distributions the
+//! simulators need are implemented here, each once: exponential waiting
+//! times for Gillespie-style methods, Poisson event counts for tau-leaping
+//! (PTRS), and the geometric and binomial (BTRS) draws that let a simulator
+//! skip a run of events whose law is known — the diffusion bridge of
+//! `lv-protocols` and the competition runs of `lv-lotka`'s jump chain. Every
+//! kernel is exact in law; the `ln n!` table behind the rejection samplers is
+//! shared with the hypergeometric kernels of `lv-protocols`.
 
+use crate::sampling::lnfact::ln_factorial_stirling;
 use rand::Rng;
+
+pub use crate::sampling::binomial::{
+    sample_binomial, sample_binomial_by_inversion, BinomialSampler, CachedBinomial,
+};
+pub use crate::sampling::leak_to_support_end;
+pub use crate::sampling::lnfact::{ln_choose, ln_factorial, ln_factorial_from, ln_factorial_table};
 
 /// Samples an exponential random variable with the given rate via inverse
 /// transform sampling.
@@ -34,31 +45,49 @@ pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
+/// Samples the number of *failures* before the first success of Bernoulli
+/// trials with success probability `q`: the run of steps a simulator can
+/// skip before the next one that matters. Exact inverse transform; `q ≥ 1`
+/// returns 0 without a draw.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if `q <= 0` while `q < 1`.
+///
+/// ```
+/// use rand::SeedableRng;
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// assert_eq!(lv_crn::distributions::sample_geometric(&mut rng, 1.0), 0);
+/// ```
+pub fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, q: f64) -> u64 {
+    if q >= 1.0 {
+        return 0;
+    }
+    debug_assert!(q > 0.0, "the success probability must be positive");
+    let u: f64 = rng.gen();
+    // P(G ≥ g) = (1−q)^g, so G = ⌊ln(1−u)/ln(1−q)⌋.
+    let g = (1.0 - u).ln() / (-q).ln_1p();
+    if g >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        g as u64
+    }
+}
+
 /// Means at or above this bound use the PTRS rejection sampler; below it
 /// Knuth's product-of-uniforms loop is both exact and cheaper (its expected
 /// iteration count is `mean + 1`).
 const PTRS_MIN_MEAN: f64 = 10.0;
 
-/// `ln k!` for the PTRS acceptance test: process-wide table for `k < 1024`
-/// (covers every tau-leaping firing count up to means of several hundred),
-/// Stirling series — one `ln` call, relative error `< 1e-12` — beyond.
-fn ln_factorial(k: u64) -> f64 {
-    static TABLE: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = vec![0.0f64; 1024];
-        for i in 2..table.len() {
-            table[i] = table[i - 1] + (i as f64).ln();
-        }
-        table
-    });
-    if let Some(&value) = table.get(k as usize) {
-        return value;
+/// `ln k!` for the PTRS acceptance test: the shared table below 1024, the
+/// Stirling series — one `ln` call, relative error `< 1e-12` — beyond. This
+/// is the split the sampler was written with, so its draws stay the same.
+fn ptrs_ln_factorial(k: u64) -> f64 {
+    if k < 1024 {
+        ln_factorial(k)
+    } else {
+        ln_factorial_stirling(k as f64)
     }
-    let x = k as f64;
-    let inv = 1.0 / x;
-    let inv3 = inv * inv * inv;
-    (x + 0.5) * x.ln() - x + 0.918_938_533_204_672_7 + inv / 12.0 - inv3 / 360.0
-        + inv3 * inv * inv / 1260.0
 }
 
 /// Samples a Poisson random variable with the given mean, exact in law at
@@ -190,7 +219,7 @@ impl PoissonSampler {
                 }
                 let k = kf as u64;
                 if (v * inv_alpha / (a / (us * us) + b)).ln()
-                    <= kf * log_mean - mean - ln_factorial(k)
+                    <= kf * log_mean - mean - ptrs_ln_factorial(k)
                 {
                     return k;
                 }

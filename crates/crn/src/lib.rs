@@ -60,6 +60,7 @@ mod error;
 mod network;
 mod propensity;
 mod reaction;
+mod sampling;
 pub mod simulators;
 mod species;
 mod state;

@@ -1,10 +1,12 @@
 //! Binomial sampling: BTRS transformed rejection with a reusable
 //! prepared-sampler API.
 //!
-//! [`crate::bridge`] consumes this for every block split — the binomial
-//! displacement of a bridged block and the chained-multinomial splits of the
-//! k ≥ 3 walk — so draws must be **exact in law at every block size**: there
-//! is no normal-approximation branch anywhere in this file. Dispatch after
+//! `lv-protocols`' diffusion bridge consumes this for every block split —
+//! the binomial displacement of a bridged block and the chained-multinomial
+//! splits of the k ≥ 3 walk — and `lv-lotka`'s jump chain for the victims
+//! of a run of non-self-destructive competitions, so draws must be **exact
+//! in law at every size**: there is no normal-approximation branch anywhere
+//! in this file. Dispatch after
 //! the `p → 1 − p` flip (so the worked probability is `≤ ½`):
 //!
 //! * **Constant** — `n = 0` or `p ∈ {0, 1}`: no randomness consumed;
@@ -17,7 +19,7 @@
 //! squeeze constants) once; the one-shot [`sample_binomial`] delegates to it
 //! and is bit-equal in RNG stream.
 
-use super::hypergeometric::leak_to_support_end;
+use super::leak_to_support_end;
 use super::lnfact::ln_choose;
 use rand::Rng;
 

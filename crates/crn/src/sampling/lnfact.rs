@@ -1,9 +1,10 @@
 //! Shared `ln n!` machinery behind every sampling kernel.
 //!
-//! All the rejection samplers and inverse-transform walks in this module
-//! tree price pmf values through `ln n!`. The hot loops resolve it in two
-//! tiers: a process-wide lookup table for small arguments and a Stirling
-//! series — one `ln` call per evaluation — beyond.
+//! All the rejection samplers and inverse-transform walks of the workspace
+//! (BTRS and PTRS here, the hypergeometric kernels of `lv-protocols`) price
+//! pmf values through `ln n!`. The hot loops resolve it in two tiers: a
+//! process-wide lookup table for small arguments and a Stirling series —
+//! one `ln` call per evaluation — beyond.
 
 use std::sync::OnceLock;
 
@@ -17,9 +18,10 @@ pub(crate) const LN_FACTORIAL_TABLE: usize = 8192;
 const HALF_LN_TAU: f64 = 0.918_938_533_204_672_7;
 
 /// The process-wide `ln n!` table. Samplers fetch it **once per call** and
-/// thread the slice through [`lf`] — `get_or_init` costs an atomic load, and
-/// a single hypergeometric draw evaluates `ln n!` up to a dozen times.
-pub(crate) fn table() -> &'static [f64] {
+/// thread the slice through [`ln_factorial_from`] — `get_or_init` costs an
+/// atomic load, and a single hypergeometric draw evaluates `ln n!` up to a
+/// dozen times.
+pub fn ln_factorial_table() -> &'static [f64] {
     static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut table = vec![0.0f64; LN_FACTORIAL_TABLE];
@@ -39,9 +41,10 @@ pub(crate) fn ln_factorial_stirling(x: f64) -> f64 {
     (x + 0.5) * x.ln() - x + HALF_LN_TAU + inv / 12.0 - inv3 / 360.0 + inv3 * inv * inv / 1260.0
 }
 
-/// `ln n!` against an already-fetched table slice — the hot-loop form.
+/// `ln n!` against an already-fetched [`ln_factorial_table`] slice — the
+/// hot-loop form.
 #[inline]
-pub(crate) fn lf(table: &[f64], n: u64) -> f64 {
+pub fn ln_factorial_from(table: &[f64], n: u64) -> f64 {
     if let Some(&value) = table.get(n as usize) {
         value
     } else {
@@ -52,14 +55,14 @@ pub(crate) fn lf(table: &[f64], n: u64) -> f64 {
 /// Natural log of `n!`: table lookup for `n < 8192`, Stirling series (error
 /// `< 1e-12` relative) beyond.
 pub fn ln_factorial(n: u64) -> f64 {
-    lf(table(), n)
+    ln_factorial_from(ln_factorial_table(), n)
 }
 
 /// `ln C(n, k)` via [`ln_factorial`].
-pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
+pub fn ln_choose(n: u64, k: u64) -> f64 {
     debug_assert!(k <= n);
-    let t = table();
-    lf(t, n) - lf(t, k) - lf(t, n - k)
+    let t = ln_factorial_table();
+    ln_factorial_from(t, n) - ln_factorial_from(t, k) - ln_factorial_from(t, n - k)
 }
 
 #[cfg(test)]

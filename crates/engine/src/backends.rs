@@ -9,28 +9,35 @@ use lv_crn::simulators::{
     GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
 };
 use lv_crn::{State, StopReason};
-use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, Population, PopulationEvent};
+use lv_lotka::{
+    CompetitionKind, LvConfiguration, LvJumpChain, MultiLvModel, Population, PopulationEvent,
+};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
 use rand::rngs::StdRng;
 
 /// The exact discrete-time jump chain (the paper's chain `S = (S_t)`).
 ///
 /// Two-species scenarios run on [`LvJumpChain`], the bespoke specialised
-/// stepper migrated from `lv_lotka::run_majority`: on the same RNG stream it
-/// visits exactly the same states, so its reports reproduce `run_majority`
-/// bit for bit. `k`-species scenarios run the same embedded jump chain
-/// through the generic CRN simulator ([`lv_crn::simulators::JumpChain`]) on
-/// the model's reaction network.
+/// stepper migrated from `lv_lotka::run_majority`: on the same RNG stream its
+/// per-step path visits exactly the same states, so the reports of observed
+/// scenarios reproduce `run_majority` bit for bit. `k`-species scenarios run
+/// the same embedded jump chain through the generic CRN simulator
+/// ([`lv_crn::simulators::JumpChain`]) on the model's reaction network.
 ///
 /// A two-species scenario with no observers whose state condition is
 /// exactly "a species is extinct" (see
 /// [`StopCondition::is_first_extinction`](lv_crn::StopCondition::is_first_extinction))
-/// runs as one tight loop, [`LvJumpChain::run_to_consensus`], with the time
+/// runs as one call of [`LvJumpChain::run_to_consensus`], with the time
 /// budget turned into an event budget (the chain's clock is its event
-/// count). Its report — final state, events, steps, time and stop reason —
-/// equals the per-step path's bit for bit on the same RNG stream. Every
-/// other two-species scenario (any observer, predicate, population
-/// threshold or `or`-composed condition) steps through the shared driver.
+/// count). For models with interspecific competition only, that kernel
+/// skips whole runs of competitions, so its report — final state, events,
+/// steps, time and stop reason — is **exact in law**: it has the per-step
+/// path's distribution, on a different RNG stream. Budget stops keep the
+/// per-step path's reason and event count exactly. Models with
+/// intraspecific competition still step inside the kernel and reproduce the
+/// per-step path bit for bit. Every other two-species scenario (any
+/// observer, predicate, population threshold or `or`-composed condition)
+/// steps through the shared driver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JumpChainBackend;
 
@@ -45,6 +52,13 @@ impl Backend for JumpChainBackend {
 
     fn description(&self) -> &'static str {
         "exact embedded jump chain (specialised two-species fast path; CRN chain for k > 2)"
+    }
+
+    /// Runs that skip competition runs cost `O(log n)` draws each.
+    fn light_trials(&self, scenario: &Scenario) -> bool {
+        kernel_model(scenario).is_some_and(|model| {
+            LvJumpChain::new(*model, LvConfiguration::new(0, 0)).skips_competitions()
+        })
     }
 
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
@@ -65,7 +79,7 @@ impl Backend for JumpChainBackend {
             .expect("two-species model has a two-species initial population");
         let mut chain = LvJumpChain::new(*model, initial);
         let stop = scenario.stop();
-        if scenario.observers().is_empty() && stop.is_first_extinction(2) {
+        if kernel_model(scenario).is_some() {
             let max_events = stop.max_events().unwrap_or(u64::MAX);
             let budget = max_events.min(stop.max_time().map_or(u64::MAX, time_budget_events));
             let events = chain.run_to_consensus(budget, rng);
@@ -107,6 +121,20 @@ impl Backend for JumpChainBackend {
                 None => return driver.finish(self.name(), StopReason::Absorbed),
             }
         }
+    }
+}
+
+/// The model of a two-species scenario that runs as one
+/// [`LvJumpChain::run_to_consensus`] call: no observers, and a stop on the
+/// first extinction.
+fn kernel_model(scenario: &Scenario) -> Option<&lv_lotka::LvModel> {
+    match scenario.model() {
+        ScenarioModel::TwoSpecies(model)
+            if scenario.observers().is_empty() && scenario.stop().is_first_extinction(2) =>
+        {
+            Some(model)
+        }
+        _ => None,
     }
 }
 

@@ -59,6 +59,7 @@ use crate::sampling::CachedBinomial;
 use rand::Rng;
 
 pub use crate::sampling::sample_binomial;
+pub use lv_crn::distributions::sample_geometric;
 
 /// The boundary-proximity band constant `c`: blocks keep
 /// `c · sd(displacement) ≤ distance-to-boundary`, so a mid-block boundary
@@ -78,28 +79,6 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             let u2: f64 = rng.gen();
             return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
-    }
-}
-
-/// Samples the number of *failures* before the first success of a Bernoulli
-/// trial with success probability `q` — the inert stretch between two
-/// conversions. Exact inverse transform; `q ≥ 1` returns 0.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `q <= 0` while `q < 1`.
-pub fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, q: f64) -> u64 {
-    if q >= 1.0 {
-        return 0;
-    }
-    debug_assert!(q > 0.0, "the success probability must be positive");
-    let u: f64 = rng.gen();
-    // P(G ≥ g) = (1−q)^g, so G = ⌊ln(1−u)/ln(1−q)⌋.
-    let g = (1.0 - u).ln() / (-q).ln_1p();
-    if g >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        g as u64
     }
 }
 
@@ -472,7 +451,7 @@ mod tests {
     #[test]
     fn reexported_binomial_is_exact_at_bridge_scales() {
         // The χ² and prepared-sampler suites live with the kernel in
-        // `sampling::binomial`; here we only pin that the bridge's binomial
+        // `lv_crn::distributions`; here we only pin that the bridge's binomial
         // *is* that exact kernel, at a block size the old code would have
         // routed through the retired normal approximation.
         let mut r = rng(3);

@@ -23,7 +23,9 @@
 //! sampler against the current urn parameters so epoch loops pay setup only
 //! when the counts actually changed.
 
-use super::lnfact::{lf, table};
+use lv_crn::distributions::{
+    leak_to_support_end, ln_factorial_from as lf, ln_factorial_table as table,
+};
 use rand::Rng;
 
 /// Draw counts at or below this bound use exact sequential integer draws —
@@ -45,43 +47,6 @@ const HRUA_D2: f64 = 0.898_916_162_058_898_8;
 /// kernels: a tail frontier this small can never be reached by an `f64`
 /// uniform draw.
 const WALK_UNDERFLOW: f64 = 1e-300;
-
-/// Attributes the float-leakage residual of an inverse-transform walk (the
-/// event `u ≥ acc` after both frontiers stopped, probability `≲ 1e-12`) to
-/// the nearest *unexhausted* support end — never back to the mode, so tail
-/// mass is never silently moved to the center of the distribution.
-///
-/// `lo`/`hi` are the walk frontiers (already accumulated), `min_k`/`max_k`
-/// the support ends, `p_lo`/`p_hi` the frontier pmf values. When a tail is
-/// still open the residual belongs just past its frontier; when the support
-/// was fully enumerated it belongs to the heavier end.
-pub(crate) fn leak_to_support_end(
-    lo: u64,
-    hi: u64,
-    min_k: u64,
-    max_k: u64,
-    p_lo: f64,
-    p_hi: f64,
-) -> u64 {
-    match (lo > min_k, hi < max_k) {
-        (false, false) => {
-            if p_hi >= p_lo {
-                max_k
-            } else {
-                min_k
-            }
-        }
-        (true, false) => lo - 1,
-        (false, true) => hi + 1,
-        (true, true) => {
-            if p_hi >= p_lo {
-                hi + 1
-            } else {
-                lo - 1
-            }
-        }
-    }
-}
 
 /// Exact sequential without-replacement draws (integer arithmetic only).
 fn sample_sequential<R: Rng + ?Sized>(
@@ -572,8 +537,8 @@ pub fn sample_counts_without_replacement_cached<R: Rng + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::lnfact::ln_choose;
     use super::*;
+    use lv_crn::distributions::ln_choose;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

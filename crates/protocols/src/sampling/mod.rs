@@ -23,6 +23,8 @@
 //!   [`CachedHypergeometric`] slots across epochs;
 //! * [`sample_binomial`] / [`BinomialSampler`] — exact at **all** `n`
 //!   (no normal-approximation branch), used for every bridged block split;
+//!   re-exported from [`lv_crn::distributions`], where `lv-lotka`'s jump
+//!   chain also draws from it;
 //! * [`sample_poisson`] / [`PoissonSampler`] — re-exported from
 //!   [`lv_crn::distributions`], where tau-leaping consumes it directly.
 //!
@@ -34,21 +36,19 @@
 //! RNG stream at equal seeds.
 
 mod batch;
-mod binomial;
 mod hypergeometric;
-mod lnfact;
 
 pub use batch::{sample_batch_length, BatchLengthSampler};
-pub use binomial::{
-    sample_binomial, sample_binomial_by_inversion, BinomialSampler, CachedBinomial,
-};
 pub use hypergeometric::{
     sample_counts_without_replacement, sample_counts_without_replacement_cached,
     sample_hypergeometric, sample_hypergeometric_by_inversion, CachedHypergeometric,
     HypergeometricSampler,
 };
-pub use lnfact::ln_factorial;
 
-/// Poisson kernels live in `lv-crn` (tau-leaping is their primary
-/// consumer); re-exported here so the sampling layer is one import surface.
-pub use lv_crn::distributions::{sample_poisson, PoissonSampler};
+/// The binomial, Poisson and `ln n!` kernels live in `lv-crn` (tau-leaping
+/// and the two-species jump chain draw from them below this crate);
+/// re-exported here so the sampling layer is one import surface.
+pub use lv_crn::distributions::{
+    ln_factorial, sample_binomial, sample_binomial_by_inversion, sample_poisson, BinomialSampler,
+    CachedBinomial, PoissonSampler,
+};

@@ -6,6 +6,7 @@ use crate::montecarlo::MonteCarlo;
 use crate::report::Table;
 use crate::scaling::ScalingLaw;
 use crate::seed::Seed;
+use crate::threshold::TwoSpeciesGap;
 use lv_crn::StopCondition;
 use lv_engine::Scenario;
 use lv_lotka::{CompetitionKind, LvModel};
@@ -15,7 +16,8 @@ use lv_lotka::{CompetitionKind, LvModel};
 ///
 /// The table reports, per population size, the success probability of each
 /// baseline at a gap of `√(n log n)` (the classical approximate-majority
-/// threshold) and at a polylogarithmic gap `log² n`, next to the paper's
+/// threshold) and at a polylogarithmic gap `log² n`, each rounded down onto
+/// the feasible lattice `∆ ≡ n (mod 2)` and printed as run, next to the paper's
 /// self-destructive Lotka–Volterra model at the same gaps. The qualitative
 /// picture of Sections 1.1/2.2: the polylog gap is enough for the paper's
 /// model, is *not* enough for the approximate-majority protocol or the
@@ -57,9 +59,9 @@ pub fn e11_population_protocols(config: ExperimentConfig) -> ExperimentReport {
             ],
         );
         for &n in &sizes {
-            let gap = (gap_law.eval(n as f64) as u64).clamp(2, n - 2);
-            let a = (n + gap) / 2;
-            let b = n - a;
+            let family = TwoSpeciesGap::new(lv, n);
+            let gap = family.lattice_gap(gap_law.eval(n as f64) as u64);
+            let (a, b) = family.counts(gap);
             let seed = |tag: &str| config.seed_for(&format!("e11-{tag}-{n}-{gap_label}"));
 
             let mc = MonteCarlo::new(trials, seed("lv"));
@@ -142,6 +144,33 @@ mod tests {
     }
 
     #[test]
+    fn printed_gaps_are_the_gaps_run() {
+        // E11 and E5's Andaur column take their gaps from fixed laws, and
+        // run the split a = (n + ∆)/2, b = n − a. Every printed ∆ must be
+        // a − b of that split: √(n log n) is 37 at n = 256, which the split
+        // would run as 36.
+        let config = ExperimentConfig::quick(5);
+        let e11 = e11_population_protocols(config);
+        let e5 = super::super::table1::e5_delta_zero(config);
+        let columns = e11.tables.iter().map(|table| (table, "∆")).chain([
+            (&e5.tables[1], "∆ ≈ √(n log n)"),
+            (&e5.tables[1], "∆ ≈ √n/4"),
+        ]);
+        let mut checked = 0;
+        for (table, header) in columns {
+            let sizes = table.column("n").expect("an n column");
+            let gaps = table.column(header).expect("a gap column");
+            for (n, gap) in sizes.into_iter().zip(gaps) {
+                let (n, gap): (u64, u64) = (n.parse().unwrap(), gap.parse().unwrap());
+                let a = (n + gap) / 2;
+                assert_eq!(a - (n - a), gap, "{header} printed at n = {n}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 4 + 2 * 3);
+    }
+
+    #[test]
     fn two_state_column_follows_the_proportional_law_at_n_4096() {
         // The full-profile cell at n = 4096 and gap log² n, on its own seed.
         // The conversion dynamics win with probability exactly a/n; a budget
@@ -150,10 +179,10 @@ mod tests {
         // against a/n = 0.508 here).
         let config = ExperimentConfig::full(1);
         let n = 4_096u64;
-        let gap = ScalingLaw::Log2N.eval(n as f64) as u64;
-        let a = (n + gap) / 2;
+        let family = TwoSpeciesGap::new(LvModel::default(), n);
+        let (a, b) = family.counts(family.lattice_gap(ScalingLaw::Log2N.eval(n as f64) as u64));
         let seed = config.seed_for(&format!("e11-cz-{n}-log² n"));
-        let estimate = two_state_lv((a, n - a), config.trials(), seed);
+        let estimate = two_state_lv((a, b), config.trials(), seed);
         let proportional = a as f64 / n as f64;
         let (low, high) = estimate.wilson_interval(1.96);
         assert!(

@@ -4,7 +4,7 @@ use super::{ExperimentConfig, ExperimentReport};
 use crate::montecarlo::MonteCarlo;
 use crate::report::Table;
 use crate::scaling::{ScalingFit, ScalingLaw};
-use crate::threshold::ThresholdSearch;
+use crate::threshold::{ThresholdSearch, TwoSpeciesGap};
 use lv_lotka::{CompetitionKind, LvModel};
 use lv_protocols::AndaurResourceModel;
 
@@ -245,13 +245,15 @@ pub fn e5_delta_zero(config: ExperimentConfig) -> ExperimentReport {
     // Andaur et al.: success probability at the √(n log n) gap.
     let mut andaur_table = Table::new(
         "Andaur et al. resource model: success probability at gap √(n log n) and at gap √n/4",
-        &["n", "ρ at √(n log n)", "ρ at √n/4"],
+        &["n", "∆ ≈ √(n log n)", "ρ", "∆ ≈ √n/4", "ρ"],
     );
     for &n in &sizes {
         let model = AndaurResourceModel::for_population(n);
+        // The paper's (n ± ∆)/2 split on its parity lattice; the LV model
+        // plays no part in it.
+        let split = TwoSpeciesGap::new(LvModel::default(), n);
         let rho = |gap: u64, tag: &str| {
-            let a = (n + gap) / 2;
-            let b = n - a;
+            let (a, b) = split.counts(gap);
             let seed = config.seed_for(&format!("e5-andaur-{n}-{tag}"));
             let wins = (0..trials)
                 .filter(|&trial| {
@@ -261,12 +263,14 @@ pub fn e5_delta_zero(config: ExperimentConfig) -> ExperimentReport {
                 .count();
             wins as f64 / trials as f64
         };
-        let big_gap = ScalingLaw::SqrtNLogN.eval(n as f64) as u64;
-        let small_gap = ((n as f64).sqrt() / 4.0) as u64;
+        let big_gap = split.lattice_gap(ScalingLaw::SqrtNLogN.eval(n as f64) as u64);
+        let small_gap = split.lattice_gap(((n as f64).sqrt() / 4.0) as u64);
         andaur_table.push_row(&[
             n.to_string(),
+            big_gap.to_string(),
             format!("{:.4}", rho(big_gap, "big")),
-            format!("{:.4}", rho(small_gap.max(2), "small")),
+            small_gap.to_string(),
+            format!("{:.4}", rho(small_gap, "small")),
         ]);
     }
     report.push_table(andaur_table);

@@ -36,6 +36,19 @@ impl Table {
         self.push_row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     }
 
+    /// The cells of the column with the given header, one per row (blank
+    /// for rows too short to reach it), or `None` without such a column.
+    #[cfg(test)]
+    pub(crate) fn column(&self, header: &str) -> Option<Vec<&str>> {
+        let at = self.headers.iter().position(|h| h == header)?;
+        Some(
+            self.rows
+                .iter()
+                .map(|row| row.get(at).map_or("", String::as_str))
+                .collect(),
+        )
+    }
+
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -112,6 +112,14 @@ impl TwoSpeciesGap {
         self
     }
 
+    /// `gap` rounded down onto the feasible lattice `∆ ≡ n (mod 2)`, after
+    /// clamping it into `[min_gap, max_gap]`: the gap an experiment with a
+    /// fixed gap law (`log² n`, `√(n log n)`, …) can actually run.
+    pub(crate) fn lattice_gap(&self, gap: u64) -> u64 {
+        let gap = gap.clamp(self.min_gap(), self.max_gap());
+        gap - (gap - self.min_gap()) % self.stride()
+    }
+
     /// The initial counts `(a, b)` realising `gap`.
     ///
     /// # Panics
