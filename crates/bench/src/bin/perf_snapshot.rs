@@ -70,7 +70,7 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// (after one warmup of each), timed interleaved: every repetition runs
 /// each arm once, starting from a different arm each time, so a slow phase
 /// of a shared host slows every arm alike.
-fn time_interleaved_ms<const N: usize>(reps: usize, arms: [&dyn Fn() -> Vec<u64>; N]) -> [f64; N] {
+fn time_interleaved_ms<const N: usize>(reps: usize, arms: [&dyn Fn(); N]) -> [f64; N] {
     for arm in arms {
         arm();
     }
@@ -79,7 +79,7 @@ fn time_interleaved_ms<const N: usize>(reps: usize, arms: [&dyn Fn() -> Vec<u64>
         for offset in 0..N {
             let slot = (rep + offset) % N;
             let start = Instant::now();
-            std::hint::black_box(arms[slot]());
+            arms[slot]();
             samples[slot].push(start.elapsed().as_secs_f64() * 1e3);
         }
     }
@@ -233,23 +233,10 @@ fn main() {
     let arms =
         [1usize, 4].map(|threads| MonteCarlo::new(stream_trials, seed()).with_threads(threads));
     let run_arm = |slot: usize| {
-        let start = Instant::now();
         let estimate = arms[slot].success_probability(&lv, 282, 230);
         assert_eq!(estimate.trials(), stream_trials);
-        start.elapsed().as_secs_f64() * 1e3
     };
-    run_arm(0);
-    run_arm(1);
-    let mut samples = [Vec::new(), Vec::new()];
-    for rep in 0..stream_reps {
-        for slot in [rep % 2, 1 - rep % 2] {
-            samples[slot].push(run_arm(slot));
-        }
-    }
-    let stream_ms = samples.map(|mut arm: Vec<f64>| {
-        arm.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        arm[arm.len() / 2]
-    });
+    let stream_ms = time_interleaved_ms(stream_reps, [&|| run_arm(0), &|| run_arm(1)]);
     for (slot, threads) in [1usize, 4].into_iter().enumerate() {
         kernels.push(Kernel {
             name: format!(
@@ -260,8 +247,10 @@ fn main() {
         });
     }
     // Direction guard: asking for more threads must never *lose* to one
-    // thread. The executor clamps its worker count to the machine's cores and
-    // to the scheduled chunk count, so on a small batch the 4-thread request
+    // thread. The executor clamps its worker count to the machine's cores, to
+    // the scheduled chunk count and, for light trials such as these
+    // observer-free jump-chain runs, to 512 trials per worker, so on a small
+    // batch the 4-thread request
     // degenerates to the same plan as the 1-thread one instead of paying
     // spawn/steal overhead for work that is too thin to split (the BENCH_7
     // regression: 4.25 ms at 4 threads vs 3.97 ms at 1). Allow 25% noise
@@ -378,12 +367,14 @@ fn main() {
             let skipped = run_trials(&tight);
             assert_events_agree_in_law(label, &skipped, &stepped);
             let events: u64 = stepped.iter().sum();
-            let arms: [&dyn Fn() -> Vec<u64>; 3] = [
-                &|| run_trials(&per_step),
-                &|| step_loop(&tight, model),
-                &|| run_trials(&tight),
-            ];
-            let [driver_ms, step_ms, kernel_ms] = time_interleaved_ms(jump_reps, arms);
+            let [driver_ms, step_ms, kernel_ms] = time_interleaved_ms(
+                jump_reps,
+                [
+                    &|| assert_eq!(run_trials(&per_step), stepped),
+                    &|| assert_eq!(step_loop(&tight, model), stepped),
+                    &|| assert_eq!(run_trials(&tight).len() as u64, trials),
+                ],
+            );
             for (variant, wall_ms, events) in [
                 ("per_step_driver", driver_ms, events),
                 ("step_loop", step_ms, events),

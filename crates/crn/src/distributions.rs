@@ -17,7 +17,7 @@ pub use crate::sampling::binomial::{
     sample_binomial, sample_binomial_by_inversion, BinomialSampler, CachedBinomial,
 };
 pub use crate::sampling::leak_to_support_end;
-pub use crate::sampling::lnfact::{ln_choose, ln_factorial, ln_factorial_from, ln_factorial_table};
+pub use crate::sampling::lnfact::{ln_factorial, ln_factorial_from, ln_factorial_table};
 
 /// Samples an exponential random variable with the given rate via inverse
 /// transform sampling.

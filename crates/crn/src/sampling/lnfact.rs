@@ -59,7 +59,7 @@ pub fn ln_factorial(n: u64) -> f64 {
 }
 
 /// `ln C(n, k)` via [`ln_factorial`].
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     debug_assert!(k <= n);
     let t = ln_factorial_table();
     ln_factorial_from(t, n) - ln_factorial_from(t, k) - ln_factorial_from(t, n - k)

@@ -538,9 +538,13 @@ pub fn sample_counts_without_replacement_cached<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lv_crn::distributions::ln_choose;
+    use lv_crn::distributions::ln_factorial;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn ln_choose(n: u64, k: u64) -> f64 {
+        ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+    }
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
