@@ -792,6 +792,12 @@ mod tests {
         let mut chain = LvJumpChain::new(frozen, LvConfiguration::new(5, 5));
         assert_eq!(chain.run_to_consensus(100, &mut rng(1)), 0);
         assert_eq!(chain.state(), LvConfiguration::new(5, 5));
+        // No births or deaths: the escape bound is zero and every event is
+        // a competition, so SD from (100, 60) ends at (40, 0) in 60 events.
+        let duel = LvModel::neutral(CompetitionKind::SelfDestructive, 0.0, 0.0, 1.0);
+        let chain = run(duel, LvConfiguration::new(100, 60), u64::MAX, &mut rng(4));
+        assert_eq!(chain.state(), LvConfiguration::new(40, 0));
+        assert_eq!(chain.steps(), 60);
     }
 
     #[test]
