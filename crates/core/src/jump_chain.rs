@@ -731,7 +731,7 @@ mod tests {
         // competition loses with probability 2·10⁻⁶ from (60, 40) and
         // 10⁻¹⁵ from (90, 30).
         let trials = 40_000u64;
-        for (m, model) in skipping_models().into_iter().enumerate() {
+        let check = |m: usize, model: LvModel| {
             let options = crate::exact::SolverOptions {
                 cap: 360,
                 ..Default::default()
@@ -758,7 +758,13 @@ mod tests {
                     excess / sd
                 );
             }
-        }
+        };
+        // One thread per model: the exact solves dominate a debug run.
+        std::thread::scope(|scope| {
+            for (m, model) in skipping_models().into_iter().enumerate() {
+                scope.spawn(move || check(m, model));
+            }
+        });
     }
 
     #[test]
