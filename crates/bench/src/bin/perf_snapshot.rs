@@ -247,13 +247,12 @@ fn main() {
         });
     }
     // Direction guard: asking for more threads must never *lose* to one
-    // thread. The executor clamps its worker count to the machine's cores, to
-    // the scheduled chunk count and, for light trials such as these
-    // observer-free jump-chain runs, to 512 trials per worker, so on a small
-    // batch the 4-thread request degenerates to the same plan as the
-    // 1-thread one instead of paying spawn/steal overhead for work that is
-    // too thin to split (the BENCH_7 regression: 4.25 ms at 4 threads vs
-    // 3.97 ms at 1). Allow 25% noise between the interleaved medians.
+    // thread. The executor clamps its worker count to the machine's cores and
+    // to the scheduled chunk count, so on a small batch the 4-thread request
+    // degenerates to the same plan as the 1-thread one instead of paying
+    // spawn/steal overhead for work that is too thin to split (the BENCH_7
+    // regression: 4.25 ms at 4 threads vs 3.97 ms at 1). Allow 25% noise
+    // between the interleaved medians.
     assert!(
         stream_ms[1] <= stream_ms[0] * 1.25,
         "multi-thread streaming regressed vs single-thread: {:.3} ms at 4 threads vs {:.3} ms at 1",

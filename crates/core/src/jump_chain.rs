@@ -254,13 +254,6 @@ impl LvJumpChain {
         self.table.total(&ALL_SLOTS, x0 as f64, x1 as f64) <= 0.0
     }
 
-    /// Whether [`run_to_consensus`](LvJumpChain::run_to_consensus) skips
-    /// runs of competitions for this model, costing `O(log n)` draws per
-    /// run instead of one per event: interspecific competition only.
-    pub fn skips_competitions(&self) -> bool {
-        self.table.skips_competitions()
-    }
-
     /// Samples and applies one reaction. Returns the event, or `None` if the
     /// chain is absorbed (the state is then left unchanged).
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<LvEvent> {
@@ -685,7 +678,7 @@ mod tests {
         // Without competition runs to skip, the loop is the step loop: the
         // same states on the same draws.
         for model in models() {
-            if LvJumpChain::new(model, LvConfiguration::new(1, 1)).skips_competitions() {
+            if ReactionTable::compile(&model).skips_competitions() {
                 continue;
             }
             for (a, b) in [(60, 40), (25, 25), (10, 0), (0, 0), (3, 200)] {

@@ -16,8 +16,13 @@ use rand::Rng;
 pub use crate::sampling::binomial::{
     sample_binomial, sample_binomial_by_inversion, BinomialSampler, CachedBinomial,
 };
+pub use crate::sampling::lnfact::ln_factorial;
+// The hypergeometric kernels of `lv-protocols` share the `ln n!` table and
+// the walk-leakage rule; they are implementation details, not API.
+#[doc(hidden)]
 pub use crate::sampling::leak_to_support_end;
-pub use crate::sampling::lnfact::{ln_factorial, ln_factorial_from, ln_factorial_table};
+#[doc(hidden)]
+pub use crate::sampling::lnfact::{ln_factorial_from, ln_factorial_table};
 
 /// Samples an exponential random variable with the given rate via inverse
 /// transform sampling.

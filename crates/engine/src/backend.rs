@@ -60,17 +60,6 @@ pub trait Backend: Send + Sync {
         false
     }
 
-    /// Whether every run of `scenario` takes only microseconds, whatever
-    /// its size: a [`ReportStream`](crate::stream::ReportStream) then gives
-    /// each worker thread at least
-    /// [`LIGHT_TRIALS_PER_WORKER`](crate::stream::LIGHT_TRIALS_PER_WORKER)
-    /// trials, since a thread's start-up and channel traffic would cost more
-    /// than a few of them.
-    fn light_trials(&self, scenario: &Scenario) -> bool {
-        let _ = scenario;
-        false
-    }
-
     /// Executes the scenario to completion.
     ///
     /// The deterministic ODE backend accepts the RNG for interface uniformity

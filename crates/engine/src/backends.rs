@@ -9,9 +9,7 @@ use lv_crn::simulators::{
     GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
 };
 use lv_crn::{State, StopReason};
-use lv_lotka::{
-    CompetitionKind, LvConfiguration, LvJumpChain, MultiLvModel, Population, PopulationEvent,
-};
+use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, Population, PopulationEvent};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
 use rand::rngs::StdRng;
 
@@ -54,13 +52,6 @@ impl Backend for JumpChainBackend {
         "exact embedded jump chain (specialised two-species fast path; CRN chain for k > 2)"
     }
 
-    /// Runs that skip competition runs cost `O(log n)` draws each.
-    fn light_trials(&self, scenario: &Scenario) -> bool {
-        kernel_model(scenario).is_some_and(|model| {
-            LvJumpChain::new(*model, LvConfiguration::new(0, 0)).skips_competitions()
-        })
-    }
-
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
         let model = match scenario.model() {
             ScenarioModel::TwoSpecies(model) => model,
@@ -79,7 +70,7 @@ impl Backend for JumpChainBackend {
             .expect("two-species model has a two-species initial population");
         let mut chain = LvJumpChain::new(*model, initial);
         let stop = scenario.stop();
-        if kernel_model(scenario).is_some() {
+        if scenario.observers().is_empty() && stop.is_first_extinction(2) {
             let max_events = stop.max_events().unwrap_or(u64::MAX);
             let budget = max_events.min(stop.max_time().map_or(u64::MAX, time_budget_events));
             let events = chain.run_to_consensus(budget, rng);
@@ -121,20 +112,6 @@ impl Backend for JumpChainBackend {
                 None => return driver.finish(self.name(), StopReason::Absorbed),
             }
         }
-    }
-}
-
-/// The model of a two-species scenario that runs as one
-/// [`LvJumpChain::run_to_consensus`] call: no observers, and a stop on the
-/// first extinction.
-fn kernel_model(scenario: &Scenario) -> Option<&lv_lotka::LvModel> {
-    match scenario.model() {
-        ScenarioModel::TwoSpecies(model)
-            if scenario.observers().is_empty() && scenario.stop().is_first_extinction(2) =>
-        {
-            Some(model)
-        }
-        _ => None,
     }
 }
 

@@ -152,13 +152,6 @@ impl StreamConfig {
 /// stopping rule, which sees a trial once every earlier one has arrived.
 pub const FLUSH_TRIALS: u64 = 16;
 
-/// The fewest trials a worker thread is started for when the backend
-/// reports [`light_trials`](Backend::light_trials): a batch of fewer than
-/// twice this many runs on the consuming thread alone. Light trials take a
-/// few microseconds, so a worker needs hundreds of them before it pays for
-/// its start-up and its share of the channel traffic.
-pub const LIGHT_TRIALS_PER_WORKER: u64 = 512;
-
 /// The summed [`RunReport::events`] at which a worker sends its held trials
 /// before holding [`FLUSH_TRIALS`] of them. The event count stands in for
 /// the time a trial took: the engine reads no clock.
@@ -733,10 +726,7 @@ impl ReportStream {
                 halted: false,
             };
         }
-        let mut threads = config.effective_workers(scheduled);
-        if backend.light_trials(scenario) {
-            threads = threads.min((scheduled / LIGHT_TRIALS_PER_WORKER).max(1) as usize);
-        }
+        let threads = config.effective_workers(scheduled);
         if threads == 1 {
             return ReportStream {
                 inner: StreamInner::Sequential {
@@ -1068,38 +1058,6 @@ mod tests {
         for (index, (trial, _)) in sequential.iter().enumerate() {
             assert_eq!(*trial, index as u64);
         }
-    }
-
-    #[test]
-    fn light_trials_get_hundreds_of_trials_per_worker() {
-        // Observer-free jump-chain runs of a neutral model skip competition
-        // runs: below 2·LIGHT_TRIALS_PER_WORKER trials they stay on the
-        // consuming thread, whatever thread count was asked for.
-        let model = LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0);
-        let light = Scenario::new(model, (60, 40));
-        let heavy = light.clone().observe(crate::ObserverSpec::MaxPopulation);
-        let jump = backend("jump-chain").unwrap();
-        assert!(jump.light_trials(&light));
-        assert!(!jump.light_trials(&heavy));
-        let trials = 2 * LIGHT_TRIALS_PER_WORKER - 1;
-        let config = StreamConfig::new(trials).with_threads(4);
-        let stream = ReportStream::new(&light, jump, config, factory(4));
-        assert!(matches!(stream.inner, StreamInner::Sequential { .. }));
-        let stream = ReportStream::new(&heavy, jump, config, factory(4));
-        let parallel = config.effective_workers(trials) > 1;
-        assert_eq!(
-            matches!(stream.inner, StreamInner::Parallel { .. }),
-            parallel
-        );
-        let stream = ReportStream::new(&light, jump, config.with_threads(1), factory(4));
-        let sequential: Vec<_> = stream.collect();
-        let config = StreamConfig::new(trials + 1).with_threads(4);
-        let stream = ReportStream::new(&light, jump, config, factory(4));
-        assert_eq!(
-            matches!(stream.inner, StreamInner::Parallel { .. }),
-            parallel
-        );
-        assert_eq!(stream.take(trials as usize).collect::<Vec<_>>(), sequential);
     }
 
     #[test]
