@@ -1,8 +1,8 @@
 //! `registry-docs` — results must be reproducible from the docs alone.
 //!
-//! Extracts every backend name and alias from the engine's backend
-//! definitions (`fn name(` / `fn aliases(` bodies) and every wire error
-//! code from the server (literals in `error.rs` plus first-argument
+//! Extracts every backend name and alias from the engine's backend table
+//! (the `name:` and `aliases: &[…]` field literals of its rows) and every
+//! wire error code from the server (literals in `error.rs` plus first-argument
 //! literals of `ServiceError::new(` call sites), then cross-checks the
 //! two user-facing documents:
 //!
@@ -17,13 +17,11 @@
 use crate::diag::Diagnostic;
 use crate::source::{SourceFile, Workspace};
 
-use super::{brace_span, find_ident_token, line_of, Pass};
+use super::{find_ident_token, line_of, Pass};
 
-/// Files that define backends (trait impls with `fn name`/`fn aliases`).
-const BACKEND_FILES: &[&str] = &[
-    "crates/engine/src/backends.rs",
-    "crates/engine/src/protocol_backend.rs",
-];
+/// The file holding the backend table: one row per backend, each with a
+/// `name: "…"` and an `aliases: &[…]` field.
+const BACKEND_TABLE: &str = "crates/engine/src/registry.rs";
 
 /// A string constant extracted from source, with its defining location.
 struct Extracted {
@@ -121,41 +119,48 @@ impl Pass for RegistryDocs {
     }
 }
 
-/// Collects backend names and aliases: for each non-test `fn name(` /
-/// `fn aliases(` in the backend files, the string literals inside the
-/// function body.
+/// Collects backend names and aliases: the string literals of the non-test
+/// `name:` and `aliases:` field initialisers in the backend table.
 fn extract_backends(ws: &Workspace) -> (Vec<Extracted>, Vec<Extracted>) {
     let mut names = Vec::new();
     let mut aliases = Vec::new();
-    for rel in BACKEND_FILES {
-        let Some(file) = ws.file(rel) else { continue };
-        collect_fn_literals(file, "name", &mut names);
-        collect_fn_literals(file, "aliases", &mut aliases);
+    if let Some(file) = ws.file(BACKEND_TABLE) {
+        collect_field_literals(file, "name", &mut names);
+        collect_field_literals(file, "aliases", &mut aliases);
     }
     (names, aliases)
 }
 
-/// Pushes the string literals found inside each non-test `fn {fn_name}(`
-/// body of `file`.
-fn collect_fn_literals(file: &SourceFile, fn_name: &str, out: &mut Vec<Extracted>) {
+/// Pushes the string literals inside each non-test `{field}: …` initialiser
+/// of `file`, which runs to the first `,` or closing bracket outside
+/// brackets. Type annotations (`name: &'static str`) hold no literal.
+fn collect_field_literals(file: &SourceFile, field: &str, out: &mut Vec<Extracted>) {
     let masked = &file.lexed.masked;
-    let needle = format!("fn {fn_name}");
+    let bytes = masked.as_bytes();
     let mut from = 0;
-    while let Some(at) = find_ident_token(masked, &needle, from) {
-        from = at + needle.len();
-        // Must be a call-shaped definition: `fn name(`.
-        if masked.as_bytes().get(from) != Some(&b'(') {
+    while let Some(at) = find_ident_token(masked, field, from) {
+        from = at + field.len();
+        // A field, not a path segment: `name:` but not `name::`.
+        if bytes.get(from) != Some(&b':') || bytes.get(from + 1) == Some(&b':') {
             continue;
         }
-        let def_line = line_of(masked, at);
-        if file.is_test_line(def_line) {
+        if file.is_test_line(line_of(masked, at)) {
             continue;
         }
-        let Some((open, close)) = brace_span(masked, from) else {
-            continue;
-        };
+        let mut end = from + 1;
+        let mut depth = 0usize;
+        while end < bytes.len() {
+            match bytes[end] {
+                b'(' | b'[' | b'{' => depth += 1,
+                b')' | b']' | b'}' if depth == 0 => break,
+                b')' | b']' | b'}' => depth -= 1,
+                b',' if depth == 0 => break,
+                _ => {}
+            }
+            end += 1;
+        }
         for lit in &file.lexed.strings {
-            if lit.offset > open && lit.end <= close {
+            if lit.offset > from && lit.end <= end {
                 out.push(Extracted {
                     value: lit.value.clone(),
                     file: file.rel.clone(),
@@ -163,7 +168,7 @@ fn collect_fn_literals(file: &SourceFile, fn_name: &str, out: &mut Vec<Extracted
                 });
             }
         }
-        from = close;
+        from = end;
     }
 }
 

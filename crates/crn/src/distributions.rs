@@ -233,12 +233,16 @@ impl PoissonSampler {
     }
 }
 
-/// Samples a standard normal random variable using the Box–Muller transform.
+/// Samples a standard normal random variable using the Box–Muller transform,
+/// redrawing the rare `u₁ = 0` so that `ln u₁` is finite.
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // u1 ∈ (0, 1] so that ln(u1) is finite.
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    loop {
+        let u1: f64 = rng.gen();
+        if u1 > 0.0 {
+            let u2: f64 = rng.gen();
+            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        }
+    }
 }
 
 /// Samples an index proportionally to the given non-negative weights.

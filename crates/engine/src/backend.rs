@@ -3,7 +3,7 @@
 use crate::observer::{Observer, ObserverSpec, StepRecord};
 use crate::report::RunReport;
 use crate::scenario::Scenario;
-use lv_crn::{State, StopReason};
+use lv_crn::{State, StopCondition, StopReason};
 use lv_lotka::{Population, PopulationEvent};
 use rand::rngs::StdRng;
 
@@ -74,7 +74,7 @@ pub(crate) struct Driver<'a> {
     scenario: &'a Scenario,
     observers: Vec<(ObserverSpec, Box<dyn Observer>)>,
     /// Scratch state kept in sync with `state` so the CRN
-    /// [`StopCondition`](lv_crn::StopCondition) can be evaluated without
+    /// [`StopCondition`] can be evaluated without
     /// per-step allocation.
     scratch: State,
     /// Current counts, one per species.
@@ -143,6 +143,13 @@ impl<'a> Driver<'a> {
         None
     }
 
+    /// Events the scenario's budgets still allow (see [`event_budget`]), for
+    /// backends whose clock is their event count: at least one while
+    /// [`Driver::check_stop`] passes.
+    pub(crate) fn events_left(&self) -> u64 {
+        event_budget(self.scenario.stop()).saturating_sub(self.events)
+    }
+
     /// Records one completed step: advances the clocks, updates the tracked
     /// state and notifies every observer.
     ///
@@ -195,6 +202,24 @@ impl<'a> Driver<'a> {
             observations,
         )
     }
+}
+
+/// The event count at which `stop`'s budgets bind for a backend whose clock
+/// is its event count: the event budget, or the first `e` with
+/// `e as f64 >= max_time` (the time check [`Driver::check_stop`] makes),
+/// whichever is smaller. A NaN time budget never binds.
+pub(crate) fn event_budget(stop: &StopCondition) -> u64 {
+    let time_budget = match stop.max_time() {
+        Some(max_time) if !max_time.is_nan() => {
+            // Saturating: non-positive budgets bind at once, budgets beyond
+            // `u64::MAX` never. Past 2^53, where `f64` no longer holds every
+            // integer, this may bind a rounding step late: beyond any real
+            // run.
+            max_time.ceil() as u64
+        }
+        _ => u64::MAX,
+    };
+    stop.max_events().unwrap_or(u64::MAX).min(time_budget)
 }
 
 #[cfg(test)]

@@ -1,19 +1,21 @@
-//! The built-in backends: one exact specialised jump chain, three generic
-//! CRN simulators, and the deterministic ODE — all defined over `k`-species
-//! scenarios.
+//! The run fns of the Lotka–Volterra backends: one exact specialised jump
+//! chain, three generic CRN simulators, and the deterministic ODE — all
+//! defined over `k`-species scenarios. Their registry rows are in
+//! `registry.rs`.
 
-use crate::backend::{Backend, Driver};
+use crate::backend::{event_budget, Driver};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioModel};
 use lv_crn::simulators::{
     GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
 };
 use lv_crn::{State, StopReason};
-use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, Population, PopulationEvent};
+use lv_lotka::{CompetitionKind, LvJumpChain, LvModel, MultiLvModel, Population, PopulationEvent};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
 use rand::rngs::StdRng;
 
-/// The exact discrete-time jump chain (the paper's chain `S = (S_t)`).
+/// `"jump-chain"`: the exact discrete-time jump chain (the paper's chain
+/// `S = (S_t)`).
 ///
 /// Two-species scenarios run on [`LvJumpChain`], the bespoke specialised
 /// stepper migrated from `lv_lotka::run_majority`: on the same RNG stream its
@@ -25,108 +27,107 @@ use rand::rngs::StdRng;
 /// A two-species scenario with no observers whose state condition is
 /// exactly "a species is extinct" (see
 /// [`StopCondition::is_first_extinction`](lv_crn::StopCondition::is_first_extinction))
-/// runs as one call of [`LvJumpChain::run_to_consensus`], with the time
-/// budget turned into an event budget (the chain's clock is its event
-/// count). For models with interspecific competition only, that kernel
-/// skips whole runs of competitions, so its report — final state, events,
-/// steps, time and stop reason — is **exact in law**: it has the per-step
-/// path's distribution, on a different RNG stream. Budget stops keep the
-/// per-step path's reason and event count exactly. Models with
-/// intraspecific competition still step inside the kernel and reproduce the
-/// per-step path bit for bit. Every other two-species scenario (any
-/// observer, predicate, population threshold or `or`-composed condition)
-/// steps through the shared driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JumpChainBackend;
-
-impl Backend for JumpChainBackend {
-    fn name(&self) -> &'static str {
-        "jump-chain"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["jump", "exact"]
-    }
-
-    fn description(&self) -> &'static str {
-        "exact embedded jump chain (specialised two-species fast path; CRN chain for k > 2)"
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        let model = match scenario.model() {
-            ScenarioModel::TwoSpecies(model) => model,
-            ScenarioModel::MultiSpecies(_) => {
-                // The generic CRN jump chain simulates the identical embedded
-                // chain; only the two-species case has a faster specialised
-                // stepper.
-                let crn = scenario.crn_form();
-                let mut sim = JumpChain::new(&crn.network, initial_state(scenario), rng);
-                return drive_crn(self.name(), scenario, &mut sim, &crn.events);
-            }
-        };
-        let initial = scenario
-            .initial()
-            .as_lv_configuration()
-            .expect("two-species model has a two-species initial population");
-        let mut chain = LvJumpChain::new(*model, initial);
-        let stop = scenario.stop();
-        if scenario.observers().is_empty() && stop.is_first_extinction(2) {
-            let max_events = stop.max_events().unwrap_or(u64::MAX);
-            let budget = max_events.min(stop.max_time().map_or(u64::MAX, time_budget_events));
-            let events = chain.run_to_consensus(budget, rng);
-            let time = events as f64;
-            // The per-step path's order: state condition, then events, then
-            // time; a run that ends short of all three was absorbed.
-            let reason = if chain.state().is_consensus() {
-                StopReason::ConditionMet
-            } else if events >= max_events {
-                StopReason::MaxEventsReached
-            } else if stop.max_time().is_some_and(|max_time| time >= max_time) {
-                StopReason::MaxTimeReached
-            } else {
-                StopReason::Absorbed
-            };
-            let (x0, x1) = chain.state().counts();
-            return RunReport::new(
-                self.name(),
-                scenario.initial().clone(),
-                Population::new(vec![x0, x1]),
-                reason,
-                events,
-                events,
-                time,
-                Vec::new(),
-            );
+/// runs as one call of [`LvJumpChain::run_to_consensus`], with the budgets
+/// turned into one event budget (the chain's clock is its event count). For
+/// models with interspecific competition only, that kernel skips whole runs
+/// of competitions, so its report — final state, events, steps, time and
+/// stop reason — is **exact in law**: it has the per-step path's
+/// distribution, on a different RNG stream. Budget stops keep the per-step
+/// path's reason and event count exactly. Models with intraspecific
+/// competition still step inside the kernel and reproduce the per-step path
+/// bit for bit. Every other two-species scenario (any observer, predicate,
+/// population threshold or `or`-composed condition) steps through the
+/// shared driver.
+pub(crate) fn jump_chain(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+    let model = match scenario.model() {
+        ScenarioModel::TwoSpecies(model) => model,
+        ScenarioModel::MultiSpecies(_) => {
+            // The generic CRN jump chain simulates the identical embedded
+            // chain; only the two-species case has a faster specialised
+            // stepper.
+            let crn = scenario.crn_form();
+            let mut sim = JumpChain::new(&crn.network, initial_state(scenario), rng);
+            return drive_crn(name, scenario, &mut sim, &crn.events);
         }
-        let mut driver = Driver::new(scenario);
-        loop {
-            if let Some(reason) = driver.check_stop() {
-                return driver.finish(self.name(), reason);
+    };
+    let initial = scenario
+        .initial()
+        .as_lv_configuration()
+        .expect("two-species model has a two-species initial population");
+    let mut chain = LvJumpChain::new(*model, initial);
+    let stop = scenario.stop();
+    if scenario.observers().is_empty() && stop.is_first_extinction(2) {
+        let events = chain.run_to_consensus(event_budget(stop), rng);
+        let time = events as f64;
+        // The per-step path's order: state condition, then events, then
+        // time; a run that ends short of all three was absorbed.
+        let reason = if chain.state().is_consensus() {
+            StopReason::ConditionMet
+        } else if events >= stop.max_events().unwrap_or(u64::MAX) {
+            StopReason::MaxEventsReached
+        } else if stop.max_time().is_some_and(|max_time| time >= max_time) {
+            StopReason::MaxTimeReached
+        } else {
+            StopReason::Absorbed
+        };
+        let (x0, x1) = chain.state().counts();
+        return RunReport::new(
+            name,
+            scenario.initial().clone(),
+            Population::new(vec![x0, x1]),
+            reason,
+            events,
+            events,
+            time,
+            Vec::new(),
+        );
+    }
+    let mut driver = Driver::new(scenario);
+    loop {
+        if let Some(reason) = driver.check_stop() {
+            return driver.finish(name, reason);
+        }
+        match chain.step(rng) {
+            Some(event) => {
+                let time = (driver.events() + 1) as f64;
+                let (x0, x1) = chain.state().counts();
+                driver.record(Some(event.into()), &[x0, x1], time, 1);
             }
-            match chain.step(rng) {
-                Some(event) => {
-                    let time = (driver.events() + 1) as f64;
-                    let (x0, x1) = chain.state().counts();
-                    driver.record(Some(event.into()), &[x0, x1], time, 1);
-                }
-                None => return driver.finish(self.name(), StopReason::Absorbed),
-            }
+            None => return driver.finish(name, StopReason::Absorbed),
         }
     }
 }
 
-/// The event count at which a jump-chain time budget binds: the first `e`
-/// with `e as f64 >= max_time`, the check the driver makes before each
-/// step. A NaN budget never binds.
-fn time_budget_events(max_time: f64) -> u64 {
-    if max_time.is_nan() {
-        u64::MAX
-    } else {
-        // Saturating: non-positive budgets bind at once, budgets beyond
-        // `u64::MAX` never. Past 2^53, where `f64` no longer holds every
-        // integer, this may bind a rounding step late: beyond any real run.
-        max_time.ceil() as u64
-    }
+/// `"gillespie-direct"`: exact continuous-time simulation with
+/// reaction-local propensity updates.
+pub(crate) fn gillespie_direct(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let crn = scenario.crn_form();
+    let mut sim = GillespieDirect::new(&crn.network, initial_state(scenario), rng);
+    drive_crn(name, scenario, &mut sim, &crn.events)
+}
+
+/// `"next-reaction"`: exact continuous-time simulation keeping one
+/// exponential clock per reaction.
+pub(crate) fn next_reaction(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let crn = scenario.crn_form();
+    let mut sim = NextReaction::new(&crn.network, initial_state(scenario), rng);
+    drive_crn(name, scenario, &mut sim, &crn.events)
+}
+
+/// `"tau-leaping"`: approximate explicit tau-leaping with the leap length
+/// [`Scenario::tau`].
+pub(crate) fn tau_leaping(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+    let crn = scenario.crn_form();
+    let mut sim = TauLeaping::new(&crn.network, initial_state(scenario), scenario.tau(), rng);
+    drive_crn(name, scenario, &mut sim, &crn.events)
 }
 
 /// Drives any generic CRN simulator through the shared [`Driver`].
@@ -163,135 +164,36 @@ fn initial_state(scenario: &Scenario) -> State {
     State::from(scenario.initial().counts())
 }
 
-/// The Gillespie direct method on the model's reaction network: exact
-/// continuous-time stochastic simulation with reaction-local propensity
-/// updates.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GillespieDirectBackend;
-
-impl Backend for GillespieDirectBackend {
-    fn name(&self) -> &'static str {
-        "gillespie-direct"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["direct", "gillespie", "ssa"]
-    }
-
-    fn description(&self) -> &'static str {
-        "exact continuous-time Gillespie direct method on the generic CRN"
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        let crn = scenario.crn_form();
-        let mut sim = GillespieDirect::new(&crn.network, initial_state(scenario), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
-    }
-}
-
-/// The next-reaction method: exact continuous-time simulation keeping one
-/// exponential clock per reaction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NextReactionBackend;
-
-impl Backend for NextReactionBackend {
-    fn name(&self) -> &'static str {
-        "next-reaction"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["nrm"]
-    }
-
-    fn description(&self) -> &'static str {
-        "exact continuous-time next-reaction method (independent exponential clocks)"
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        let crn = scenario.crn_form();
-        let mut sim = NextReaction::new(&crn.network, initial_state(scenario), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
-    }
-}
-
-/// Approximate accelerated simulation via explicit tau-leaping; the leap
-/// length comes from [`Scenario::tau`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TauLeapingBackend;
-
-impl Backend for TauLeapingBackend {
-    fn name(&self) -> &'static str {
-        "tau-leaping"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["tau"]
-    }
-
-    fn description(&self) -> &'static str {
-        "approximate tau-leaping (Poisson leaps, rejection near boundaries)"
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        let crn = scenario.crn_form();
-        let mut sim = TauLeaping::new(&crn.network, initial_state(scenario), scenario.tau(), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
-    }
-}
-
-/// The deterministic mean-field backend: integrates the competitive
-/// Lotka–Volterra ODE (Eq. 4, generalised to `k` species) with fixed-step
-/// RK4 and reports the rounded trajectory through the same scenario
-/// interface.
+/// The two-species mean-field ODE of a model: the symmetric competitive
+/// Lotka–Volterra system of Eq. 4 that the `"ode"` backend integrates.
 ///
-/// For two-species models, densities map to the symmetric ODE coefficients
-/// as follows (neutral-rate interpretation; per-event population loss
-/// divided by the event rate):
+/// Densities map to the symmetric ODE coefficients as follows
+/// (neutral-rate interpretation; per-event population loss divided by the
+/// event rate):
 ///
 /// | competition | `α′` | `γ′` |
 /// |---|---|---|
 /// | self-destructive | `α_0 + α_1` | `(γ_0 + γ_1)/2` |
 /// | non-self-destructive | `(α_0 + α_1)/2` | `(γ_0 + γ_1)/4` |
-///
-/// `k`-species models use the per-entry generalisation of the same mapping
-/// ([`MultiLvModel::mean_field_matrix`]) on the
-/// [`CompetitiveLvK`] system.
-///
-/// The backend is deterministic: the RNG argument is ignored, `events` stays
-/// zero and `steps` counts integration steps. Because no reactions fire, a
-/// scenario's `max_events` budget is applied to integration *steps* instead,
-/// so every budgeted scenario still terminates (and truncates) on this
-/// backend like on the stochastic ones. Step sizes adapt to the local
-/// dynamics (at most ~5% relative change per species per step, capped at
-/// [`Scenario::ode_step`]), which keeps the integration stable for the large
-/// mass-action propensities of big populations. A species is considered
-/// extinct when its density drops below one half (the rounded count hits
-/// zero). When the stop condition has no `max_time`, integration stops at
-/// [`Scenario::ode_horizon`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OdeBackend;
+pub fn mean_field_system(model: &LvModel) -> CompetitiveLv {
+    let rates = model.rates();
+    let (alpha_factor, gamma_factor) = match model.kind() {
+        CompetitionKind::SelfDestructive => (1.0, 0.5),
+        CompetitionKind::NonSelfDestructive => (0.5, 0.25),
+    };
+    CompetitiveLv::new(
+        rates.beta - rates.delta,
+        alpha_factor * rates.alpha_total(),
+        gamma_factor * rates.gamma_total(),
+    )
+}
 
-impl OdeBackend {
-    /// The symmetric two-species mean-field ODE for a scenario's model.
-    pub fn system_for(model: &lv_lotka::LvModel) -> CompetitiveLv {
-        let rates = model.rates();
-        let (alpha_factor, gamma_factor) = match model.kind() {
-            CompetitionKind::SelfDestructive => (1.0, 0.5),
-            CompetitionKind::NonSelfDestructive => (0.5, 0.25),
-        };
-        CompetitiveLv::new(
-            rates.beta - rates.delta,
-            alpha_factor * rates.alpha_total(),
-            gamma_factor * rates.gamma_total(),
-        )
-    }
-
-    /// The `k`-species mean-field ODE for a multi-species model:
-    /// `dx_i/dt = x_i (r_i − Σ_j a_ij x_j)` with `r` the per-species growth
-    /// rates and `a` the [`MultiLvModel::mean_field_matrix`].
-    pub fn system_for_multi(model: &MultiLvModel) -> CompetitiveLvK {
-        CompetitiveLvK::new(model.growth_rates(), model.mean_field_matrix())
-    }
+/// The `k`-species mean-field ODE for a multi-species model:
+/// `dx_i/dt = x_i (r_i − Σ_j a_ij x_j)` with `r` the per-species growth
+/// rates and `a` the [`MultiLvModel::mean_field_matrix`], the per-entry
+/// generalisation of [`mean_field_system`]'s mapping.
+fn mean_field_system_k(model: &MultiLvModel) -> CompetitiveLvK {
+    CompetitiveLvK::new(model.growth_rates(), model.mean_field_matrix())
 }
 
 fn rounded_count(v: f64) -> u64 {
@@ -318,52 +220,49 @@ fn adaptive_step(y: &[f64], dy: &[f64], step_cap: f64, remaining: f64) -> f64 {
     h.min(remaining)
 }
 
-impl Backend for OdeBackend {
-    fn name(&self) -> &'static str {
-        "ode"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["deterministic", "mean-field"]
-    }
-
-    fn description(&self) -> &'static str {
-        "deterministic mean-field ODE (Eq. 4, k-species) via fixed-step RK4; ignores the RNG"
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, _rng: &mut StdRng) -> RunReport {
-        match scenario.model() {
-            ScenarioModel::TwoSpecies(model) => {
-                let system = OdeBackend::system_for(model);
-                let sys = &system;
-                run_ode(
-                    self.name(),
-                    scenario,
-                    |y, dy| {
-                        let d = sys.derivative(&[y[0], y[1]]);
-                        dy.copy_from_slice(&d);
-                    },
-                    |y, h| {
-                        let next = Rk4::single_step(sys, [y[0], y[1]], h);
-                        y.copy_from_slice(&next);
-                    },
-                )
-            }
-            ScenarioModel::MultiSpecies(model) => {
-                let system = OdeBackend::system_for_multi(model);
-                let mut stepper = DynRk4::new(model.species_count());
-                let sys = &system;
-                run_ode(
-                    self.name(),
-                    scenario,
-                    |y, dy| sys.derivative_into(y, dy),
-                    |y, h| stepper.step(sys, y, h),
-                )
-            }
+/// `"ode"`: integrates the mean-field ODE ([`mean_field_system`], or its
+/// `k`-species generalisation on [`CompetitiveLvK`]) with RK4 and reports
+/// the rounded trajectory through the same scenario interface.
+///
+/// The backend is deterministic: the RNG argument is ignored, `events` stays
+/// zero and `steps` counts integration steps. Because no reactions fire, a
+/// scenario's `max_events` budget is applied to integration *steps* instead,
+/// so every budgeted scenario still terminates (and truncates) on this
+/// backend like on the stochastic ones. Step sizes adapt to the local
+/// dynamics (at most ~5% relative change per species per step, capped at
+/// [`Scenario::ode_step`]), which keeps the integration stable for the large
+/// mass-action propensities of big populations. A species is considered
+/// extinct when its density drops below one half (the rounded count hits
+/// zero). When the stop condition has no `max_time`, integration stops at
+/// [`Scenario::ode_horizon`].
+pub(crate) fn ode(name: &'static str, scenario: &Scenario, _rng: &mut StdRng) -> RunReport {
+    match scenario.model() {
+        ScenarioModel::TwoSpecies(model) => {
+            let system = mean_field_system(model);
+            let sys = &system;
+            run_ode(
+                name,
+                scenario,
+                |y, dy| {
+                    let d = sys.derivative(&[y[0], y[1]]);
+                    dy.copy_from_slice(&d);
+                },
+                |y, h| {
+                    let next = Rk4::single_step(sys, [y[0], y[1]], h);
+                    y.copy_from_slice(&next);
+                },
+            )
+        }
+        ScenarioModel::MultiSpecies(model) => {
+            let system = mean_field_system_k(model);
+            let mut stepper = DynRk4::new(model.species_count());
+            let sys = &system;
+            run_ode(
+                name,
+                scenario,
+                |y, dy| sys.derivative_into(y, dy),
+                |y, h| stepper.step(sys, y, h),
+            )
         }
     }
 }
@@ -426,17 +325,21 @@ fn run_ode(
 mod tests {
     use super::*;
     use crate::observer::ObserverSpec;
-    use lv_lotka::LvModel;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }
 
+    /// Runs `scenario` on the registered backend `name`.
+    fn run(name: &str, scenario: &Scenario, seed: u64) -> RunReport {
+        crate::backend(name).unwrap().run(scenario, &mut rng(seed))
+    }
+
     #[test]
     fn jump_chain_backend_reaches_consensus() {
         let scenario = Scenario::majority(LvModel::default(), 60, 40);
-        let report = JumpChainBackend.run(&scenario, &mut rng(1));
+        let report = run("jump-chain", &scenario, 1);
         assert!(report.consensus_reached());
         assert!(!report.truncated());
         assert_eq!(report.events, report.steps);
@@ -450,7 +353,7 @@ mod tests {
     fn jump_chain_backend_runs_three_species_scenarios() {
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![60, 25, 15]);
-        let report = JumpChainBackend.run(&scenario, &mut rng(5));
+        let report = run("jump-chain", &scenario, 5);
         assert_eq!(report.species_count(), 3);
         assert!(report.consensus_reached());
         assert_eq!(report.events, report.steps);
@@ -464,12 +367,9 @@ mod tests {
     #[test]
     fn continuous_backends_report_physical_time() {
         let scenario = Scenario::majority(LvModel::default(), 30, 20);
-        for backend in [
-            &GillespieDirectBackend as &dyn Backend,
-            &NextReactionBackend,
-        ] {
-            let report = backend.run(&scenario, &mut rng(2));
-            assert!(report.consensus_reached(), "{}", backend.name());
+        for name in ["gillespie-direct", "next-reaction"] {
+            let report = run(name, &scenario, 2);
+            assert!(report.consensus_reached(), "{name}");
             assert!(report.time > 0.0);
             assert_eq!(report.events, report.steps);
         }
@@ -478,7 +378,7 @@ mod tests {
     #[test]
     fn tau_leaping_counts_firings_not_leaps() {
         let scenario = Scenario::majority(LvModel::default(), 400, 300).with_tau(0.05);
-        let report = TauLeapingBackend.run(&scenario, &mut rng(3));
+        let report = run("tau-leaping", &scenario, 3);
         assert!(report.consensus_reached());
         assert!(
             report.steps < report.events,
@@ -492,8 +392,8 @@ mod tests {
     fn ode_backend_is_deterministic_and_picks_the_majority() {
         let scenario =
             Scenario::majority(LvModel::default(), 600, 400).observe(ObserverSpec::GapTrajectory);
-        let a = OdeBackend.run(&scenario, &mut rng(4));
-        let b = OdeBackend.run(&scenario, &mut rng(999));
+        let a = run("ode", &scenario, 4);
+        let b = run("ode", &scenario, 999);
         assert_eq!(a, b, "ODE backend must ignore the RNG");
         assert!(a.consensus_reached());
         assert_eq!(a.final_state.winner(), a.initial.leader());
@@ -509,8 +409,8 @@ mod tests {
         // deterministically wins under the mean field.
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![500, 300, 200]);
-        let a = OdeBackend.run(&scenario, &mut rng(6));
-        let b = OdeBackend.run(&scenario, &mut rng(77));
+        let a = run("ode", &scenario, 6);
+        let b = run("ode", &scenario, 77);
         assert_eq!(a, b, "ODE backend must ignore the RNG");
         assert!(a.consensus_reached());
         assert_eq!(a.final_state.winner(), Some(0));
@@ -520,7 +420,7 @@ mod tests {
 
     #[test]
     fn ode_backend_mean_field_mapping_matches_kind() {
-        let sd = OdeBackend::system_for(&LvModel::neutral(
+        let sd = mean_field_system(&LvModel::neutral(
             CompetitionKind::SelfDestructive,
             1.0,
             0.25,
@@ -528,7 +428,7 @@ mod tests {
         ));
         assert_eq!(sd.growth_rate(), 0.75);
         assert_eq!(sd.interspecific(), 2.0);
-        let nsd = OdeBackend::system_for(&LvModel::neutral(
+        let nsd = mean_field_system(&LvModel::neutral(
             CompetitionKind::NonSelfDestructive,
             1.0,
             0.25,
@@ -546,8 +446,8 @@ mod tests {
             CompetitionKind::NonSelfDestructive,
         ] {
             let model = LvModel::with_intraspecific(kind, 1.0, 0.5, 2.0, 1.0);
-            let symmetric = OdeBackend::system_for(&model);
-            let multi = OdeBackend::system_for_multi(&MultiLvModel::from(model));
+            let symmetric = mean_field_system(&model);
+            let multi = mean_field_system_k(&MultiLvModel::from(model));
             let y = [7.0, 3.0];
             let reference = symmetric.derivative(&y);
             let mut out = [0.0; 2];

@@ -28,8 +28,8 @@
 //!   `"tau-leaping"`, `"ode"`, `"approx-majority"`, `"exact-majority"`,
 //!   `"czyzowicz-lv"`, `"annihilation-lv"`, `"czyzowicz-lv-k"`, the
 //!   `-bridged` first-passage variants, the `-agents` legacy variants,
-//!   plus aliases), open for external registration via
-//!   [`BackendRegistry::register`];
+//!   plus aliases): a read-only view of one static table with a row per
+//!   built-in backend;
 //! * [`presets`] — named multi-species scenario presets (3-species cyclic
 //!   competition, planted `k`-species plurality, two-vs-many coalition);
 //! * [`RunReport`] — the uniform result: summary fields plus one
@@ -104,18 +104,12 @@ pub mod stream;
 pub mod wilson;
 
 pub use backend::Backend;
-pub use backends::{
-    GillespieDirectBackend, JumpChainBackend, NextReactionBackend, OdeBackend, TauLeapingBackend,
-};
+pub use backends::mean_field_system;
 pub use observer::{
     EventCounts, NoiseObservation, Observation, Observer, ObserverSpec, StepRecord,
 };
 pub use presets::{preset, ScenarioPreset};
-pub use protocol_backend::{
-    AnnihilationLvBackend, ApproxMajorityAgentsBackend, ApproxMajorityBackend, CzyzowiczKBackend,
-    CzyzowiczLvAgentsBackend, CzyzowiczLvBackend, ExactMajorityAgentsBackend, ExactMajorityBackend,
-};
-pub use registry::{backend, BackendRegistry, DuplicateBackendError};
+pub use registry::{backend, BackendRegistry};
 pub use report::{PluralityOutcome, RunReport};
 pub use scenario::{default_majority_budget, majority_budget, Scenario, ScenarioModel};
 pub use stream::{

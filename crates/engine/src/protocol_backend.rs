@@ -1,26 +1,18 @@
-//! Protocol baselines as backends: population protocols behind the same
-//! [`Backend`] interface as the Lotka–Volterra kernels, so protocol-vs-LV
+//! Protocol baselines as backends: the run fns of the population protocols
+//! registered next to the Lotka–Volterra kernels, so protocol-vs-LV
 //! comparisons (E11, E15/E16 threshold sweeps) run through one registry and
 //! one Monte-Carlo harness.
 //!
-//! Five protocol baselines are built in:
-//!
-//! * [`ApproxMajorityBackend`] — the 3-state approximate-majority protocol
-//!   of Angluin–Aspnes–Eisenstat (`"approx-majority"`);
-//! * [`ExactMajorityBackend`] — the 4-state exact-majority protocol of
-//!   Draief–Vojnović / Mertzios et al. (`"exact-majority"`): always correct
-//!   for any non-zero gap, at `Θ(n²)` expected interactions;
-//! * [`CzyzowiczLvBackend`] — the two-state discrete Lotka–Volterra
-//!   dynamics of Czyzowicz et al. (`"czyzowicz-lv"`): the proportional law
-//!   `P(majority wins) = a/n`, so high-probability consensus needs a
-//!   *linear* gap;
-//! * [`AnnihilationLvBackend`] — the *self-destructive* discrete LV
-//!   dynamics (`"annihilation-lv"`): a competitive encounter destroys both
-//!   participants, the gap is invariant, and any non-zero gap decides
-//!   correctly in `Θ(n log n)` interactions;
-//! * [`CzyzowiczKBackend`] — the `k`-opinion Czyzowicz conversion dynamics
-//!   (`"czyzowicz-lv-k"`), the `k`-species protocol baseline over
-//!   [`Population`](lv_lotka::Population) counts.
+//! A protocol backend is a baseline, not a Lotka–Volterra simulator: it
+//! reads only the scenario's initial configuration — `cᵢ` agents with
+//! opinion `i` — and its stop budgets; the model's rates are ignored
+//! ([`Backend::models_kinetics`](crate::Backend::models_kinetics) is
+//! `false`). Each pairwise interaction counts as one event and one unit of
+//! time, and the reported state is the vector of *committed* opinion counts
+//! (undecided or destroyed agents are internal). A committed count hitting
+//! zero is irrevocable in every built-in protocol, so the consensus
+//! semantics of the stop conditions carry over: the survivor is the
+//! protocol's decision.
 //!
 //! # Batched vs agent-list execution
 //!
@@ -38,15 +30,15 @@
 //! subsumes the per-protocol monitors (committed consensus, exhausted
 //! strong tokens) of the agent-list path.
 //!
-//! The legacy agent-list backends are kept and registered under `-agents`
-//! names ([`ApproxMajorityAgentsBackend`], [`ExactMajorityAgentsBackend`],
-//! [`CzyzowiczLvAgentsBackend`]) for bit-exact runs against hand-driven
-//! [`ProtocolSimulation`] loops; [`Backend::batched`] reports which
-//! execution mode a backend uses.
+//! The legacy agent-list steppers of the first three two-opinion baselines
+//! are registered under `-agents` names for bit-exact runs against
+//! hand-driven [`ProtocolSimulation`] loops;
+//! [`Backend::batched`](crate::Backend::batched) reports which execution
+//! mode a backend uses.
 //!
 //! [`StepRecord`]: crate::StepRecord
 
-use crate::backend::{Backend, Driver};
+use crate::backend::Driver;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
 use lv_crn::StopReason;
@@ -122,14 +114,10 @@ impl ProtocolMonitor<ExactMajority4State> for StrongTokens {
     }
 }
 
-/// Runs any two-opinion [`PopulationProtocol`] as an execution backend with
-/// the legacy *agent-list* stepper: the scenario's initial configuration
-/// `(a, b)` seeds `a` agents with opinion A and `b` with opinion B, each
-/// pairwise interaction counts as one event, and the reported state is the
-/// pair of *committed* counts `(#output A, #output B)` read through
-/// `PopulationProtocol::output` (undecided agents are internal). The model's
-/// rates are ignored ([`Backend::models_kinetics`] is `false` on all
-/// protocol backends).
+/// Runs any two-opinion [`PopulationProtocol`] with the legacy *agent-list*
+/// stepper: the initial configuration `(a, b)` seeds `a` agents with
+/// opinion A and `b` with opinion B, and the committed counts are read
+/// through `PopulationProtocol::output`.
 fn run_two_opinion_protocol<P, M>(
     protocol: &P,
     name: &'static str,
@@ -221,20 +209,7 @@ fn run_counted(
         if sim.is_absorbed() {
             return driver.finish(name, StopReason::Absorbed);
         }
-        // check_stop just passed, so the budget has at least one event left.
-        let mut remaining = scenario
-            .stop()
-            .max_events()
-            .map_or(u64::MAX, |max| max - driver.events());
-        if let Some(max_time) = scenario.stop().max_time() {
-            // The protocol clock *is* the interaction count, so a time
-            // budget is an interaction budget: the smallest number of
-            // further interactions m with interactions + m ≥ max_time.
-            let more = (max_time - sim.interactions() as f64).ceil().max(1.0);
-            if more < u64::MAX as f64 {
-                remaining = remaining.min(more as u64);
-            }
-        }
+        let remaining = driver.events_left();
         if sim.total() >= BATCH_MIN_POPULATION {
             if let Some(fired) = sim.step_epoch(rng, remaining) {
                 sim.opinion_counts_into(&mut opinions);
@@ -257,16 +232,33 @@ fn run_counted(
     }
 }
 
-/// Runs the conversion dynamics through the diffusion-bridged count walk of
-/// [`BridgedConversionWalk`]: large blocks of conversions advanced as
-/// binomial bridges away from the boundaries (reported as aggregated
-/// records, `event = None`, `firings` = block interactions), exact
-/// geometric-plus-conversion steps inside the boundary band (classified as
-/// competitive attacks when they resolve a single interaction), and exact
-/// budget truncation — an inert stretch cut at the budget freezes the
-/// counts, so `max_events` is honored to the interaction, exactly like the
-/// epoch refusal of [`run_counted`].
-fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+/// `"czyzowicz-lv-k-bridged"` (and, on two species,
+/// `"czyzowicz-lv-bridged"`): the `k`-opinion Czyzowicz conversion dynamics
+/// executed by **diffusion-bridged first-passage sampling** through
+/// [`BridgedConversionWalk`].
+///
+/// On two species the A-count performs an unbiased ±1 walk on conversions,
+/// advanced in binomial-bridge blocks away from the boundaries with a
+/// CLT-sampled interaction clock (reported as aggregated records,
+/// `event = None`, `firings` = block interactions), and stepped exactly
+/// (geometric inert stretch + fair-coin conversion) inside the
+/// boundary-proximity band (classified as competitive attacks when they
+/// resolve a single interaction), so absorption is never approximated. On
+/// `k` species the `(k−1)`-dimensional count walk is bridged per unordered
+/// species pair (multinomial split of each block's conversions at the
+/// block-start pair intensities, then a fair-coin binomial bridge per pair)
+/// under a per-species boundary band. Budget truncation is exact: an inert
+/// stretch cut at the budget freezes the counts, so `max_events` is honored
+/// to the interaction, exactly like the epoch refusal of [`run_counted`].
+///
+/// Agreement with the counted and agent-list execution of the same dynamics
+/// is statistical — identical outcome laws, e.g. the exact proportional law
+/// `P(A wins) = a/n`, on a different RNG stream — but per-trial cost is
+/// `Õ(poly log n)` instead of the `Θ(n²)` interactions the other execution
+/// modes must walk through, which is what pushes the linear-gap-law sweeps
+/// of E16 to `n = 10⁷`. The exact variants stay registered for
+/// cross-validation.
+pub(crate) fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
     let mut driver = Driver::new(scenario);
     if let Some(reason) = driver.check_stop() {
         return driver.finish(name, reason);
@@ -283,20 +275,7 @@ fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> Run
         if walk.is_absorbed() {
             return driver.finish(name, StopReason::Absorbed);
         }
-        // check_stop just passed, so the budget has at least one event left.
-        let mut remaining = scenario
-            .stop()
-            .max_events()
-            .map_or(u64::MAX, |max| max - driver.events());
-        if let Some(max_time) = scenario.stop().max_time() {
-            // The protocol clock *is* the interaction count (see
-            // `run_counted`).
-            let more = (max_time - walk.interactions() as f64).ceil().max(1.0);
-            if more < u64::MAX as f64 {
-                remaining = remaining.min(more as u64);
-            }
-        }
-        let step = walk.advance(rng, remaining);
+        let step = walk.advance(rng, driver.events_left());
         let time = walk.interactions() as f64;
         let event = match step {
             BridgeStep::Exact {
@@ -367,275 +346,87 @@ fn classify_transition(
     }
 }
 
-/// The 3-state approximate-majority protocol of Angluin–Aspnes–Eisenstat as
-/// an execution backend for *two-species* scenarios, in count-based batched
-/// mode (see the [module docs](self)).
-///
-/// The backend is a baseline, not a Lotka–Volterra simulator: it reads only
-/// the scenario's initial configuration `(a, b)` — `a` agents with opinion A,
-/// `b` with opinion B — and its stop budgets; the model's rates are ignored
-/// ([`Backend::models_kinetics`] is `false`). Each pairwise interaction
-/// counts as one event, and the reported state is the pair of *committed*
-/// counts `(#A, #B)` (blank agents are internal). A committed count hitting
-/// zero is irrevocable — that opinion can never reappear — so the consensus
-/// semantics of the two-species stop conditions carry over: the survivor is
-/// the protocol's decision.
-///
-/// For bit-exact agreement with hand-driven [`ProtocolSimulation`] loops use
-/// [`ApproxMajorityAgentsBackend`] (`"approx-majority-agents"`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ApproxMajorityBackend;
-
-impl Backend for ApproxMajorityBackend {
-    fn name(&self) -> &'static str {
-        "approx-majority"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["am", "3-state"]
-    }
-
-    fn description(&self) -> &'static str {
-        "3-state approximate-majority protocol baseline (two-species, batched counts)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_counted(
-            &CountedDynamics::from_protocol(&ApproximateMajority::new()),
-            self.name(),
-            scenario,
-            rng,
-        )
-    }
+/// `"approx-majority"`: the 3-state approximate-majority protocol of
+/// Angluin–Aspnes–Eisenstat, batched.
+pub(crate) fn approx_majority(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let dynamics = CountedDynamics::from_protocol(&ApproximateMajority::new());
+    run_counted(&dynamics, name, scenario, rng)
 }
 
-/// The legacy agent-list stepper behind `"approx-majority"`, registered as
-/// `"approx-majority-agents"`: bit-identical to a hand-driven
+/// `"approx-majority-agents"`: the agent-list stepper behind
+/// `"approx-majority"`, bit-identical to a hand-driven
 /// [`ProtocolSimulation`] loop on the same RNG stream — the reference the
-/// batched [`ApproxMajorityBackend`] is cross-validated against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ApproxMajorityAgentsBackend;
-
-impl Backend for ApproxMajorityAgentsBackend {
-    fn name(&self) -> &'static str {
-        "approx-majority-agents"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["am-agents"]
-    }
-
-    fn description(&self) -> &'static str {
-        "3-state approximate-majority baseline, per-interaction agent list (bit-exact legacy)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_two_opinion_protocol(
-            &ApproximateMajority::new(),
-            self.name(),
-            scenario,
-            rng,
-            CommittedConsensus,
-        )
-    }
+/// batched backend is cross-validated against.
+pub(crate) fn approx_majority_agents(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let protocol = ApproximateMajority::new();
+    run_two_opinion_protocol(&protocol, name, scenario, rng, CommittedConsensus)
 }
 
-/// The 4-state exact-majority protocol of Draief–Vojnović / Mertzios et al.
-/// as an execution backend for *two-species* scenarios, in count-based
-/// batched mode.
+/// `"exact-majority"`: the 4-state exact-majority protocol of
+/// Draief–Vojnović / Mertzios et al., batched.
 ///
 /// The strong-token difference is invariant, so the protocol decides the
 /// true initial majority for *any* non-zero gap — there is no threshold to
 /// find — but pays `Θ(n²)` expected interactions when the gap is small
-/// (Table 1, Section 2.2). Like every protocol baseline it ignores the
-/// model's rates and reports committed opinion counts; a tied start can
-/// exhaust its strong tokens and freeze in a mixed weak configuration,
-/// which the count-level absorption check reports as an absorbed
-/// (non-consensus) run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactMajorityBackend;
-
-impl Backend for ExactMajorityBackend {
-    fn name(&self) -> &'static str {
-        "exact-majority"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["em", "4-state"]
-    }
-
-    fn description(&self) -> &'static str {
-        "4-state exact-majority protocol baseline (always correct, ~n^2 interactions, batched)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_counted(
-            &CountedDynamics::from_protocol(&ExactMajority4State::new()),
-            self.name(),
-            scenario,
-            rng,
-        )
-    }
+/// (Table 1, Section 2.2). A tied start can exhaust its strong tokens and
+/// freeze in a mixed weak configuration, which the count-level absorption
+/// check reports as an absorbed (non-consensus) run.
+pub(crate) fn exact_majority(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let dynamics = CountedDynamics::from_protocol(&ExactMajority4State::new());
+    run_counted(&dynamics, name, scenario, rng)
 }
 
-/// The legacy agent-list stepper behind `"exact-majority"`, registered as
-/// `"exact-majority-agents"` (bit-exact, strong-token absorption monitor).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactMajorityAgentsBackend;
-
-impl Backend for ExactMajorityAgentsBackend {
-    fn name(&self) -> &'static str {
-        "exact-majority-agents"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["em-agents"]
-    }
-
-    fn description(&self) -> &'static str {
-        "4-state exact-majority baseline, per-interaction agent list (bit-exact legacy)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        let initial = scenario.initial();
-        let strongs = initial.count(0) + initial.count(1);
-        run_two_opinion_protocol(
-            &ExactMajority4State::new(),
-            self.name(),
-            scenario,
-            rng,
-            StrongTokens { strongs },
-        )
-    }
+/// `"exact-majority-agents"`: the agent-list stepper behind
+/// `"exact-majority"` (bit-exact, strong-token absorption monitor).
+pub(crate) fn exact_majority_agents(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let initial = scenario.initial();
+    let strongs = initial.count(0) + initial.count(1);
+    let protocol = ExactMajority4State::new();
+    run_two_opinion_protocol(&protocol, name, scenario, rng, StrongTokens { strongs })
 }
 
-/// The two-state discrete Lotka–Volterra dynamics of Czyzowicz et al.
-/// (`(A, B) → (A, A)`, `(B, A) → (B, B)`) as an execution backend for
-/// *two-species* scenarios, in count-based batched mode.
+/// `"czyzowicz-lv"`: the two-state discrete Lotka–Volterra dynamics of
+/// Czyzowicz et al. (`(A, B) → (A, A)`, `(B, A) → (B, B)`), batched.
 ///
 /// On a static population these conversions are an unbiased random walk in
 /// the count of A, so the majority wins with probability exactly `a/n` —
 /// the proportional law — and high-probability majority consensus needs a
 /// gap *linear* in `n`, the baseline E15/E16's threshold sweeps contrast
 /// with the paper's polylogarithmic self-destructive threshold.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CzyzowiczLvBackend;
-
-impl Backend for CzyzowiczLvBackend {
-    fn name(&self) -> &'static str {
-        "czyzowicz-lv"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cz", "2-state-lv"]
-    }
-
-    fn description(&self) -> &'static str {
-        "2-state Czyzowicz et al. discrete LV baseline (proportional law, linear gap, batched)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_counted(
-            &CountedDynamics::from_protocol(&CzyzowiczLvProtocol::new()),
-            self.name(),
-            scenario,
-            rng,
-        )
-    }
+pub(crate) fn czyzowicz_lv(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+    let dynamics = CountedDynamics::from_protocol(&CzyzowiczLvProtocol::new());
+    run_counted(&dynamics, name, scenario, rng)
 }
 
-/// The legacy agent-list stepper behind `"czyzowicz-lv"`, registered as
-/// `"czyzowicz-lv-agents"` (bit-exact).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CzyzowiczLvAgentsBackend;
-
-impl Backend for CzyzowiczLvAgentsBackend {
-    fn name(&self) -> &'static str {
-        "czyzowicz-lv-agents"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cz-agents"]
-    }
-
-    fn description(&self) -> &'static str {
-        "2-state Czyzowicz et al. baseline, per-interaction agent list (bit-exact legacy)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_two_opinion_protocol(
-            &CzyzowiczLvProtocol::new(),
-            self.name(),
-            scenario,
-            rng,
-            CommittedConsensus,
-        )
-    }
+/// `"czyzowicz-lv-agents"`: the agent-list stepper behind `"czyzowicz-lv"`
+/// (bit-exact).
+pub(crate) fn czyzowicz_lv_agents(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let protocol = CzyzowiczLvProtocol::new();
+    run_two_opinion_protocol(&protocol, name, scenario, rng, CommittedConsensus)
 }
 
-/// The *self-destructive* discrete Lotka–Volterra dynamics
-/// (`(A, B) → (∅, ∅)`) as an execution backend for *two-species* scenarios,
-/// in count-based batched mode.
+/// `"annihilation-lv"`: the *self-destructive* discrete Lotka–Volterra
+/// dynamics (`(A, B) → (∅, ∅)`), batched.
 ///
 /// Pairwise annihilation preserves the signed gap `a − b`, so the initial
 /// majority wins for **any** non-zero gap — the population-protocol
@@ -647,48 +438,17 @@ impl Backend for CzyzowiczLvAgentsBackend {
 /// agents have no output, so a tied start annihilates completely (both
 /// committed counts reach zero — mutual extinction, exactly like the
 /// continuous model's `δ = 0` cancellation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnnihilationLvBackend;
-
-impl Backend for AnnihilationLvBackend {
-    fn name(&self) -> &'static str {
-        "annihilation-lv"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["sd-lv", "annihilation"]
-    }
-
-    fn description(&self) -> &'static str {
-        "self-destructive discrete LV baseline (gap-invariant annihilation, batched)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_counted(
-            &CountedDynamics::from_protocol(&SelfDestructiveLvProtocol::new()),
-            self.name(),
-            scenario,
-            rng,
-        )
-    }
+pub(crate) fn annihilation_lv(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let dynamics = CountedDynamics::from_protocol(&SelfDestructiveLvProtocol::new());
+    run_counted(&dynamics, name, scenario, rng)
 }
 
-/// The `k`-opinion Czyzowicz conversion dynamics as an execution backend
-/// for scenarios over **any** `k ≥ 2` species — the `k`-species protocol
-/// baseline, running directly over [`Population`](lv_lotka::Population)
-/// counts in count-based batched mode.
+/// `"czyzowicz-lv-k"`: the `k`-opinion Czyzowicz conversion dynamics over
+/// **any** `k ≥ 2` species, batched.
 ///
 /// One state per opinion; an initiator of a different opinion converts the
 /// responder. Each pairwise conversion between species `i` and `j` is an
@@ -696,134 +456,34 @@ impl Backend for AnnihilationLvBackend {
 /// with probability exactly `cᵢ/n` — the `k`-species proportional law — and
 /// plurality-margin thresholds scale *linearly*, the `k`-species contrast
 /// to the paper's self-destructive amplification (E15's plurality sweeps).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CzyzowiczKBackend;
-
-impl Backend for CzyzowiczKBackend {
-    fn name(&self) -> &'static str {
-        "czyzowicz-lv-k"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cz-k", "k-opinion-lv"]
-    }
-
-    fn description(&self) -> &'static str {
-        "k-opinion Czyzowicz conversion dynamics (k-species proportional law, batched)"
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_counted(
-            &CountedDynamics::k_opinion_czyzowicz(scenario.species_count()),
-            self.name(),
-            scenario,
-            rng,
-        )
-    }
+pub(crate) fn czyzowicz_lv_k(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    let dynamics = CountedDynamics::k_opinion_czyzowicz(scenario.species_count());
+    run_counted(&dynamics, name, scenario, rng)
 }
 
-/// The two-state Czyzowicz conversion dynamics executed by **diffusion-
-/// bridged first-passage sampling** (`"czyzowicz-lv-bridged"`): the A-count
-/// performs an unbiased ±1 walk on conversions, advanced in binomial-bridge
-/// blocks away from the boundaries with a CLT-sampled interaction clock, and
-/// stepped exactly (geometric inert stretch + fair-coin conversion) inside
-/// the boundary-proximity band, so absorption is never approximated.
-///
-/// Agreement with `"czyzowicz-lv"` (counted) and `"czyzowicz-lv-agents"`
-/// (agent list) is statistical — identical outcome laws, e.g. the exact
-/// proportional law `P(A wins) = a/n`, on a different RNG stream — but
-/// per-trial cost is `Õ(poly log n)` instead of the `Θ(n²)` interactions the
-/// other execution modes must walk through, which is what pushes the
-/// linear-gap-law sweeps of E16 to `n = 10⁷`. Both exact variants stay
-/// registered for cross-validation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CzyzowiczLvBridgedBackend;
-
-impl Backend for CzyzowiczLvBridgedBackend {
-    fn name(&self) -> &'static str {
-        "czyzowicz-lv-bridged"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cz-bridged"]
-    }
-
-    fn description(&self) -> &'static str {
-        "2-state Czyzowicz baseline via diffusion-bridged first-passage sampling (polylog/trial)"
-    }
-
-    fn supports_species(&self, species: usize) -> bool {
-        species == 2
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        assert_eq!(
-            scenario.species_count(),
-            2,
-            "the {} backend cannot run {}-species scenarios",
-            self.name(),
-            scenario.species_count()
-        );
-        run_bridged(self.name(), scenario, rng)
-    }
-}
-
-/// The `k`-opinion Czyzowicz conversion dynamics executed by diffusion-
-/// bridged first-passage sampling (`"czyzowicz-lv-k-bridged"`): the
-/// `(k−1)`-dimensional count walk is bridged per unordered species pair
-/// (multinomial split of each block's conversions at the block-start pair
-/// intensities, then a fair-coin binomial bridge per pair) under a
-/// per-species boundary band, so no opinion's extinction is ever
-/// approximated. See [`CzyzowiczLvBridgedBackend`] for the two-species
-/// contract; `"czyzowicz-lv-k"` stays registered for cross-validation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CzyzowiczKBridgedBackend;
-
-impl Backend for CzyzowiczKBridgedBackend {
-    fn name(&self) -> &'static str {
-        "czyzowicz-lv-k-bridged"
-    }
-
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cz-k-bridged"]
-    }
-
-    fn description(&self) -> &'static str {
-        "k-opinion Czyzowicz dynamics via per-pair diffusion bridging (polylog/trial)"
-    }
-
-    fn models_kinetics(&self) -> bool {
-        false
-    }
-
-    fn batched(&self) -> bool {
-        true
-    }
-
-    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-        run_bridged(self.name(), scenario, rng)
-    }
+/// `"czyzowicz-lv-bridged"`: [`run_bridged`] on two-species scenarios only.
+pub(crate) fn czyzowicz_lv_bridged(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    assert_eq!(
+        scenario.species_count(),
+        2,
+        "the {name} backend cannot run {}-species scenarios",
+        scenario.species_count()
+    );
+    run_bridged(name, scenario, rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
     use lv_crn::StopCondition;
     use lv_lotka::LvModel;
     use rand::SeedableRng;
@@ -832,27 +492,24 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    fn backend(name: &str) -> &'static dyn Backend {
+        crate::backend(name).unwrap()
+    }
+
+    /// Every protocol backend: the rows that ignore the model's kinetics.
     fn all_protocol_backends() -> Vec<&'static dyn Backend> {
-        vec![
-            &ApproxMajorityBackend,
-            &ExactMajorityBackend,
-            &CzyzowiczLvBackend,
-            &AnnihilationLvBackend,
-            &CzyzowiczKBackend,
-            &CzyzowiczLvBridgedBackend,
-            &CzyzowiczKBridgedBackend,
-            &ApproxMajorityAgentsBackend,
-            &ExactMajorityAgentsBackend,
-            &CzyzowiczLvAgentsBackend,
-        ]
+        crate::BackendRegistry::global()
+            .iter()
+            .filter(|b| !b.models_kinetics())
+            .collect()
     }
 
     #[test]
     fn clear_majority_wins_and_reports_interactions() {
         let scenario = Scenario::majority(LvModel::default(), 400, 100);
         for backend in [
-            &ApproxMajorityBackend as &dyn Backend,
-            &ApproxMajorityAgentsBackend,
+            backend("approx-majority"),
+            backend("approx-majority-agents"),
         ] {
             let report = backend.run(&scenario, &mut rng(1));
             assert_eq!(report.backend, backend.name());
@@ -864,7 +521,7 @@ mod tests {
         }
         // The agent-list path resolves every event: one step per event and
         // classified births/attacks for the derived view.
-        let report = ApproxMajorityAgentsBackend.run(&scenario, &mut rng(1));
+        let report = backend("approx-majority-agents").run(&scenario, &mut rng(1));
         assert_eq!(report.events, report.steps);
         let outcome = report.to_majority_outcome();
         assert!(outcome.individual_events > 0, "recruitments happened");
@@ -872,7 +529,7 @@ mod tests {
         // The batched path aggregates: far fewer steps than events, and the
         // aggregated firings land in the unclassified counter (the
         // tau-leaping vocabulary).
-        let report = ApproxMajorityBackend.run(&scenario, &mut rng(1));
+        let report = backend("approx-majority").run(&scenario, &mut rng(1));
         assert!(
             report.steps < report.events / 4,
             "batching did not aggregate: {} steps for {} events",
@@ -884,9 +541,25 @@ mod tests {
     }
 
     #[test]
+    fn nan_time_budgets_never_bind_and_keep_batching() {
+        // A NaN time budget never stops a run (`time >= NaN` is false), so
+        // it must not cap epochs either.
+        let scenario = Scenario::new(LvModel::default(), (5_000, 4_900))
+            .with_stop(StopCondition::any_species_extinct().with_max_time(f64::NAN));
+        let report = backend("approx-majority").run(&scenario, &mut rng(15));
+        assert!(report.consensus_reached());
+        assert!(
+            report.steps < report.events / 4,
+            "batching did not aggregate: {} steps for {} events",
+            report.steps,
+            report.events
+        );
+    }
+
+    #[test]
     fn committed_counts_never_exceed_the_population() {
         let scenario = Scenario::majority(LvModel::default(), 30, 20);
-        let report = ApproxMajorityBackend.run(&scenario, &mut rng(2));
+        let report = backend("approx-majority").run(&scenario, &mut rng(2));
         assert!(report.max_population().unwrap() <= 50);
         assert!(report.final_state.total() <= 50);
     }
@@ -899,8 +572,8 @@ mod tests {
         let scenario = Scenario::new(LvModel::default(), (500, 480))
             .with_stop(StopCondition::any_species_extinct().with_max_events(25));
         for backend in [
-            &ApproxMajorityBackend as &dyn Backend,
-            &ApproxMajorityAgentsBackend,
+            backend("approx-majority"),
+            backend("approx-majority-agents"),
         ] {
             let report = backend.run(&scenario, &mut rng(3));
             assert_eq!(
@@ -931,8 +604,8 @@ mod tests {
         let scenario = Scenario::new(LvModel::default(), (60, 40))
             .with_stop(StopCondition::total_at_least(1_000));
         for backend in [
-            &ApproxMajorityBackend as &dyn Backend,
-            &ApproxMajorityAgentsBackend,
+            backend("approx-majority"),
+            backend("approx-majority-agents"),
         ] {
             let report = backend.run(&scenario, &mut rng(7));
             assert_eq!(report.reason, StopReason::Absorbed, "{}", backend.name());
@@ -965,24 +638,24 @@ mod tests {
         }
         // Two-opinion protocols are two-species only; the k-opinion
         // dynamics run any k.
-        assert!(!ApproxMajorityBackend.supports_species(3));
-        assert!(!CzyzowiczLvBackend.supports_species(3));
-        assert!(!CzyzowiczLvBridgedBackend.supports_species(3));
-        assert!(CzyzowiczKBackend.supports_species(3));
-        assert!(CzyzowiczKBackend.supports_species(6));
-        assert!(CzyzowiczKBridgedBackend.supports_species(3));
-        assert!(CzyzowiczKBridgedBackend.supports_species(6));
+        assert!(!backend("approx-majority").supports_species(3));
+        assert!(!backend("czyzowicz-lv").supports_species(3));
+        assert!(!backend("czyzowicz-lv-bridged").supports_species(3));
+        assert!(backend("czyzowicz-lv-k").supports_species(3));
+        assert!(backend("czyzowicz-lv-k").supports_species(6));
+        assert!(backend("czyzowicz-lv-k-bridged").supports_species(3));
+        assert!(backend("czyzowicz-lv-k-bridged").supports_species(6));
         // Batched vs agent-list execution is reported.
-        assert!(ApproxMajorityBackend.batched());
-        assert!(ExactMajorityBackend.batched());
-        assert!(CzyzowiczLvBackend.batched());
-        assert!(AnnihilationLvBackend.batched());
-        assert!(CzyzowiczKBackend.batched());
-        assert!(CzyzowiczLvBridgedBackend.batched());
-        assert!(CzyzowiczKBridgedBackend.batched());
-        assert!(!ApproxMajorityAgentsBackend.batched());
-        assert!(!ExactMajorityAgentsBackend.batched());
-        assert!(!CzyzowiczLvAgentsBackend.batched());
+        assert!(backend("approx-majority").batched());
+        assert!(backend("exact-majority").batched());
+        assert!(backend("czyzowicz-lv").batched());
+        assert!(backend("annihilation-lv").batched());
+        assert!(backend("czyzowicz-lv-k").batched());
+        assert!(backend("czyzowicz-lv-bridged").batched());
+        assert!(backend("czyzowicz-lv-k-bridged").batched());
+        assert!(!backend("approx-majority-agents").batched());
+        assert!(!backend("exact-majority-agents").batched());
+        assert!(!backend("czyzowicz-lv-agents").batched());
     }
 
     #[test]
@@ -991,7 +664,7 @@ mod tests {
         use lv_lotka::{CompetitionKind, MultiLvModel};
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![10, 10, 10]);
-        let _ = ApproxMajorityBackend.run(&scenario, &mut rng(5));
+        let _ = backend("approx-majority").run(&scenario, &mut rng(5));
     }
 
     #[test]
@@ -1000,7 +673,7 @@ mod tests {
         // so any non-zero gap decides correctly — no threshold exists.
         let scenario = Scenario::majority(LvModel::default(), 26, 25);
         for seed in 0..10 {
-            let report = ExactMajorityBackend.run(&scenario, &mut rng(seed));
+            let report = backend("exact-majority").run(&scenario, &mut rng(seed));
             assert_eq!(report.backend, "exact-majority");
             assert!(report.consensus_reached(), "seed {seed} truncated");
             assert!(report.majority_won(), "seed {seed} decided the minority");
@@ -1011,7 +684,7 @@ mod tests {
     fn annihilation_decides_any_gap_and_preserves_it() {
         let scenario = Scenario::majority(LvModel::default(), 51, 50);
         for seed in 0..10 {
-            let report = AnnihilationLvBackend.run(&scenario, &mut rng(seed));
+            let report = backend("annihilation-lv").run(&scenario, &mut rng(seed));
             assert!(report.consensus_reached(), "seed {seed} truncated");
             assert!(report.majority_won(), "seed {seed} decided the minority");
             // The gap is invariant: exactly ∆ majority agents survive.
@@ -1022,7 +695,7 @@ mod tests {
     #[test]
     fn tied_annihilation_runs_end_in_mutual_extinction() {
         let scenario = Scenario::majority(LvModel::default(), 40, 40);
-        let report = AnnihilationLvBackend.run(&scenario, &mut rng(8));
+        let report = backend("annihilation-lv").run(&scenario, &mut rng(8));
         assert!(report.consensus_reached());
         assert_eq!(
             report.final_state.counts(),
@@ -1074,7 +747,7 @@ mod tests {
         // the full minimum catches the regression deterministically.
         let scenario = Scenario::majority(LvModel::default(), 40, 20);
         for seed in 0..5 {
-            let report = ExactMajorityAgentsBackend.run(&scenario, &mut rng(seed));
+            let report = backend("exact-majority-agents").run(&scenario, &mut rng(seed));
             assert!(report.consensus_reached(), "seed {seed}");
             let outcome = report.to_majority_outcome();
             assert!(
@@ -1089,7 +762,7 @@ mod tests {
     #[test]
     fn exact_majority_agents_classifies_conversions_as_competitive() {
         let scenario = Scenario::majority(LvModel::default(), 40, 20);
-        let report = ExactMajorityAgentsBackend.run(&scenario, &mut rng(9));
+        let report = backend("exact-majority-agents").run(&scenario, &mut rng(9));
         let outcome = report.to_majority_outcome();
         // Cancellations leave both outputs unchanged (strong → weak of the
         // same opinion), so the competitive events are the conversions.
@@ -1110,10 +783,7 @@ mod tests {
         // forever on the unsatisfiable stop condition below.
         let scenario = Scenario::new(LvModel::default(), (20, 20))
             .with_stop(StopCondition::total_at_least(1_000));
-        for backend in [
-            &ExactMajorityBackend as &dyn Backend,
-            &ExactMajorityAgentsBackend,
-        ] {
+        for backend in [backend("exact-majority"), backend("exact-majority-agents")] {
             let report = backend.run(&scenario, &mut rng(10));
             assert_eq!(report.reason, StopReason::Absorbed, "{}", backend.name());
             assert_eq!(report.final_state.total(), 40, "agents never disappear");
@@ -1123,7 +793,7 @@ mod tests {
     #[test]
     fn czyzowicz_conversions_preserve_the_population() {
         let scenario = Scenario::majority(LvModel::default(), 30, 20);
-        let report = CzyzowiczLvBackend.run(&scenario, &mut rng(11));
+        let report = backend("czyzowicz-lv").run(&scenario, &mut rng(11));
         assert_eq!(report.backend, "czyzowicz-lv");
         assert!(report.consensus_reached());
         assert_eq!(report.final_state.total(), 50, "conversions preserve n");
@@ -1142,7 +812,7 @@ mod tests {
         let scenario = Scenario::majority(LvModel::default(), 30, 20);
         let minority_wins = (0..20)
             .filter(|&seed| {
-                let report = CzyzowiczLvBackend.run(&scenario, &mut rng(100 + seed));
+                let report = backend("czyzowicz-lv").run(&scenario, &mut rng(100 + seed));
                 report.consensus_reached() && report.final_state.winner() == Some(1)
             })
             .count();
@@ -1154,7 +824,7 @@ mod tests {
         use lv_lotka::{CompetitionKind, MultiLvModel};
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![120, 40, 40]);
-        let report = CzyzowiczKBackend.run(&scenario, &mut rng(12));
+        let report = backend("czyzowicz-lv-k").run(&scenario, &mut rng(12));
         assert_eq!(report.backend, "czyzowicz-lv-k");
         assert!(report.consensus_reached());
         assert_eq!(
@@ -1175,7 +845,7 @@ mod tests {
         let trials = 300u64;
         let wins = (0..trials)
             .filter(|&seed| {
-                let report = CzyzowiczKBackend.run(&scenario, &mut rng(300 + seed));
+                let report = backend("czyzowicz-lv-k").run(&scenario, &mut rng(300 + seed));
                 assert!(report.consensus_reached(), "seed {seed} truncated");
                 report.final_state.winner() == Some(0)
             })
@@ -1206,11 +876,14 @@ mod tests {
         };
         for (batched, agents) in [
             (
-                &ApproxMajorityBackend as &dyn Backend,
-                &ApproxMajorityAgentsBackend as &dyn Backend,
+                backend("approx-majority"),
+                backend("approx-majority-agents"),
             ),
-            (&CzyzowiczLvBackend, &CzyzowiczLvAgentsBackend),
-            (&CzyzowiczLvBridgedBackend, &CzyzowiczLvAgentsBackend),
+            (backend("czyzowicz-lv"), backend("czyzowicz-lv-agents")),
+            (
+                backend("czyzowicz-lv-bridged"),
+                backend("czyzowicz-lv-agents"),
+            ),
         ] {
             let p_batched = measure(batched, 1_000);
             let p_agents = measure(agents, 2_000);
@@ -1228,7 +901,7 @@ mod tests {
         // most of the run.
         let scenario = Scenario::new(LvModel::default(), (60_000, 40_000))
             .with_stop(StopCondition::any_species_extinct().with_max_events(u64::MAX / 2));
-        let report = CzyzowiczLvBridgedBackend.run(&scenario, &mut rng(13));
+        let report = backend("czyzowicz-lv-bridged").run(&scenario, &mut rng(13));
         assert_eq!(report.backend, "czyzowicz-lv-bridged");
         assert!(report.consensus_reached());
         assert_eq!(
@@ -1256,8 +929,8 @@ mod tests {
         let scenario = Scenario::new(LvModel::default(), (500_000, 480_000))
             .with_stop(StopCondition::any_species_extinct().with_max_events(123_456));
         for backend in [
-            &CzyzowiczLvBridgedBackend as &dyn Backend,
-            &CzyzowiczKBridgedBackend,
+            backend("czyzowicz-lv-bridged"),
+            backend("czyzowicz-lv-k-bridged"),
         ] {
             let report = backend.run(&scenario, &mut rng(14));
             assert_eq!(
@@ -1280,7 +953,7 @@ mod tests {
         let trials = 300u64;
         let wins = (0..trials)
             .filter(|&seed| {
-                let report = CzyzowiczLvBridgedBackend.run(&scenario, &mut rng(500 + seed));
+                let report = backend("czyzowicz-lv-bridged").run(&scenario, &mut rng(500 + seed));
                 assert!(report.consensus_reached(), "seed {seed} truncated");
                 report.final_state.winner() == Some(0)
             })
@@ -1301,7 +974,7 @@ mod tests {
         let trials = 300u64;
         let wins = (0..trials)
             .filter(|&seed| {
-                let report = CzyzowiczKBridgedBackend.run(&scenario, &mut rng(700 + seed));
+                let report = backend("czyzowicz-lv-k-bridged").run(&scenario, &mut rng(700 + seed));
                 assert!(report.consensus_reached(), "seed {seed} truncated");
                 report.final_state.winner() == Some(0)
             })

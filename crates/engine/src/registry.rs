@@ -1,39 +1,207 @@
-//! The string-keyed backend registry used for CLI and bench selection, open
-//! for external registration.
+//! The string-keyed backend registry used for CLI and bench selection: one
+//! static table with a row per built-in backend.
 
 use crate::backend::Backend;
-use crate::backends::{
-    GillespieDirectBackend, JumpChainBackend, NextReactionBackend, OdeBackend, TauLeapingBackend,
-};
+use crate::backends::{gillespie_direct, jump_chain, next_reaction, ode, tau_leaping};
 use crate::protocol_backend::{
-    AnnihilationLvBackend, ApproxMajorityAgentsBackend, ApproxMajorityBackend, CzyzowiczKBackend,
-    CzyzowiczKBridgedBackend, CzyzowiczLvAgentsBackend, CzyzowiczLvBackend,
-    CzyzowiczLvBridgedBackend, ExactMajorityAgentsBackend, ExactMajorityBackend,
+    annihilation_lv, approx_majority, approx_majority_agents, czyzowicz_lv, czyzowicz_lv_agents,
+    czyzowicz_lv_bridged, czyzowicz_lv_k, exact_majority, exact_majority_agents, run_bridged,
 };
-use std::fmt;
-use std::sync::OnceLock;
+use crate::report::RunReport;
+use crate::scenario::Scenario;
+use rand::rngs::StdRng;
 
-/// Error returned by [`BackendRegistry::register`] when a backend's name or
-/// alias collides with one already registered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DuplicateBackendError {
-    /// The colliding name or alias.
-    pub name: String,
+/// How a backend executes, which fixes its capability flags.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// Stochastic simulation of the model's Lotka–Volterra kinetics.
+    Kinetics,
+    /// The deterministic mean-field ODE of the model: ignores the RNG.
+    MeanField,
+    /// A protocol baseline in count-based batches: ignores the model.
+    BatchedProtocol,
+    /// A protocol baseline on an agent list, one event at a time: ignores
+    /// the model.
+    AgentProtocol,
 }
 
-impl fmt::Display for DuplicateBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "a backend named or aliased {:?} is already registered",
-            self.name
-        )
+/// One built-in backend: its registry metadata and the fn that runs it,
+/// called with the row's name.
+struct BackendRow {
+    name: &'static str,
+    aliases: &'static [&'static str],
+    description: &'static str,
+    /// Whether it runs any `k ≥ 2` species, not only two.
+    k_species: bool,
+    family: Family,
+    run: fn(&'static str, &Scenario, &mut StdRng) -> RunReport,
+}
+
+impl Backend for BackendRow {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn aliases(&self) -> &'static [&'static str] {
+        self.aliases
+    }
+
+    fn description(&self) -> &'static str {
+        self.description
+    }
+
+    fn deterministic(&self) -> bool {
+        self.family == Family::MeanField
+    }
+
+    fn supports_species(&self, species: usize) -> bool {
+        if self.k_species {
+            species >= 2
+        } else {
+            species == 2
+        }
+    }
+
+    fn models_kinetics(&self) -> bool {
+        matches!(self.family, Family::Kinetics | Family::MeanField)
+    }
+
+    fn batched(&self) -> bool {
+        self.family == Family::BatchedProtocol
+    }
+
+    fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+        (self.run)(self.name, scenario, rng)
     }
 }
 
-impl std::error::Error for DuplicateBackendError {}
+/// The built-in backends, in registry order: the five Lotka–Volterra
+/// kernels, the batched protocol baselines, the diffusion-bridged
+/// conversion backends and the bit-exact agent-list legacy variants.
+static BACKENDS: [BackendRow; 15] = [
+    BackendRow {
+        name: "jump-chain",
+        aliases: &["jump", "exact"],
+        description: "exact embedded jump chain (specialised two-species fast path; CRN chain for k > 2)",
+        k_species: true,
+        family: Family::Kinetics,
+        run: jump_chain,
+    },
+    BackendRow {
+        name: "gillespie-direct",
+        aliases: &["direct", "gillespie", "ssa"],
+        description: "exact continuous-time Gillespie direct method on the generic CRN",
+        k_species: true,
+        family: Family::Kinetics,
+        run: gillespie_direct,
+    },
+    BackendRow {
+        name: "next-reaction",
+        aliases: &["nrm"],
+        description: "exact continuous-time next-reaction method (independent exponential clocks)",
+        k_species: true,
+        family: Family::Kinetics,
+        run: next_reaction,
+    },
+    BackendRow {
+        name: "tau-leaping",
+        aliases: &["tau"],
+        description: "approximate tau-leaping (Poisson leaps, rejection near boundaries)",
+        k_species: true,
+        family: Family::Kinetics,
+        run: tau_leaping,
+    },
+    BackendRow {
+        name: "ode",
+        aliases: &["deterministic", "mean-field"],
+        description: "deterministic mean-field ODE (Eq. 4, k-species) via fixed-step RK4; ignores the RNG",
+        k_species: true,
+        family: Family::MeanField,
+        run: ode,
+    },
+    BackendRow {
+        name: "approx-majority",
+        aliases: &["am", "3-state"],
+        description: "3-state approximate-majority protocol baseline (two-species, batched counts)",
+        k_species: false,
+        family: Family::BatchedProtocol,
+        run: approx_majority,
+    },
+    BackendRow {
+        name: "exact-majority",
+        aliases: &["em", "4-state"],
+        description: "4-state exact-majority protocol baseline (always correct, ~n^2 interactions, batched)",
+        k_species: false,
+        family: Family::BatchedProtocol,
+        run: exact_majority,
+    },
+    BackendRow {
+        name: "czyzowicz-lv",
+        aliases: &["cz", "2-state-lv"],
+        description: "2-state Czyzowicz et al. discrete LV baseline (proportional law, linear gap, batched)",
+        k_species: false,
+        family: Family::BatchedProtocol,
+        run: czyzowicz_lv,
+    },
+    BackendRow {
+        name: "annihilation-lv",
+        aliases: &["sd-lv", "annihilation"],
+        description: "self-destructive discrete LV baseline (gap-invariant annihilation, batched)",
+        k_species: false,
+        family: Family::BatchedProtocol,
+        run: annihilation_lv,
+    },
+    BackendRow {
+        name: "czyzowicz-lv-k",
+        aliases: &["cz-k", "k-opinion-lv"],
+        description: "k-opinion Czyzowicz conversion dynamics (k-species proportional law, batched)",
+        k_species: true,
+        family: Family::BatchedProtocol,
+        run: czyzowicz_lv_k,
+    },
+    BackendRow {
+        name: "czyzowicz-lv-bridged",
+        aliases: &["cz-bridged"],
+        description: "2-state Czyzowicz baseline via diffusion-bridged first-passage sampling (polylog/trial)",
+        k_species: false,
+        family: Family::BatchedProtocol,
+        run: czyzowicz_lv_bridged,
+    },
+    BackendRow {
+        name: "czyzowicz-lv-k-bridged",
+        aliases: &["cz-k-bridged"],
+        description: "k-opinion Czyzowicz dynamics via per-pair diffusion bridging (polylog/trial)",
+        k_species: true,
+        family: Family::BatchedProtocol,
+        run: run_bridged,
+    },
+    BackendRow {
+        name: "approx-majority-agents",
+        aliases: &["am-agents"],
+        description: "3-state approximate-majority baseline, per-interaction agent list (bit-exact legacy)",
+        k_species: false,
+        family: Family::AgentProtocol,
+        run: approx_majority_agents,
+    },
+    BackendRow {
+        name: "exact-majority-agents",
+        aliases: &["em-agents"],
+        description: "4-state exact-majority baseline, per-interaction agent list (bit-exact legacy)",
+        k_species: false,
+        family: Family::AgentProtocol,
+        run: exact_majority_agents,
+    },
+    BackendRow {
+        name: "czyzowicz-lv-agents",
+        aliases: &["cz-agents"],
+        description: "2-state Czyzowicz et al. baseline, per-interaction agent list (bit-exact legacy)",
+        k_species: false,
+        family: Family::AgentProtocol,
+        run: czyzowicz_lv_agents,
+    },
+];
 
-/// The set of available [`Backend`]s, addressable by name or alias.
+/// The built-in [`Backend`]s, addressable by name or alias.
 ///
 /// The process-wide [`BackendRegistry::global`] holds the fifteen built-ins:
 /// five Lotka–Volterra kernels, five count-based *batched* protocol
@@ -41,11 +209,7 @@ impl std::error::Error for DuplicateBackendError {}
 /// two diffusion-bridged conversion backends (`"czyzowicz-lv-bridged"` and
 /// `"czyzowicz-lv-k-bridged"`), and the bit-exact agent-list legacy variants
 /// of the original three protocol baselines (`-agents` names —
-/// [`Backend::batched`] reports which mode a backend uses). Downstream
-/// crates can build their own registries and plug
-/// in custom backends with [`BackendRegistry::register`] /
-/// [`BackendRegistry::with_backend`] — duplicate names or aliases are
-/// rejected with a [`DuplicateBackendError`] instead of silently shadowing.
+/// [`Backend::batched`] reports which mode a backend uses).
 ///
 /// ```
 /// use lv_engine::BackendRegistry;
@@ -63,7 +227,7 @@ impl std::error::Error for DuplicateBackendError {}
 /// assert!(!registry.get("approx-majority-agents").unwrap().batched());
 /// ```
 pub struct BackendRegistry {
-    entries: Vec<Box<dyn Backend>>,
+    rows: &'static [BackendRow],
 }
 
 impl std::fmt::Debug for BackendRegistry {
@@ -74,109 +238,29 @@ impl std::fmt::Debug for BackendRegistry {
     }
 }
 
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        BackendRegistry::builtin()
-    }
-}
-
 impl BackendRegistry {
-    /// An empty registry; populate it with [`BackendRegistry::register`].
-    pub fn empty() -> Self {
-        BackendRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry holding the fifteen built-in backends: the five
-    /// Lotka–Volterra kernels, the batched `"approx-majority"`,
-    /// `"exact-majority"`, `"czyzowicz-lv"`, `"annihilation-lv"` and
-    /// `"czyzowicz-lv-k"` protocol baselines, the diffusion-bridged
-    /// `"czyzowicz-lv-bridged"` / `"czyzowicz-lv-k-bridged"` conversion
-    /// backends, and the bit-exact `-agents` legacy variants of the first
-    /// three protocol baselines.
-    pub fn builtin() -> Self {
-        let mut registry = BackendRegistry::empty();
-        let builtins: Vec<Box<dyn Backend>> = vec![
-            Box::new(JumpChainBackend),
-            Box::new(GillespieDirectBackend),
-            Box::new(NextReactionBackend),
-            Box::new(TauLeapingBackend),
-            Box::new(OdeBackend),
-            Box::new(ApproxMajorityBackend),
-            Box::new(ExactMajorityBackend),
-            Box::new(CzyzowiczLvBackend),
-            Box::new(AnnihilationLvBackend),
-            Box::new(CzyzowiczKBackend),
-            Box::new(CzyzowiczLvBridgedBackend),
-            Box::new(CzyzowiczKBridgedBackend),
-            Box::new(ApproxMajorityAgentsBackend),
-            Box::new(ExactMajorityAgentsBackend),
-            Box::new(CzyzowiczLvAgentsBackend),
-        ];
-        for backend in builtins {
-            registry
-                .register(backend)
-                .expect("built-in backend names are distinct");
-        }
-        registry
-    }
-
     /// The process-wide registry of built-in backends.
     pub fn global() -> &'static BackendRegistry {
-        static REGISTRY: OnceLock<BackendRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(BackendRegistry::builtin)
+        static REGISTRY: BackendRegistry = BackendRegistry { rows: &BACKENDS };
+        &REGISTRY
     }
 
-    /// Registers a backend, rejecting any name or alias that collides with
-    /// an already-registered backend's name or alias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DuplicateBackendError`] naming the colliding key; the
-    /// registry is unchanged in that case.
-    pub fn register(&mut self, backend: Box<dyn Backend>) -> Result<(), DuplicateBackendError> {
-        let mut keys = std::iter::once(backend.name()).chain(backend.aliases().iter().copied());
-        if let Some(duplicate) = keys.find(|key| self.get(key).is_some()) {
-            return Err(DuplicateBackendError {
-                name: duplicate.to_string(),
-            });
-        }
-        self.entries.push(backend);
-        Ok(())
-    }
-
-    /// Builder-style [`BackendRegistry::register`]: returns the extended
-    /// registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DuplicateBackendError`] naming the colliding key (the
-    /// registry is consumed in that case).
-    pub fn with_backend(
-        mut self,
-        backend: Box<dyn Backend>,
-    ) -> Result<Self, DuplicateBackendError> {
-        self.register(backend)?;
-        Ok(self)
-    }
-
-    /// Canonical names of every registered backend, in registration order.
+    /// Canonical names of every backend, in registry order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|b| b.name()).collect()
+        self.rows.iter().map(|row| row.name).collect()
     }
 
     /// Looks a backend up by canonical name or alias (case-sensitive).
     pub fn get(&self, name: &str) -> Option<&dyn Backend> {
-        self.entries
+        self.rows
             .iter()
-            .find(|b| b.name() == name || b.aliases().contains(&name))
-            .map(|b| b.as_ref())
+            .find(|row| row.name == name || row.aliases.contains(&name))
+            .map(|row| row as &dyn Backend)
     }
 
-    /// Iterates over the registered backends.
+    /// Iterates over the backends in registry order.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Backend> {
-        self.entries.iter().map(|b| b.as_ref())
+        self.rows.iter().map(|row| row as &dyn Backend)
     }
 
     /// Iterates over the backends that can run `species`-species scenarios
@@ -194,9 +278,6 @@ pub fn backend(name: &str) -> Option<&'static dyn Backend> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::RunReport;
-    use crate::scenario::Scenario;
-    use rand::rngs::StdRng;
 
     #[test]
     fn registry_holds_all_builtin_backends() {
@@ -267,6 +348,47 @@ mod tests {
     }
 
     #[test]
+    fn every_row_keeps_its_name_aliases_and_flags() {
+        // (name, aliases, deterministic, models_kinetics, batched,
+        //  supports 2 species, supports 3 species), in registry order.
+        #[rustfmt::skip]
+        type Row = (&'static str, &'static [&'static str], bool, bool, bool, bool, bool);
+        #[rustfmt::skip]
+        let expected: [Row; 15] = [
+            ("jump-chain", &["jump", "exact"], false, true, false, true, true),
+            ("gillespie-direct", &["direct", "gillespie", "ssa"], false, true, false, true, true),
+            ("next-reaction", &["nrm"], false, true, false, true, true),
+            ("tau-leaping", &["tau"], false, true, false, true, true),
+            ("ode", &["deterministic", "mean-field"], true, true, false, true, true),
+            ("approx-majority", &["am", "3-state"], false, false, true, true, false),
+            ("exact-majority", &["em", "4-state"], false, false, true, true, false),
+            ("czyzowicz-lv", &["cz", "2-state-lv"], false, false, true, true, false),
+            ("annihilation-lv", &["sd-lv", "annihilation"], false, false, true, true, false),
+            ("czyzowicz-lv-k", &["cz-k", "k-opinion-lv"], false, false, true, true, true),
+            ("czyzowicz-lv-bridged", &["cz-bridged"], false, false, true, true, false),
+            ("czyzowicz-lv-k-bridged", &["cz-k-bridged"], false, false, true, true, true),
+            ("approx-majority-agents", &["am-agents"], false, false, false, true, false),
+            ("exact-majority-agents", &["em-agents"], false, false, false, true, false),
+            ("czyzowicz-lv-agents", &["cz-agents"], false, false, false, true, false),
+        ];
+        let actual: Vec<Row> = BackendRegistry::global()
+            .iter()
+            .map(|b| {
+                (
+                    b.name(),
+                    b.aliases(),
+                    b.deterministic(),
+                    b.models_kinetics(),
+                    b.batched(),
+                    b.supports_species(2),
+                    b.supports_species(3),
+                )
+            })
+            .collect();
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
     fn iter_supporting_filters_by_species_count() {
         let registry = BackendRegistry::global();
         let all: Vec<_> = registry.iter_supporting(2).map(|b| b.name()).collect();
@@ -313,92 +435,29 @@ mod tests {
         }
     }
 
-    /// A downstream backend for registration tests.
-    struct NullBackend {
-        name: &'static str,
-        aliases: &'static [&'static str],
-    }
-
-    impl crate::Backend for NullBackend {
-        fn name(&self) -> &'static str {
-            self.name
-        }
-
-        fn aliases(&self) -> &'static [&'static str] {
-            self.aliases
-        }
-
-        fn description(&self) -> &'static str {
-            "test double"
-        }
-
-        fn run(&self, _scenario: &Scenario, _rng: &mut StdRng) -> RunReport {
-            unimplemented!("never executed in these tests")
-        }
-    }
-
-    #[test]
-    fn external_backends_can_be_registered() {
-        let registry = BackendRegistry::builtin()
-            .with_backend(Box::new(NullBackend {
-                name: "custom",
-                aliases: &["c"],
-            }))
-            .unwrap();
-        assert_eq!(registry.names().len(), 16);
-        assert_eq!(registry.get("c").unwrap().name(), "custom");
-        // The global registry is unaffected.
-        assert!(BackendRegistry::global().get("custom").is_none());
-    }
-
+    /// The table is static, so a duplicate name is rejected here rather
+    /// than at run time: `get` would silently resolve the first row.
     #[test]
     fn duplicate_names_are_rejected() {
-        let mut registry = BackendRegistry::builtin();
-        let err = registry
-            .register(Box::new(NullBackend {
-                name: "jump-chain",
-                aliases: &[],
-            }))
-            .unwrap_err();
-        assert_eq!(err.name, "jump-chain");
-        assert_eq!(
-            registry.names().len(),
-            15,
-            "failed registration must not mutate"
-        );
-        assert!(err.to_string().contains("jump-chain"));
+        let mut names: Vec<&str> = BACKENDS.iter().map(|row| row.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), BACKENDS.len(), "a backend name is used twice");
     }
 
+    /// No alias may repeat another alias or shadow any row's name, in
+    /// either direction.
     #[test]
     fn duplicate_aliases_are_rejected_both_ways() {
-        // New backend's name collides with an existing alias.
-        let err = BackendRegistry::builtin()
-            .with_backend(Box::new(NullBackend {
-                name: "ssa",
-                aliases: &[],
-            }))
-            .unwrap_err();
-        assert_eq!(err.name, "ssa");
-        // New backend's alias collides with an existing name.
-        let err = BackendRegistry::builtin()
-            .with_backend(Box::new(NullBackend {
-                name: "fresh",
-                aliases: &["ode"],
-            }))
-            .unwrap_err();
-        assert_eq!(err.name, "ode");
-    }
-
-    #[test]
-    fn empty_registry_grows_incrementally() {
-        let mut registry = BackendRegistry::empty();
-        assert!(registry.names().is_empty());
-        registry
-            .register(Box::new(NullBackend {
-                name: "only",
-                aliases: &[],
-            }))
-            .unwrap();
-        assert_eq!(registry.names(), vec!["only"]);
+        for row in &BACKENDS {
+            for alias in row.aliases {
+                let holders: Vec<&str> = BACKENDS
+                    .iter()
+                    .filter(|other| other.name == *alias || other.aliases.contains(alias))
+                    .map(|other| other.name)
+                    .collect();
+                assert_eq!(holders, vec![row.name], "alias {alias:?} collides");
+            }
+        }
     }
 }

@@ -59,7 +59,7 @@ use crate::sampling::CachedBinomial;
 use rand::Rng;
 
 pub use crate::sampling::sample_binomial;
-pub use lv_crn::distributions::sample_geometric;
+pub use lv_crn::distributions::{sample_geometric, sample_standard_normal};
 
 /// The boundary-proximity band constant `c`: blocks keep
 /// `c · sd(displacement) ≤ distance-to-boundary`, so a mid-block boundary
@@ -69,18 +69,6 @@ pub const BAND: u64 = 10;
 /// Blocks shorter than this are not worth their sampling overhead; the walk
 /// falls back to exact band stepping instead.
 pub const MIN_BLOCK: u64 = 32;
-
-/// One standard normal draw via Box–Muller (the offline `rand` shim exposes
-/// only uniform sampling).
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen();
-        if u1 > 0.0 {
-            let u2: f64 = rng.gen();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
-}
 
 /// What one [`BridgedConversionWalk::advance`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 use super::{ExperimentConfig, ExperimentReport, Profile};
 use crate::montecarlo::MonteCarlo;
 use crate::report::Table;
-use lv_engine::OdeBackend;
+use lv_engine::mean_field_system;
 use lv_lotka::{CompetitionKind, LvModel};
 use lv_ode::{OdeIntegrator, Rkf45};
 
@@ -94,7 +94,7 @@ pub fn e10_ode_vs_stochastic(config: ExperimentConfig) -> ExperimentReport {
     // resolution, which the backend's rounded integer counts cannot give.
     // The stochastic side runs through the engine's jump-chain backend via
     // MonteCarlo.
-    let ode = OdeBackend::system_for(&model);
+    let ode = mean_field_system(&model);
     let integrator = Rkf45::new(1e-9);
 
     let mut table = Table::new(

@@ -22,7 +22,7 @@
 //! * [`engine`] — the unified simulation API: a `k`-species
 //!   [`engine::Scenario`] description (model + initial population + stop
 //!   condition + observers) executed by any [`engine::Backend`] from the
-//!   open string-keyed registry (`"jump-chain"`, `"gillespie-direct"`,
+//!   string-keyed registry (`"jump-chain"`, `"gillespie-direct"`,
 //!   `"next-reaction"`, `"tau-leaping"`, `"ode"`, the batched protocol
 //!   baselines `"approx-majority"`, `"exact-majority"`, `"czyzowicz-lv"`,
 //!   `"annihilation-lv"`, `"czyzowicz-lv-k"`, the diffusion-bridged
