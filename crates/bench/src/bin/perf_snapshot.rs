@@ -34,12 +34,21 @@
 //!   *falls* with `n` (one epoch of Θ(√n) interactions costs a constant
 //!   number of draws) while the agent-list cost rises once its state array
 //!   outgrows the cache.
-//! - `protocol_bridging`: diffusion-bridged vs exact counted conversion
-//!   dynamics at equal `n`. The bridged sampler runs the Θ(n²)-interaction
-//!   first-passage to absorption at every `n` (polylog-many blocks); the
-//!   counted stepper pays Θ(1) per *active* interaction, so beyond
-//!   `n = 10⁴` it is measured under an interaction budget and projected to
-//!   the bridged run's interaction count for an equal-work wall-clock ratio.
+//! - `protocol_bridging`: the conversion dynamics. First the exact
+//!   thinning-window kernel (`czyzowicz-lv`, `czyzowicz-lv-k`) against the
+//!   batched counted epoch on `protocol-sweep`'s own conversion points
+//!   (`n = 1000` and `n = 999` over three opinions), timed interleaved; the
+//!   kernel must beat the epoch by 2× or more at `n = 1000`. Then
+//!   diffusion-bridged vs thinned at equal `n`: the bridged sampler runs
+//!   the Θ(n²)-interaction first passage to absorption at every `n`
+//!   (polylog-many blocks); the thinned kernel pays Θ(1) per *conversion*,
+//!   so beyond `n = 10⁴` it is measured under an interaction budget and
+//!   projected to the bridged run's interaction count for an equal-work
+//!   wall-clock ratio.
+//!
+//! A direction guard that fails does not stop the run: every section runs,
+//! the JSON is written, and the tool then exits with status 1 naming every
+//! failed guard.
 
 use lv_engine::{backend, Backend, RunReport, Scenario};
 use lv_lotka::{CompetitionKind, LvModel, MultiLvModel};
@@ -188,6 +197,15 @@ impl Backend for CountingBackend {
     }
 }
 
+/// Records a failed direction guard; `main` reports them all at the end.
+fn guard(failed: &mut Vec<String>, holds: bool, message: impl FnOnce() -> String) {
+    if !holds {
+        let message = message();
+        eprintln!("guard failed: {message}");
+        failed.push(message);
+    }
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -216,6 +234,7 @@ fn main() {
     let reps = if quick { 3 } else { 10 };
     let mut kernels: Vec<Kernel> = Vec::new();
     let mut speedups: Vec<Speedup> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
 
     // ---- batch_streaming: a fixed Monte-Carlo batch on the parallel
     // streaming executor, 1 and 4 threads. The two arms are timed
@@ -253,12 +272,12 @@ fn main() {
     // spawn/steal overhead for work that is too thin to split (the BENCH_7
     // regression: 4.25 ms at 4 threads vs 3.97 ms at 1). Allow 25% noise
     // between the interleaved medians.
-    assert!(
-        stream_ms[1] <= stream_ms[0] * 1.25,
-        "multi-thread streaming regressed vs single-thread: {:.3} ms at 4 threads vs {:.3} ms at 1",
-        stream_ms[1],
-        stream_ms[0],
-    );
+    guard(&mut failed, stream_ms[1] <= stream_ms[0] * 1.25, || {
+        format!(
+            "multi-thread streaming regressed vs single-thread: {:.3} ms at 4 threads vs {:.3} ms at 1",
+            stream_ms[1], stream_ms[0],
+        )
+    });
 
     // ---- simulator_kernels_k6: 5000 exact CRN events on a symmetric
     // 6-species network, per simulator.
@@ -395,11 +414,12 @@ fn main() {
                     accelerated_ms,
                 });
             }
-            assert!(
-                step_ms >= 5.0 * kernel_ms,
-                "{label}: the competition-run kernel is not 5x the step loop: \
-                 {kernel_ms:.3} ms vs {step_ms:.3} ms per {trials} trials"
-            );
+            guard(&mut failed, step_ms >= 5.0 * kernel_ms, || {
+                format!(
+                    "{label}: the competition-run kernel is not 5x the step loop: \
+                     {kernel_ms:.3} ms vs {step_ms:.3} ms per {trials} trials"
+                )
+            });
         }
     }
 
@@ -690,14 +710,116 @@ fn main() {
         });
     }
 
+    // ---- protocol_bridging/thinning: the conversion backends' exact
+    // thinning windows vs the batched counted epoch (`CountedSimulation`,
+    // which no registered backend runs on the conversion dynamics any more)
+    // on `protocol-sweep`'s own conversion points: `czyzowicz-lv` at
+    // n = 1000 and `czyzowicz-lv-k` at n = 999 over three opinions, built
+    // as the threshold search builds them, at a gap inside the sweep's
+    // threshold band. The two arms run the same trials on their own RNG
+    // streams, timed interleaved; their interactions per trial must agree
+    // in law. Absorption times are heavy-tailed, so two streams' batches of
+    // trials hold different amounts of work: the comparison projects the
+    // epoch's per-interaction cost onto the kernel's interaction count.
+    // Direction guard: at n = 1000 the kernel must beat the epoch by 2× or
+    // more at equal work.
+    {
+        use lv_protocols::{CountedDynamics, CountedSimulation};
+        use lv_sim::{GapScenario, PluralityGap, TwoSpeciesGap};
+        let trials: u64 = if quick { 8 } else { 32 };
+        let thin_reps = if quick { 5 } else { 21 };
+        let budget = |n: u64| 4 * n * n;
+        let k3 = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
+        let points = [
+            (
+                "czyzowicz-lv",
+                "n1000_gap700",
+                TwoSpeciesGap::new(LvModel::default(), 1_000)
+                    .with_max_events(budget(1_000))
+                    .scenario(700),
+            ),
+            (
+                "czyzowicz-lv-k",
+                "k3_n999_gap699",
+                PluralityGap::new(k3, 999)
+                    .with_max_events(budget(999))
+                    .scenario(699),
+            ),
+        ];
+        for (name, label, scenario) in points {
+            let engine = backend(name).expect("builtin backend");
+            let max_events = scenario.stop().max_events().expect("a budget");
+            let dynamics = CountedDynamics::k_opinion_czyzowicz(scenario.species_count());
+            let thinned = || -> Vec<u64> {
+                (0..trials)
+                    .map(|trial| {
+                        engine
+                            .run(&scenario, &mut seed().rng_for_trial(trial))
+                            .events
+                    })
+                    .collect()
+            };
+            let epochs = || -> Vec<u64> {
+                (0..trials)
+                    .map(|trial| {
+                        let mut rng = seed().rng_for_trial(trial);
+                        let mut sim =
+                            CountedSimulation::new(&dynamics, scenario.initial().counts());
+                        while !sim.is_absorbed() && sim.interactions() < max_events {
+                            let left = max_events - sim.interactions();
+                            if sim.step_epoch(&mut rng, left).is_none() {
+                                sim.step(&mut rng);
+                            }
+                        }
+                        sim.interactions()
+                    })
+                    .collect()
+            };
+            let (thinned_events, epoch_events) = (thinned(), epochs());
+            assert_events_agree_in_law(label, &thinned_events, &epoch_events);
+            let [thinned_ms, epoch_ms] = time_interleaved_ms(
+                thin_reps,
+                [&|| assert_eq!(thinned(), thinned_events), &|| {
+                    assert_eq!(epochs(), epoch_events)
+                }],
+            );
+            for (variant, wall_ms, events) in [
+                ("thinned", thinned_ms, &thinned_events),
+                ("counted_epoch", epoch_ms, &epoch_events),
+            ] {
+                kernels.push(Kernel {
+                    name: format!("protocol_bridging/{label}_{trials}trials_{variant}"),
+                    wall_ms,
+                    events: events.iter().sum(),
+                });
+            }
+            let work = |events: &[u64]| events.iter().sum::<u64>() as f64;
+            let projected_epoch_ms = epoch_ms / work(&epoch_events) * work(&thinned_events);
+            speedups.push(Speedup {
+                name: format!("czyzowicz_thinned_vs_counted_epoch_{label}"),
+                baseline_ms: projected_epoch_ms,
+                accelerated_ms: thinned_ms,
+            });
+            if scenario.initial().total() == 1_000 {
+                guard(&mut failed, projected_epoch_ms >= 2.0 * thinned_ms, || {
+                    format!(
+                        "{label}: the thinning kernel is not 2x the counted epoch at equal \
+                         work: {thinned_ms:.3} ms vs {projected_epoch_ms:.3} ms"
+                    )
+                });
+            }
+        }
+    }
+
     // ---- protocol_bridging: conversion dynamics first passage, diffusion-
-    // bridged vs exact counted vs agent-list. The bridged sampler reaches
+    // bridged vs exact thinned vs agent-list. The bridged sampler reaches
     // absorption at every n — that is the tentpole claim: Θ(n²) interactions
     // compressed into polylog-many bridge blocks — so it is always timed to
-    // absorption. The exact steppers pay Θ(1) per (active) interaction, so
-    // they run to absorption only at n = 10⁴ and under an interaction budget
-    // beyond that; the `speedups` entry projects the counted per-interaction
-    // cost onto the bridged run's interaction count for an equal-work ratio.
+    // absorption. The exact steppers pay Θ(1) per conversion or interaction,
+    // so they run to absorption only at n = 10⁴ and under an interaction
+    // budget beyond that; the `speedups` entry projects the thinned
+    // per-interaction cost onto the bridged run's interaction count for an
+    // equal-work ratio.
     {
         let bridge_sizes: &[u64] = if quick {
             &[10_000]
@@ -708,7 +830,7 @@ fn main() {
         /// full first passage there would take hours at n = 10⁶).
         const EXACT_BUDGET: u64 = 2_000_000;
         let bridged = backend("czyzowicz-lv-bridged").expect("builtin backend");
-        let counted = backend("czyzowicz-lv").expect("builtin backend");
+        let thinned = backend("czyzowicz-lv").expect("builtin backend");
         let cz_agents = backend("czyzowicz-lv-agents").expect("builtin backend");
         for &n in bridge_sizes {
             let a = n * 55 / 100;
@@ -737,19 +859,19 @@ fn main() {
                     lv_crn::StopCondition::any_species_extinct().with_max_events(EXACT_BUDGET),
                 )
             };
-            let mut counted_events = 0u64;
-            let counted_ms = time_ms(if exact_full { reps.min(2) } else { reps.min(3) }, || {
+            let mut thinned_events = 0u64;
+            let thinned_ms = time_ms(if exact_full { reps.min(2) } else { reps.min(3) }, || {
                 let mut rng = seed().rng_for_trial(3);
-                let report = counted.run(&exact_scenario, &mut rng);
-                counted_events = report.events;
+                let report = thinned.run(&exact_scenario, &mut rng);
+                thinned_events = report.events;
             });
             kernels.push(Kernel {
                 name: format!(
-                    "protocol_bridging/czyzowicz_counted_n{n}{}",
+                    "protocol_bridging/czyzowicz_thinned_n{n}{}",
                     if exact_full { "" } else { "_budget" }
                 ),
-                wall_ms: counted_ms,
-                events: counted_events,
+                wall_ms: thinned_ms,
+                events: thinned_events,
             });
 
             let mut agent_events = 0u64;
@@ -767,13 +889,13 @@ fn main() {
                 events: agent_events,
             });
 
-            // Equal-work ratio: the counted stepper's measured
+            // Equal-work ratio: the thinned kernel's measured
             // per-interaction cost, projected onto the interaction count the
             // bridged run actually traversed.
-            let projected_counted_ms = counted_ms / counted_events as f64 * bridged_events as f64;
+            let projected_thinned_ms = thinned_ms / thinned_events as f64 * bridged_events as f64;
             speedups.push(Speedup {
-                name: format!("czyzowicz_bridged_vs_counted_n{n}"),
-                baseline_ms: projected_counted_ms,
+                name: format!("czyzowicz_bridged_vs_thinned_n{n}"),
+                baseline_ms: projected_thinned_ms,
                 accelerated_ms: bridged_ms,
             });
         }
@@ -902,4 +1024,11 @@ fn main() {
         println!("{}: {:.1}x", s.name, s.ratio());
     }
     println!("wrote {out_path}");
+    if !failed.is_empty() {
+        eprintln!("{} direction guard(s) failed:", failed.len());
+        for message in &failed {
+            eprintln!("  - {message}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -4,8 +4,9 @@
 //! offline set; `rand_distr` is not among them, so the distributions the
 //! simulators need are implemented here, each once: exponential waiting
 //! times for Gillespie-style methods, Poisson event counts for tau-leaping
-//! (PTRS), and the geometric and binomial (BTRS) draws that let a simulator
-//! skip a run of events whose law is known — the diffusion bridge of
+//! (PTRS), and the geometric, binomial (BTRS), gamma (Marsaglia–Tsang) and
+//! negative binomial draws that let a simulator skip a run of events whose
+//! law is known — the diffusion bridge and thinning windows of
 //! `lv-protocols` and the competition runs of `lv-lotka`'s jump chain. Every
 //! kernel is exact in law; the `ln n!` table behind the rejection samplers is
 //! shared with the hypergeometric kernels of `lv-protocols`.
@@ -233,6 +234,64 @@ impl PoissonSampler {
     }
 }
 
+/// Samples a `Gamma(shape, 1)` random variable, exact in law: the
+/// Marsaglia–Tsang squeeze-and-reject method for `shape ≥ 1` (one normal and
+/// one uniform per iteration, about 1.05 iterations at any shape), and for
+/// `shape < 1` the boost `Gamma(shape + 1)·U^{1/shape}`.
+///
+/// # Panics
+///
+/// Panics if `shape` is not positive and finite.
+pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
+    assert!(
+        shape > 0.0 && shape.is_finite(),
+        "gamma shape must be positive and finite"
+    );
+    if shape < 1.0 {
+        // u ∈ (0, 1] keeps the power finite and positive.
+        let u: f64 = 1.0 - rng.gen::<f64>();
+        return sample_gamma(rng, shape + 1.0) * u.powf(1.0 / shape);
+    }
+    let d = shape - 1.0 / 3.0;
+    let c = 1.0 / (9.0 * d).sqrt();
+    loop {
+        let x = sample_standard_normal(rng);
+        let v = 1.0 + c * x;
+        if v <= 0.0 {
+            continue;
+        }
+        let v = v * v * v;
+        let u: f64 = rng.gen();
+        let x2 = x * x;
+        // Squeeze acceptance: most iterations end here, without a log.
+        if u < 1.0 - 0.0331 * x2 * x2 {
+            return d * v;
+        }
+        if u > 0.0 && u.ln() < 0.5 * x2 + d * (1.0 - v + v.ln()) {
+            return d * v;
+        }
+    }
+}
+
+/// Samples the number of *failures* before the `successes`-th success of
+/// Bernoulli trials with success probability `q`: the negative binomial
+/// `NegBin(successes, q)`, i.e. the sum of `successes` independent
+/// [`sample_geometric`] draws, in constant expected time at any size. It
+/// is drawn as a gamma–Poisson mixture, `Poisson(Gamma(successes)·(1−q)/q)`,
+/// exact in law. `successes == 0` or `q ≥ 1` returns 0 without a draw.
+///
+/// # Panics
+///
+/// Panics if `q` is not positive (or is NaN).
+pub fn sample_negative_binomial<R: Rng + ?Sized>(rng: &mut R, successes: u64, q: f64) -> u64 {
+    assert!(q > 0.0, "the success probability must be positive");
+    if successes == 0 || q >= 1.0 {
+        return 0;
+    }
+    let rate = sample_gamma(rng, successes as f64) * ((1.0 - q) / q);
+    sample_poisson(rng, rate)
+}
+
 /// Samples a standard normal random variable using the Box–Muller transform,
 /// redrawing the rare `u₁ = 0` so that `ln u₁` is finite.
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -387,6 +446,122 @@ mod tests {
                 assert_eq!(sampler.sample(&mut r1), sample_poisson(&mut r2, mean));
             }
         }
+    }
+
+    /// Sample mean and (unbiased) variance.
+    fn moments(samples: &[f64]) -> (f64, f64) {
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
+    #[test]
+    fn gamma_matches_its_first_three_moments_across_the_boost() {
+        // Gamma(k, 1): mean k, variance k, skewness 2/√k. Shapes below 1 take
+        // the boost, 1 is the exponential, the rest Marsaglia–Tsang proper.
+        for (seed, shape) in [(41u64, 0.3f64), (42, 1.0), (43, 3.7), (44, 250.0)] {
+            let mut r = rng(seed);
+            let trials = 80_000usize;
+            let samples: Vec<f64> = (0..trials).map(|_| sample_gamma(&mut r, shape)).collect();
+            assert!(samples.iter().all(|&x| x > 0.0), "shape {shape}");
+            let (mean, var) = moments(&samples);
+            let se_mean = (shape / trials as f64).sqrt();
+            // Var of the sample variance for Gamma(k): (2k² + 6k)/trials.
+            let se_var = ((2.0 * shape * shape + 6.0 * shape) / trials as f64).sqrt();
+            assert!(
+                (mean - shape).abs() < 5.0 * se_mean,
+                "shape {shape}: mean {mean}"
+            );
+            assert!(
+                (var - shape).abs() < 5.0 * se_var,
+                "shape {shape}: variance {var}"
+            );
+            let skew = samples
+                .iter()
+                .map(|x| ((x - mean) / var.sqrt()).powi(3))
+                .sum::<f64>()
+                / trials as f64;
+            let theory = 2.0 / shape.sqrt();
+            assert!(
+                (skew - theory).abs() < 0.1 * theory.max(1.0),
+                "shape {shape}: skewness {skew} vs {theory}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma shape must be positive")]
+    fn gamma_rejects_non_positive_shapes() {
+        let _ = sample_gamma(&mut rng(45), 0.0);
+    }
+
+    /// χ² of the negative binomial sampler against its exact pmf
+    /// `C(k + m − 1, k)·q^m·(1 − q)^k`, from one geometric (`m = 1`) to
+    /// gamma shapes deep in the Marsaglia–Tsang regime and Poisson means on
+    /// both sides of the PTRS threshold.
+    #[test]
+    fn negative_binomial_matches_its_exact_pmf() {
+        for (seed, m, q) in [
+            (51u64, 1u64, 0.3f64),
+            (52, 3, 0.3),
+            (53, 20, 0.7),
+            (54, 40, 0.2),
+        ] {
+            let mut r = rng(seed);
+            let trials = 60_000u64;
+            let mean = m as f64 * (1.0 - q) / q;
+            let cap = (mean + 12.0 * (mean / q).sqrt()) as usize + 4;
+            let mut observed = vec![0u64; cap];
+            for _ in 0..trials {
+                let k = sample_negative_binomial(&mut r, m, q) as usize;
+                if k < cap {
+                    observed[k] += 1;
+                }
+            }
+            // pmf by p(k) = p(k−1)·(1 − q)·(k + m − 1)/k from p(0) = q^m.
+            let mut pmf = q.powi(m as i32);
+            let (mut chi2, mut dof) = (0.0, 0usize);
+            for (k, &count) in observed.iter().enumerate() {
+                if k > 0 {
+                    pmf *= (1.0 - q) * (k as f64 + m as f64 - 1.0) / k as f64;
+                }
+                let expected = pmf * trials as f64;
+                if expected >= 5.0 {
+                    chi2 += (count as f64 - expected).powi(2) / expected;
+                    dof += 1;
+                }
+            }
+            assert!(
+                chi2 < 2.0 * dof as f64 + 20.0,
+                "NegBin({m}, {q}): χ² = {chi2} over {dof} cells"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_binomial_matches_its_moments_at_thinning_scales() {
+        // The thinning kernel's shape: thousands of candidates at a small
+        // candidate probability, so the mean is in the millions.
+        let (m, q) = (5_000u64, 1e-3f64);
+        let mut r = rng(55);
+        let trials = 4_000usize;
+        let samples: Vec<f64> = (0..trials)
+            .map(|_| sample_negative_binomial(&mut r, m, q) as f64)
+            .collect();
+        let (mean, var) = moments(&samples);
+        let theory_mean = m as f64 * (1.0 - q) / q;
+        let theory_var = theory_mean / q;
+        assert!(
+            (mean - theory_mean).abs() < 5.0 * (theory_var / trials as f64).sqrt(),
+            "mean {mean} vs {theory_mean}"
+        );
+        assert!(
+            (var / theory_var - 1.0).abs() < 0.12,
+            "variance {var} vs {theory_var}"
+        );
+        assert_eq!(sample_negative_binomial(&mut r, 0, 0.5), 0);
+        assert_eq!(sample_negative_binomial(&mut r, 7, 1.0), 0);
     }
 
     #[test]

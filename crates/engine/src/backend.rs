@@ -48,8 +48,9 @@ pub trait Backend: Send + Sync {
     }
 
     /// Whether this backend executes in count-based *batches* (epochs of
-    /// `Θ(√n)` collision-free interactions applied as count deltas) rather
-    /// than resolving every event individually. Batched backends agree with
+    /// `Θ(√n)` collision-free interactions applied as count deltas, thinning
+    /// windows or bridged blocks of the conversion dynamics) rather than
+    /// resolving every event individually. Batched backends agree with
     /// their per-event counterparts *statistically* — equal outcome
     /// distributions — but not bit-for-bit: the RNG stream differs, steps
     /// aggregate many firings (`StepRecord::firings > 1`, `event = None`),

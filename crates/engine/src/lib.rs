@@ -13,11 +13,12 @@
 //! * [`Backend`] — the *how*: an object-safe execution engine. Fifteen are
 //!   built in — the exact specialised jump chain (the paper's chain `S`),
 //!   the Gillespie direct method, the next-reaction method, tau-leaping,
-//!   the deterministic mean-field ODE, five count-based *batched*
-//!   population-protocol baselines (3-state approximate majority, 4-state
-//!   exact majority, the 2-state Czyzowicz et al. discrete LV dynamics, the
-//!   self-destructive annihilation dynamics, and the `k`-opinion Czyzowicz
-//!   dynamics), the two diffusion-bridged conversion backends
+//!   the deterministic mean-field ODE, five count-based population-protocol
+//!   baselines (3-state approximate majority, 4-state exact majority and
+//!   the self-destructive annihilation dynamics in batched epochs; the
+//!   2-state Czyzowicz et al. discrete LV dynamics and its `k`-opinion
+//!   generalisation in exact thinning windows that skip inert
+//!   interactions), the two diffusion-bridged conversion backends
 //!   (`"czyzowicz-lv-bridged"` / `"czyzowicz-lv-k-bridged"`, which sample
 //!   the conversion count walk in first-passage bridge blocks at
 //!   `Õ(poly log n)` per trial), plus bit-exact agent-list legacy variants

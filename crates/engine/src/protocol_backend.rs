@@ -16,7 +16,8 @@
 //!
 //! # Batched vs agent-list execution
 //!
-//! The default protocol backends execute **count-based and batched**
+//! The two-opinion protocol backends (`approx-majority`, `exact-majority`,
+//! `annihilation-lv`) execute **count-based and batched**
 //! ([`lv_protocols::CountedSimulation`]): an epoch samples a collision-free
 //! batch of `Θ(√n)` interactions from the birthday-bound distribution,
 //! applies the transitions as count deltas via hypergeometric splits, and
@@ -29,6 +30,14 @@
 //! is detected by an `O(#states²)` count check at epoch boundaries, which
 //! subsumes the per-protocol monitors (committed consensus, exhausted
 //! strong tokens) of the agent-list path.
+//!
+//! The Czyzowicz conversion dynamics (`czyzowicz-lv`, `czyzowicz-lv-k` and
+//! the two bridged rows) run on [`lv_protocols::BridgedConversionWalk`]
+//! instead: only a cross-opinion pair changes state there, so exact
+//! *thinning windows* skip the inert interactions without simulating them,
+//! and the bridged rows add diffusion-bridged blocks away from the
+//! boundaries (see [`run_conversion`]). They report aggregated records too
+//! and count as batched.
 //!
 //! The legacy agent-list steppers of the first three two-opinion baselines
 //! are registered under `-agents` names for bit-exact runs against
@@ -44,7 +53,7 @@ use crate::scenario::Scenario;
 use lv_crn::StopReason;
 use lv_lotka::PopulationEvent;
 use lv_protocols::{
-    ApproximateMajority, BridgeStep, BridgedConversionWalk, CountedDynamics, CountedSimulation,
+    ApproximateMajority, BridgedConversionWalk, CountedDynamics, CountedSimulation,
     CzyzowiczLvProtocol, ExactMajority4State, FourState, Interaction, Opinion, PopulationProtocol,
     ProtocolSimulation, SelfDestructiveLvProtocol,
 };
@@ -232,33 +241,43 @@ fn run_counted(
     }
 }
 
-/// `"czyzowicz-lv-k-bridged"` (and, on two species,
-/// `"czyzowicz-lv-bridged"`): the `k`-opinion Czyzowicz conversion dynamics
-/// executed by **diffusion-bridged first-passage sampling** through
-/// [`BridgedConversionWalk`].
+/// The Czyzowicz conversion dynamics (`(i, j) → (i, i)` for `i ≠ j`) over
+/// any `k ≥ 2` species, on [`BridgedConversionWalk`]: the run fn of
+/// `"czyzowicz-lv"`, `"czyzowicz-lv-k"` and, with `bridged`, of the two
+/// diffusion-bridged rows.
 ///
-/// On two species the A-count performs an unbiased ±1 walk on conversions,
-/// advanced in binomial-bridge blocks away from the boundaries with a
-/// CLT-sampled interaction clock (reported as aggregated records,
-/// `event = None`, `firings` = block interactions), and stepped exactly
-/// (geometric inert stretch + fair-coin conversion) inside the
-/// boundary-proximity band (classified as competitive attacks when they
-/// resolve a single interaction), so absorption is never approximated. On
-/// `k` species the `(k−1)`-dimensional count walk is bridged per unordered
-/// species pair (multinomial split of each block's conversions at the
-/// block-start pair intensities, then a fair-coin binomial bridge per pair)
-/// under a per-species boundary band. Budget truncation is exact: an inert
-/// stretch cut at the budget freezes the counts, so `max_events` is honored
-/// to the interaction, exactly like the epoch refusal of [`run_counted`].
+/// Every row steps by exact **thinning windows**
+/// ([`BridgedConversionWalk::step_window`]): the inert interactions — 70–80%
+/// of them near a tie — are never simulated one by one but charged per
+/// window in one negative binomial draw, and a window cut at the event
+/// budget keeps exactly the conversions inside it, so `max_events` is
+/// honoured to the interaction. Final counts and interaction counts are the
+/// interaction chain's in law (the proportional law `P(A wins) = a/n`, and
+/// `cᵢ/n` over `k` species), on a different RNG stream than a per-interaction
+/// stepper. A window ends at every extinction, so extinction and consensus
+/// stops are checked exactly; other count conditions are checked at window
+/// ends, as at the batched backends' epoch boundaries.
 ///
-/// Agreement with the counted and agent-list execution of the same dynamics
-/// is statistical — identical outcome laws, e.g. the exact proportional law
-/// `P(A wins) = a/n`, on a different RNG stream — but per-trial cost is
-/// `Õ(poly log n)` instead of the `Θ(n²)` interactions the other execution
-/// modes must walk through, which is what pushes the linear-gap-law sweeps
-/// of E16 to `n = 10⁷`. The exact variants stay registered for
-/// cross-validation.
-pub(crate) fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+/// The bridged rows first try a diffusion-bridged block
+/// ([`BridgedConversionWalk::try_block`]) and fall back to a window inside
+/// the boundary-proximity band. Blocks bridge the displacement exactly but
+/// reconstruct the interaction clock from its CLT limit, so their cost per
+/// trial is `Õ(poly log n)` instead of the windows' `Θ(n²)` conversions,
+/// which is what pushes the linear-gap-law sweeps of E16 to `n = 10⁷`.
+///
+/// Observer-free runs (the threshold searches) record one aggregated
+/// [`StepRecord`](crate::StepRecord) per window or block (`event = None`,
+/// `firings` = its interactions). With observers attached, each window is
+/// replayed from its log as one competitive-attack record per conversion
+/// plus one `event = None` record for its inert interactions, all stamped
+/// with the window's end time, so event counts and the noise decomposition
+/// see every conversion.
+fn run_conversion(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+    bridged: bool,
+) -> RunReport {
     let mut driver = Driver::new(scenario);
     if let Some(reason) = driver.check_stop() {
         return driver.finish(name, reason);
@@ -268,6 +287,8 @@ pub(crate) fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut Std
         return driver.finish(name, StopReason::Absorbed);
     }
     let mut walk = BridgedConversionWalk::new(initial.counts());
+    let per_conversion = !scenario.observers().is_empty();
+    let mut counts = initial.counts().to_vec();
     loop {
         if let Some(reason) = driver.check_stop() {
             return driver.finish(name, reason);
@@ -275,17 +296,31 @@ pub(crate) fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut Std
         if walk.is_absorbed() {
             return driver.finish(name, StopReason::Absorbed);
         }
-        let step = walk.advance(rng, driver.events_left());
+        let budget = driver.events_left();
+        if bridged {
+            if let Some(fired) = walk.try_block(rng, budget) {
+                driver.record(None, walk.counts(), walk.interactions() as f64, fired);
+                continue;
+            }
+        }
+        counts.copy_from_slice(walk.counts());
+        let fired = walk.step_window(rng, budget).fired();
         let time = walk.interactions() as f64;
-        let event = match step {
-            BridgeStep::Exact {
-                fired: 1,
-                attacker,
-                victim,
-            } => Some(PopulationEvent::Interspecific { attacker, victim }),
-            _ => None,
-        };
-        driver.record(event, walk.counts(), time, step.fired());
+        if !per_conversion {
+            driver.record(None, walk.counts(), time, fired);
+            continue;
+        }
+        let mut inert = fired;
+        for (attacker, victim) in walk.window_conversions() {
+            counts[attacker] += 1;
+            counts[victim] -= 1;
+            let event = PopulationEvent::Interspecific { attacker, victim };
+            driver.record(Some(event), &counts, time, 1);
+            inert -= 1;
+        }
+        if inert > 0 {
+            driver.record(None, walk.counts(), time, inert);
+        }
     }
 }
 
@@ -402,7 +437,8 @@ pub(crate) fn exact_majority_agents(
 }
 
 /// `"czyzowicz-lv"`: the two-state discrete Lotka–Volterra dynamics of
-/// Czyzowicz et al. (`(A, B) → (A, A)`, `(B, A) → (B, B)`), batched.
+/// Czyzowicz et al. (`(A, B) → (A, A)`, `(B, A) → (B, B)`) in exact
+/// thinning windows ([`run_conversion`]).
 ///
 /// On a static population these conversions are an unbiased random walk in
 /// the count of A, so the majority wins with probability exactly `a/n` —
@@ -410,8 +446,8 @@ pub(crate) fn exact_majority_agents(
 /// gap *linear* in `n`, the baseline E15/E16's threshold sweeps contrast
 /// with the paper's polylogarithmic self-destructive threshold.
 pub(crate) fn czyzowicz_lv(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-    let dynamics = CountedDynamics::from_protocol(&CzyzowiczLvProtocol::new());
-    run_counted(&dynamics, name, scenario, rng)
+    assert_two_species(name, scenario);
+    run_conversion(name, scenario, rng, false)
 }
 
 /// `"czyzowicz-lv-agents"`: the agent-list stepper behind `"czyzowicz-lv"`
@@ -448,7 +484,7 @@ pub(crate) fn annihilation_lv(
 }
 
 /// `"czyzowicz-lv-k"`: the `k`-opinion Czyzowicz conversion dynamics over
-/// **any** `k ≥ 2` species, batched.
+/// **any** `k ≥ 2` species, in exact thinning windows ([`run_conversion`]).
 ///
 /// One state per opinion; an initiator of a different opinion converts the
 /// responder. Each pairwise conversion between species `i` and `j` is an
@@ -461,23 +497,40 @@ pub(crate) fn czyzowicz_lv_k(
     scenario: &Scenario,
     rng: &mut StdRng,
 ) -> RunReport {
-    let dynamics = CountedDynamics::k_opinion_czyzowicz(scenario.species_count());
-    run_counted(&dynamics, name, scenario, rng)
+    run_conversion(name, scenario, rng, false)
 }
 
-/// `"czyzowicz-lv-bridged"`: [`run_bridged`] on two-species scenarios only.
+/// `"czyzowicz-lv-bridged"`: [`run_conversion`] with bridged blocks, on
+/// two-species scenarios only.
 pub(crate) fn czyzowicz_lv_bridged(
     name: &'static str,
     scenario: &Scenario,
     rng: &mut StdRng,
 ) -> RunReport {
+    assert_two_species(name, scenario);
+    run_conversion(name, scenario, rng, true)
+}
+
+/// `"czyzowicz-lv-k-bridged"`: [`run_conversion`] with bridged blocks: the
+/// `(k−1)`-dimensional count walk bridged per unordered species pair
+/// (a multinomial split of each block's conversions at the block-start pair
+/// intensities, then a fair-coin binomial bridge per pair) under a
+/// per-species boundary band.
+pub(crate) fn czyzowicz_lv_k_bridged(
+    name: &'static str,
+    scenario: &Scenario,
+    rng: &mut StdRng,
+) -> RunReport {
+    run_conversion(name, scenario, rng, true)
+}
+
+fn assert_two_species(name: &str, scenario: &Scenario) {
     assert_eq!(
         scenario.species_count(),
         2,
         "the {name} backend cannot run {}-species scenarios",
         scenario.species_count()
     );
-    run_bridged(name, scenario, rng)
 }
 
 #[cfg(test)]
@@ -568,14 +621,22 @@ mod tests {
     fn event_budget_truncates_runs_exactly() {
         // Also on the batched path: a sampled epoch that would overrun the
         // budget falls back to single exact steps, so the event count is
-        // exact, not epoch-granular.
+        // exact, not epoch-granular. The conversion rows cut a thinning
+        // window at the budget instead, with or without observers.
         let scenario = Scenario::new(LvModel::default(), (500, 480))
             .with_stop(StopCondition::any_species_extinct().with_max_events(25));
-        for backend in [
-            backend("approx-majority"),
-            backend("approx-majority-agents"),
+        let observed = scenario.clone().observe(crate::ObserverSpec::EventCounts);
+        for (backend, scenario) in [
+            (backend("approx-majority"), &scenario),
+            (backend("approx-majority-agents"), &scenario),
+            (backend("czyzowicz-lv"), &scenario),
+            (backend("czyzowicz-lv-k"), &scenario),
+            (backend("czyzowicz-lv-bridged"), &scenario),
+            (backend("czyzowicz-lv-k-bridged"), &scenario),
+            (backend("czyzowicz-lv"), &observed),
+            (backend("czyzowicz-lv-k-bridged"), &observed),
         ] {
-            let report = backend.run(&scenario, &mut rng(3));
+            let report = backend.run(scenario, &mut rng(3));
             assert_eq!(
                 report.reason,
                 StopReason::MaxEventsReached,
@@ -583,6 +644,33 @@ mod tests {
                 backend.name()
             );
             assert_eq!(report.events, 25, "{}", backend.name());
+            if backend.name().starts_with("czyzowicz") {
+                assert_eq!(report.final_state.total(), 980, "{}", backend.name());
+            }
+        }
+    }
+
+    #[test]
+    fn observed_conversion_runs_record_every_conversion() {
+        // With observers attached each window is replayed one conversion
+        // at a time: every event is either a classified conversion or an
+        // inert interaction, and the conversions account for the net change
+        // of the A-count (at least 40 of them when A wins, and the same
+        // parity as the net change).
+        let scenario = Scenario::majority(LvModel::default(), 60, 40);
+        for name in ["czyzowicz-lv", "czyzowicz-lv-k", "czyzowicz-lv-bridged"] {
+            let report = backend(name).run(&scenario, &mut rng(16));
+            assert!(report.consensus_reached(), "{name}");
+            let counts = report.event_counts().unwrap();
+            assert_eq!(counts.individual, 0, "{name}");
+            assert_eq!(
+                counts.competitive + counts.unclassified,
+                report.events,
+                "{name}"
+            );
+            let net = report.final_state.count(0).abs_diff(60);
+            assert!(counts.competitive >= net, "{name}");
+            assert_eq!((counts.competitive - net) % 2, 0, "{name}");
         }
     }
 
@@ -924,7 +1012,7 @@ mod tests {
     fn bridged_event_budget_is_exact_even_on_the_block_path() {
         // The budget is far above MIN_BLOCK so bridge blocks really fire,
         // yet truncation must land on the exact event count: oversized
-        // blocks are refused (falling back to exact band stepping), never
+        // blocks are refused (falling back to exact thinning windows), never
         // clipped or overshot.
         let scenario = Scenario::new(LvModel::default(), (500_000, 480_000))
             .with_stop(StopCondition::any_species_extinct().with_max_events(123_456));

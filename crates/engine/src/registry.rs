@@ -5,7 +5,8 @@ use crate::backend::Backend;
 use crate::backends::{gillespie_direct, jump_chain, next_reaction, ode, tau_leaping};
 use crate::protocol_backend::{
     annihilation_lv, approx_majority, approx_majority_agents, czyzowicz_lv, czyzowicz_lv_agents,
-    czyzowicz_lv_bridged, czyzowicz_lv_k, exact_majority, exact_majority_agents, run_bridged,
+    czyzowicz_lv_bridged, czyzowicz_lv_k, czyzowicz_lv_k_bridged, exact_majority,
+    exact_majority_agents,
 };
 use crate::report::RunReport;
 use crate::scenario::Scenario;
@@ -18,7 +19,8 @@ enum Family {
     Kinetics,
     /// The deterministic mean-field ODE of the model: ignores the RNG.
     MeanField,
-    /// A protocol baseline in count-based batches: ignores the model.
+    /// A protocol baseline on counts, many interactions per step (batched
+    /// epochs, thinning windows or bridged blocks): ignores the model.
     BatchedProtocol,
     /// A protocol baseline on an agent list, one event at a time: ignores
     /// the model.
@@ -76,7 +78,7 @@ impl Backend for BackendRow {
 }
 
 /// The built-in backends, in registry order: the five Lotka–Volterra
-/// kernels, the batched protocol baselines, the diffusion-bridged
+/// kernels, the count-based protocol baselines, the diffusion-bridged
 /// conversion backends and the bit-exact agent-list legacy variants.
 static BACKENDS: [BackendRow; 15] = [
     BackendRow {
@@ -114,7 +116,7 @@ static BACKENDS: [BackendRow; 15] = [
     BackendRow {
         name: "ode",
         aliases: &["deterministic", "mean-field"],
-        description: "deterministic mean-field ODE (Eq. 4, k-species) via fixed-step RK4; ignores the RNG",
+        description: "deterministic mean-field ODE (Eq. 4, k-species) via adaptive-step RK4 (capped at the scenario's ode_step); ignores the RNG",
         k_species: true,
         family: Family::MeanField,
         run: ode,
@@ -138,7 +140,7 @@ static BACKENDS: [BackendRow; 15] = [
     BackendRow {
         name: "czyzowicz-lv",
         aliases: &["cz", "2-state-lv"],
-        description: "2-state Czyzowicz et al. discrete LV baseline (proportional law, linear gap, batched)",
+        description: "2-state Czyzowicz et al. discrete LV baseline (proportional law, linear gap, exact thinning windows)",
         k_species: false,
         family: Family::BatchedProtocol,
         run: czyzowicz_lv,
@@ -154,7 +156,7 @@ static BACKENDS: [BackendRow; 15] = [
     BackendRow {
         name: "czyzowicz-lv-k",
         aliases: &["cz-k", "k-opinion-lv"],
-        description: "k-opinion Czyzowicz conversion dynamics (k-species proportional law, batched)",
+        description: "k-opinion Czyzowicz conversion dynamics (k-species proportional law, exact thinning windows)",
         k_species: true,
         family: Family::BatchedProtocol,
         run: czyzowicz_lv_k,
@@ -173,7 +175,7 @@ static BACKENDS: [BackendRow; 15] = [
         description: "k-opinion Czyzowicz dynamics via per-pair diffusion bridging (polylog/trial)",
         k_species: true,
         family: Family::BatchedProtocol,
-        run: run_bridged,
+        run: czyzowicz_lv_k_bridged,
     },
     BackendRow {
         name: "approx-majority-agents",
@@ -204,8 +206,9 @@ static BACKENDS: [BackendRow; 15] = [
 /// The built-in [`Backend`]s, addressable by name or alias.
 ///
 /// The process-wide [`BackendRegistry::global`] holds the fifteen built-ins:
-/// five Lotka–Volterra kernels, five count-based *batched* protocol
-/// baselines (including the `k`-species `"czyzowicz-lv-k"` dynamics), the
+/// five Lotka–Volterra kernels, five count-based protocol baselines (three
+/// in batched epochs, the conversion dynamics `"czyzowicz-lv"` and
+/// `"czyzowicz-lv-k"` in exact thinning windows), the
 /// two diffusion-bridged conversion backends (`"czyzowicz-lv-bridged"` and
 /// `"czyzowicz-lv-k-bridged"`), and the bit-exact agent-list legacy variants
 /// of the original three protocol baselines (`-agents` names —

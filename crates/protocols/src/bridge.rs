@@ -25,17 +25,33 @@
 //!   (Hoeffding) — below the resolution of any `f64` uniform draw — and the
 //!   sampled endpoint is *rejected* outright if it escapes the open
 //!   interval, so absorption is never approximated.
-//! * **Boundary-exact band.** Once `L` would fall under [`MIN_BLOCK`] the
-//!   walk single-steps *exactly*: one `Geometric(q)` inert stretch plus one
-//!   fair-coin conversion per step, which is the interaction chain in
-//!   distribution (the state does not change during inert interactions, so
-//!   truncating a stretch at the event budget is exact too).
+//! * **Boundary-exact band: thinning windows.** Once `L` would fall under
+//!   [`MIN_BLOCK`] the walk advances by exact *thinning windows*
+//!   ([`BridgedConversionWalk::step_window`]), which are also the whole
+//!   kernel of the exact conversion backends. A window fixes a box in which
+//!   every live count stays within `±w` (`w` = the smallest live count over
+//!   [`WINDOW_FRACTION`], at least 1) and bounds `q` over it by `q̄`. It
+//!   then draws *candidates*: each interaction is a candidate with
+//!   probability `q̄`, and a candidate converts with probability `q/q̄`
+//!   (one exact integer draw below `D̄`, no logarithm), so every
+//!   interaction converts with probability `q` — the interaction chain in
+//!   law. A conversion picks its ordered species pair in proportion to
+//!   `cᵢ·cⱼ` (for two species the same draw decides the direction). The
+//!   window ends when a count leaves the box, a species dies out or
+//!   [`WINDOW_LOG`] candidates are logged, and charges its inert
+//!   interactions in one draw: the non-candidates before its `m`-th
+//!   candidate are `NegBin(m, q̄)`, independent of what the candidates did.
+//!   A window that would cross the event budget keeps the
+//!   `Hypergeometric(m − 1, F, r)` candidates that fall inside it (`F`
+//!   non-candidates drawn, `r` interactions left) and replays its log up to
+//!   there, so truncated runs are exact too.
 //! * **Interaction clock.** Each block also advances the interaction count:
 //!   the inert interactions interleaved between the `L` conversions form a
 //!   sum of `L` geometrics whose rate drifts with the path; the sum is
 //!   sampled from its CLT limit with mean and variance taken as the
 //!   trapezoid average of `1/q` and `(1−q)/q²` between the block's start
-//!   and end states. In the band the clock is exact (per-step geometrics).
+//!   and end states. In the band the clock is exact (the windows' negative
+//!   binomials).
 //! * **`k` opinions.** The `(k−1)`-dimensional count walk of the `k`-opinion
 //!   dynamics is bridged per unordered species pair: the block's `L`
 //!   conversions are split across pairs by a multinomial at the block-start
@@ -52,10 +68,14 @@
 //! as the batched stepper's contract — equal outcome laws, different RNG
 //! stream — and are cross-validated against the exact counted stepper in
 //! `tests/bridge_agreement.rs`. Expected work per trial is
-//! `O(BAND²·log n)` blocks plus an `O(BAND⁴)` exact tail, i.e.
-//! `Õ(poly log n)` instead of `Θ(n²)`.
+//! `O(BAND²·log n)` blocks plus an exact tail: a walk visits a count `c`
+//! below the band edge `c* ≈ BAND·√MIN_BLOCK` about `2c` times, so the tail
+//! holds `O(c*²) = O(BAND²·MIN_BLOCK)` conversions (a few thousand at the
+//! defaults), resolved a window of `O(w²)` of them at a time. That is
+//! `Õ(poly log n)` per trial instead of `Θ(n²)`.
 
-use crate::sampling::CachedBinomial;
+use crate::sampling::{sample_hypergeometric, CachedBinomial};
+use lv_crn::distributions::sample_negative_binomial;
 use rand::Rng;
 
 pub use crate::sampling::sample_binomial;
@@ -67,8 +87,17 @@ pub use lv_crn::distributions::{sample_geometric, sample_standard_normal};
 pub const BAND: u64 = 10;
 
 /// Blocks shorter than this are not worth their sampling overhead; the walk
-/// falls back to exact band stepping instead.
+/// falls back to exact thinning windows instead.
 pub const MIN_BLOCK: u64 = 32;
+
+/// A thinning window's box radius is the smallest live count divided by
+/// this (at least 1): wide enough that a window holds about `w²`
+/// conversions, narrow enough that `q/q̄` stays near 1 (at least 0.88 for
+/// two species).
+pub const WINDOW_FRACTION: u64 = 8;
+
+/// The most candidates one thinning window logs before it ends.
+pub const WINDOW_LOG: usize = 1 << 12;
 
 /// What one [`BridgedConversionWalk::advance`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,20 +108,19 @@ pub enum BridgeStep {
         /// Interactions represented by the block.
         fired: u64,
     },
-    /// One boundary-exact step: a geometric inert stretch plus one
-    /// conversion `(attacker, victim) → (attacker, attacker)`.
-    Exact {
-        /// Interactions consumed: the inert stretch plus the conversion.
+    /// One exact thinning window: `conversions` conversions among `fired`
+    /// interactions (its conversions are
+    /// [`BridgedConversionWalk::window_conversions`]). A window cut at the
+    /// budget has `fired` equal to it.
+    Window {
+        /// Interactions consumed: the conversions and the inert ones.
         fired: u64,
-        /// Species index of the converting initiator.
-        attacker: usize,
-        /// Species index of the converted responder.
-        victim: usize,
+        /// Conversions applied.
+        conversions: u64,
     },
-    /// The interaction budget ran out inside an inert stretch: `fired`
-    /// inert interactions were consumed and **no state changed** — exact,
-    /// because the geometric stretch is memoryless and counts are frozen
-    /// between conversions.
+    /// The interaction budget ran out before the window's first
+    /// conversion: `fired` inert interactions were consumed and **no state
+    /// changed**.
     Truncated {
         /// Inert interactions consumed (the entire remaining budget).
         fired: u64,
@@ -104,7 +132,7 @@ impl BridgeStep {
     pub fn fired(&self) -> u64 {
         match *self {
             BridgeStep::Block { fired }
-            | BridgeStep::Exact { fired, .. }
+            | BridgeStep::Window { fired, .. }
             | BridgeStep::Truncated { fired } => fired,
         }
     }
@@ -113,8 +141,9 @@ impl BridgeStep {
 /// The bridged execution engine for the `k`-opinion conversion dynamics
 /// (`k = 2` is the two-state Czyzowicz protocol): per-species counts
 /// advanced by diffusion-bridged blocks away from the boundaries and by
-/// exact geometric-plus-coin steps inside the band (see the
-/// [module docs](self)).
+/// exact thinning windows inside the band (see the [module docs](self)).
+/// The windows alone ([`step_window`](Self::step_window)) are an exact
+/// kernel for the whole dynamics.
 ///
 /// ```
 /// use lv_protocols::BridgedConversionWalk;
@@ -142,6 +171,11 @@ pub struct BridgedConversionWalk {
     /// Prepared binomial samplers for each pair's fair-coin displacement
     /// bridge `Binomial(Lᵢⱼ, ½)`.
     coin_slots: Vec<CachedBinomial>,
+    /// Scratch: the counts at the start of the current thinning window.
+    start: Vec<u64>,
+    /// The current thinning window's candidates, in order: `REJECTED` or a
+    /// conversion's pair code.
+    log: Vec<u32>,
 }
 
 impl BridgedConversionWalk {
@@ -153,8 +187,8 @@ impl BridgedConversionWalk {
     pub fn new(counts: &[u64]) -> Self {
         assert!(counts.len() >= 2, "conversion dynamics need two opinions");
         let n: u64 = counts.iter().sum();
-        // Keeps D = n² − Σc² (≤ n²) representable in the u64 draws of the
-        // exact stepper.
+        // Keeps n² and D = n² − Σc² representable in the u64 draws of the
+        // thinning windows.
         assert!(n < (1 << 32), "populations beyond 2^32 are unsupported");
         let pairs = counts.len() * (counts.len() - 1) / 2;
         BridgedConversionWalk {
@@ -164,6 +198,8 @@ impl BridgedConversionWalk {
             deltas: vec![0; counts.len()],
             split_slots: vec![CachedBinomial::new(); pairs],
             coin_slots: vec![CachedBinomial::new(); pairs],
+            start: vec![0; counts.len()],
+            log: Vec::new(),
         }
     }
 
@@ -202,9 +238,9 @@ impl BridgedConversionWalk {
     }
 
     /// Advances the walk by one bridged block if the state is deep enough
-    /// inside the simplex and the budget allows, otherwise by one
-    /// boundary-exact step (possibly truncated at the budget). Never
-    /// consumes more than `max_interactions` interactions.
+    /// inside the simplex and the budget allows, otherwise by one thinning
+    /// window (possibly truncated at the budget). Never consumes more than
+    /// `max_interactions` interactions.
     ///
     /// # Panics
     ///
@@ -215,14 +251,14 @@ impl BridgedConversionWalk {
         if let Some(fired) = self.try_block(rng, max_interactions) {
             return BridgeStep::Block { fired };
         }
-        self.step_exact(rng, max_interactions)
+        self.step_window(rng, max_interactions)
     }
 
     /// Attempts one bridged block of conversions within `max_interactions`.
     ///
     /// Returns the interactions consumed, or `None` — with **no state
     /// touched** — when the band, the [`MIN_BLOCK`] floor or the budget
-    /// refuses the block (the caller then steps exactly; a sampled block
+    /// refuses the block (the caller then runs a window; a sampled block
     /// discarded for overrunning the budget introduces no bias into the
     /// truncated prefix, because the run ends within the budget either way).
     pub fn try_block<R: Rng + ?Sized>(
@@ -329,68 +365,235 @@ impl BridgedConversionWalk {
         Some(fired)
     }
 
-    /// One boundary-exact step: samples the `Geometric(q)` inert stretch
-    /// before the next conversion and the conversion itself — the
-    /// interaction chain in distribution. If the stretch does not fit in
-    /// `max_interactions`, exactly the remaining budget of inert
-    /// interactions is consumed and no state changes
-    /// ([`BridgeStep::Truncated`]), which is exact because the counts are
-    /// frozen between conversions.
+    /// One exact thinning window (see the [module docs](self)): draws
+    /// conversion candidates at the box's bound `q̄` until a count leaves
+    /// the box, a species dies out or [`WINDOW_LOG`] candidates are logged,
+    /// then charges the window's inert interactions in one negative
+    /// binomial draw. The final counts and the interaction count are the
+    /// interaction chain's in law.
+    ///
+    /// If the window would overrun `max_interactions`, exactly the budget is
+    /// consumed and the counts are those after the conversions that fall
+    /// inside it, placed exactly (a hypergeometric draw, then a replay of
+    /// the window's log). Returns [`BridgeStep::Truncated`] when none does.
     ///
     /// # Panics
     ///
     /// Panics if the walk is absorbed or `max_interactions == 0`.
-    pub fn step_exact<R: Rng + ?Sized>(
+    pub fn step_window<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         max_interactions: u64,
     ) -> BridgeStep {
         assert!(max_interactions >= 1, "a step consumes interactions");
         let n = self.n;
-        let cross = self.cross_pairs();
+        let cross = self.cross_pairs() as u64;
         assert!(cross > 0, "the walk is absorbed; no conversion can fire");
-        let pairs_total = (n as u128) * ((n - 1) as u128);
-        let q = cross as f64 / pairs_total as f64;
-        let stretch = sample_geometric(rng, q);
-        if stretch >= max_interactions {
-            self.interactions += max_interactions;
-            return BridgeStep::Truncated {
-                fired: max_interactions,
-            };
+        let pairs = n * (n - 1);
+        let (radius, bound) = self.window_box(cross);
+        // Lemire's rejection zone for exact uniform draws below `bound`.
+        let zone = bound.wrapping_neg() % bound;
+        self.start.copy_from_slice(&self.counts);
+        self.log.clear();
+        let conversions = if self.counts.len() == 2 {
+            self.window_two(rng, bound, zone, radius)
+        } else {
+            self.window_k(rng, bound, zone, radius, cross)
+        };
+        let candidates = self.log.len() as u64;
+        // Every interaction is a candidate with probability q̄, independently
+        // of what the candidates did, so the window's non-candidates are the
+        // failures before its `candidates`-th success.
+        let inert = sample_negative_binomial(rng, candidates, bound as f64 / pairs as f64);
+        let fired = candidates.saturating_add(inert);
+        if fired <= max_interactions {
+            self.interactions += fired;
+            return BridgeStep::Window { fired, conversions };
         }
-        // The active ordered pair: initiator species i with probability
-        // c_i(n−c_i)/D, then responder species j ≠ i with probability
-        // c_j/(n−c_i).
-        let mut pick = rng.gen_range(0..cross as u64) as u128;
-        let mut attacker = usize::MAX;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let weight = (c as u128) * ((n - c) as u128);
-            if pick < weight {
-                attacker = i;
+        // The budget ends inside the window. Given its `inert`
+        // non-candidates, the first `candidates − 1` candidates sit
+        // uniformly among the first `candidates − 1 + inert` interactions
+        // (the last candidate closes the window), so the budget keeps a
+        // hypergeometric number of them: replay those from the start.
+        let kept = sample_hypergeometric(rng, candidates - 1, inert, max_interactions) as usize;
+        self.counts.copy_from_slice(&self.start);
+        self.log.truncate(kept);
+        let mut conversions = 0;
+        for index in 0..kept {
+            let code = self.log[index];
+            if code != REJECTED {
+                let (attacker, victim) = self.decode(code);
+                self.counts[attacker] += 1;
+                self.counts[victim] -= 1;
+                conversions += 1;
+            }
+        }
+        self.interactions += max_interactions;
+        if conversions == 0 {
+            BridgeStep::Truncated {
+                fired: max_interactions,
+            }
+        } else {
+            BridgeStep::Window {
+                fired: max_interactions,
+                conversions,
+            }
+        }
+    }
+
+    /// The conversions `(attacker, victim)` of the last
+    /// [`step_window`](Self::step_window) call, in order (only those inside
+    /// the budget when it truncated).
+    pub fn window_conversions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.log
+            .iter()
+            .filter(|&&code| code != REJECTED)
+            .map(|&code| self.decode(code))
+    }
+
+    /// The window's box radius `w` and the bound `D̄ ≥ D` over every state
+    /// whose live counts are within `±w` of the current ones.
+    ///
+    /// With `Σδ = 0` and `|δᵢ| ≤ w`, for any `m`,
+    /// `Σ(cᵢ + δᵢ)² ≥ Σcᵢ² + 2Σ(cᵢ − m)δᵢ ≥ Σcᵢ² − 2w·Σ|cᵢ − m|`, so
+    /// `D̄ = D + 2w·minₘ Σ|cᵢ − m|` (`m` over the live counts), capped at
+    /// `n(n−1)`, which no `D` exceeds.
+    fn window_box(&self, cross: u64) -> (u64, u64) {
+        let live = || self.counts.iter().copied().filter(|&c| c > 0);
+        let smallest = live().min().expect("a live walk has live species");
+        let radius = (smallest / WINDOW_FRACTION).max(1);
+        let spread = live()
+            .map(|m| live().map(|c| c.abs_diff(m)).sum::<u64>())
+            .min()
+            .expect("a live walk has live species");
+        let bound = cross
+            .saturating_add(radius.saturating_mul(2 * spread))
+            .min(self.n * (self.n - 1));
+        (radius, bound)
+    }
+
+    /// The candidate loop for two species. One exact uniform draw `u` below
+    /// `D̄` decides each candidate: `u < a·b` is an A-initiated conversion,
+    /// `a·b ≤ u < 2a·b` a B-initiated one, anything above inert.
+    fn window_two<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        bound: u64,
+        zone: u64,
+        radius: u64,
+    ) -> u64 {
+        let n = self.n;
+        let start = self.counts[0];
+        let (low, high) = (start.saturating_sub(radius), start + radius);
+        let mut a = start;
+        let mut conversions = 0;
+        while self.log.len() < WINDOW_LOG {
+            let u = uniform_below(rng, bound, zone);
+            let pairs = a * (n - a);
+            // Branch-free: the direction is a fair coin, which no branch
+            // predictor can learn.
+            let up = u < pairs;
+            let down = !up & (u < 2 * pairs);
+            a = a + up as u64 - down as u64;
+            self.log
+                .push(up as u32 * A_CONVERTS_B + down as u32 * B_CONVERTS_A);
+            conversions += (up | down) as u64;
+            if a < low || a > high || a == 0 || a == n {
                 break;
             }
-            pick -= weight;
         }
-        let others = n - self.counts[attacker];
-        let mut pick = rng.gen_range(0..others);
-        let mut victim = usize::MAX;
-        for (j, &c) in self.counts.iter().enumerate() {
-            if j == attacker {
+        self.counts[0] = a;
+        self.counts[1] = n - a;
+        conversions
+    }
+
+    /// The candidate loop for `k ≥ 3` species: an accepted draw `u < D` is
+    /// uniform below `D`, so it also picks the ordered pair `(i, j)` in
+    /// proportion to `cᵢ·cⱼ`.
+    fn window_k<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        bound: u64,
+        zone: u64,
+        radius: u64,
+        mut cross: u64,
+    ) -> u64 {
+        let k = self.counts.len();
+        let mut conversions = 0;
+        while self.log.len() < WINDOW_LOG {
+            let u = uniform_below(rng, bound, zone);
+            if u >= cross {
+                self.log.push(REJECTED);
                 continue;
             }
-            if pick < c {
-                victim = j;
+            let (attacker, victim) = self.pick_pair(u);
+            let (ca, cv) = (self.counts[attacker], self.counts[victim]);
+            self.counts[attacker] = ca + 1;
+            self.counts[victim] = cv - 1;
+            // Σc² grows by (2cₐ + 1) + (1 − 2c_v).
+            cross = cross.wrapping_add(2 * cv).wrapping_sub(2 * ca + 2);
+            self.log.push((attacker * k + victim) as u32 + 1);
+            conversions += 1;
+            if cv == 1
+                || self.counts[attacker] > self.start[attacker] + radius
+                || self.counts[victim] + radius < self.start[victim]
+            {
                 break;
             }
-            pick -= c;
         }
-        self.counts[attacker] += 1;
-        self.counts[victim] -= 1;
-        self.interactions += stretch + 1;
-        BridgeStep::Exact {
-            fired: stretch + 1,
-            attacker,
-            victim,
+        conversions
+    }
+
+    /// The ordered species pair of cross pair number `u < D`: initiators
+    /// `i` by weight `cᵢ(n − cᵢ)`, then responders `j ≠ i` by `cᵢ·cⱼ`.
+    /// Branch-free: the index of the block holding `u` is the number of
+    /// prefix sums at or below it, since the pair is a coin no branch
+    /// predictor can learn.
+    fn pick_pair(&self, u: u64) -> (usize, usize) {
+        let n = self.n;
+        let (mut end, mut below, mut attacker) = (0u64, 0u64, 0usize);
+        for &c in &self.counts {
+            let weight = c * (n - c);
+            end += weight;
+            let passed = (end <= u) as u64;
+            below += weight * passed;
+            attacker += passed as usize;
+        }
+        let rest = u - below;
+        let ca = self.counts[attacker];
+        let (mut end, mut victim) = (0u64, 0usize);
+        for (j, &c) in self.counts.iter().enumerate() {
+            end += ca * c * (j != attacker) as u64;
+            victim += (end <= rest) as usize;
+        }
+        (attacker, victim)
+    }
+
+    /// The `(attacker, victim)` pair of a non-rejected log code.
+    fn decode(&self, code: u32) -> (usize, usize) {
+        let k = self.counts.len();
+        let pair = (code - 1) as usize;
+        (pair / k, pair % k)
+    }
+}
+
+/// Log code of a rejected (inert) candidate; a conversion of species `j` by
+/// species `i` is logged as `i·k + j + 1`.
+const REJECTED: u32 = 0;
+/// `(0, 1)`: an A initiator converts a B responder (`k = 2`).
+const A_CONVERTS_B: u32 = 2;
+/// `(1, 0)`: a B initiator converts an A responder (`k = 2`).
+const B_CONVERTS_A: u32 = 3;
+
+/// An exact uniform draw below `bound`: Lemire's widening multiply,
+/// redrawing when the low word falls in the rejection zone
+/// `(2⁶⁴ − bound) mod bound`, which the caller computes once per window.
+#[inline]
+fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: u64, zone: u64) -> u64 {
+    loop {
+        let wide = (rng.next_u64() as u128) * (bound as u128);
+        if wide as u64 >= zone {
+            return (wide >> 64) as u64;
         }
     }
 }
@@ -480,12 +683,12 @@ mod tests {
             BridgeStep::Block { .. }
         ));
         // In the band (d = 20 < BAND·√MIN_BLOCK) blocks refuse and the walk
-        // steps exactly.
+        // runs an exact thinning window.
         let mut walk = BridgedConversionWalk::new(&[999_980, 20]);
         assert_eq!(walk.try_block(&mut r, u64::MAX), None);
         assert!(matches!(
             walk.advance(&mut r, u64::MAX),
-            BridgeStep::Exact { .. }
+            BridgeStep::Window { .. }
         ));
     }
 
@@ -552,7 +755,7 @@ mod tests {
         assert!(walk.is_absorbed());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut walk = walk.clone();
-            walk.step_exact(&mut rng(9), u64::MAX)
+            walk.step_window(&mut rng(9), u64::MAX)
         }));
         assert!(result.is_err(), "stepping an absorbed walk must panic");
     }

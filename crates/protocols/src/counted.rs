@@ -63,13 +63,6 @@ pub struct CountedDynamics {
     /// need no pairing draws in a batch (their participants pass through
     /// unchanged), e.g. Blank-initiated pairs in approximate majority.
     inert_row: Vec<bool>,
-    /// `Some((i', r'))` when every cell of this initiator's row produces the
-    /// same output pair regardless of the responder's state — such rows are
-    /// *responder-oblivious*: the composition of the responders they consume
-    /// never reaches an output, so a batch needs no per-row pairing draws
-    /// for them (see [`CountedSimulation::step_epoch`]). The conversion
-    /// dynamics (`(i, j) → (i, i)`) are the canonical case.
-    uniform_row: Vec<Option<(u16, u16)>>,
 }
 
 impl CountedDynamics {
@@ -111,7 +104,6 @@ impl CountedDynamics {
             index_of(&protocol.initial_state(Opinion::B)),
         ];
         let inert_row = inert_rows(states.len(), &transitions);
-        let uniform_row = uniform_rows(states.len(), &transitions);
         CountedDynamics {
             state_count: states.len(),
             species: 2,
@@ -119,7 +111,6 @@ impl CountedDynamics {
             outputs,
             initial,
             inert_row,
-            uniform_row,
         }
     }
 
@@ -145,7 +136,6 @@ impl CountedDynamics {
             }
         }
         let inert_row = inert_rows(k, &transitions);
-        let uniform_row = uniform_rows(k, &transitions);
         CountedDynamics {
             state_count: k,
             species: k,
@@ -153,7 +143,6 @@ impl CountedDynamics {
             outputs: (0..k as u16).map(Some).collect(),
             initial: (0..k as u16).collect(),
             inert_row,
-            uniform_row,
         }
     }
 
@@ -198,20 +187,6 @@ impl CountedDynamics {
 fn inert_rows(state_count: usize, transitions: &[(u16, u16)]) -> Vec<bool> {
     (0..state_count)
         .map(|s| (0..state_count).all(|t| transitions[s * state_count + t] == (s as u16, t as u16)))
-        .collect()
-}
-
-/// Rows whose output pair is the same for every responder state
-/// (responder-oblivious rows). Disjoint from [`inert_rows`] for two or more
-/// states, since an inert row's responder output varies with the responder.
-fn uniform_rows(state_count: usize, transitions: &[(u16, u16)]) -> Vec<Option<(u16, u16)>> {
-    (0..state_count)
-        .map(|s| {
-            let first = transitions[s * state_count];
-            (1..state_count)
-                .all(|t| transitions[s * state_count + t] == first)
-                .then_some(first)
-        })
         .collect()
 }
 
@@ -260,9 +235,8 @@ pub struct CountedSimulation<'a> {
     touched: Vec<u64>,
     /// Prepared hypergeometric samplers, one slot per draw site of the
     /// epoch's count-split chains: slots `0..k` split the population,
-    /// `k..2k` split the participants into initiators, `(2+i)·k..(3+i)·k`
-    /// pair initiator state `i`'s responders, and `(2+k)·k..(3+k)·k` serve
-    /// the aggregated draw of the responder-oblivious rows. Between
+    /// `k..2k` split the participants into initiators, and
+    /// `(2+i)·k..(3+i)·k` pair initiator state `i`'s responders. Between
     /// consecutive epochs the urns a site sees often repeat (counts move by
     /// `O(√n)` out of `n`), and even on a miss the rebuilt rejection-sampler
     /// setup is `O(1)` — this is what turns the epoch's ~10 draws into
@@ -305,7 +279,7 @@ impl<'a> CountedSimulation<'a> {
             responders: vec![0; k],
             row: vec![0; k],
             touched: vec![0; k],
-            hyper_slots: vec![CachedHypergeometric::new(); (3 + k) * k],
+            hyper_slots: vec![CachedHypergeometric::new(); (2 + k) * k],
             batch_lengths: None,
         }
     }
@@ -485,23 +459,10 @@ impl<'a> CountedSimulation<'a> {
         // Reactive rows first (the hypergeometric row conditionals are
         // exchangeable, so processing order is free); fully inert rows need
         // no pairing draws at all — their initiators and whatever responders
-        // remain afterwards pass through unchanged. Responder-oblivious rows
-        // (every cell of the row produces the same output pair, e.g. the
-        // conversion dynamics' `(i, j) → (i, i)`) contribute their outputs
-        // directly: the composition of the responders they consume never
-        // reaches an output, so one aggregated draw after the
-        // responder-sensitive rows — or none, when they exhaust the pool —
-        // replaces their per-row pairing splits.
-        let mut oblivious = 0u64;
+        // remain afterwards pass through unchanged.
         for initiator in 0..k {
             let matches = self.initiators[initiator];
             if matches == 0 || self.dynamics.inert_row[initiator] {
-                continue;
-            }
-            if let Some((i_after, r_after)) = self.dynamics.uniform_row[initiator] {
-                self.touched[i_after as usize] += matches;
-                self.touched[r_after as usize] += matches;
-                oblivious += matches;
                 continue;
             }
             sample_counts_without_replacement_cached(
@@ -520,25 +481,6 @@ impl<'a> CountedSimulation<'a> {
                 let (i_after, r_after) = self.dynamics.transition(initiator, responder);
                 self.touched[i_after] += fired;
                 self.touched[r_after] += fired;
-            }
-        }
-        if oblivious > 0 {
-            let pool: u64 = self.responders.iter().sum();
-            if oblivious == pool {
-                // The oblivious rows consume every remaining responder:
-                // nothing survives to pass through, so no draw is needed.
-                self.responders.fill(0);
-            } else {
-                sample_counts_without_replacement_cached(
-                    rng,
-                    &self.responders,
-                    oblivious,
-                    &mut self.row,
-                    &mut self.hyper_slots[(2 + k) * k..(3 + k) * k],
-                );
-                for state in 0..k {
-                    self.responders[state] -= self.row[state];
-                }
             }
         }
         for state in 0..k {

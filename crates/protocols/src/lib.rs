@@ -54,8 +54,12 @@
 //! [`BridgedConversionWalk`] advances the count chain in diffusion-bridged
 //! blocks (binomial displacement bridges that are exact in law at *every*
 //! block size — no normal-approximation branch — a CLT interaction clock,
-//! and a boundary-exact band where stepping is exact), bringing per-trial
-//! cost down to `Õ(poly log n)` so linear-law sweeps reach `n = 10⁷`.
+//! and a boundary-exact band), bringing per-trial cost down to
+//! `Õ(poly log n)` so linear-law sweeps reach `n = 10⁷`. Its exact
+//! *thinning windows* ([`BridgedConversionWalk::step_window`]) resolve the
+//! band and are the whole kernel of the exact conversion backends: they
+//! draw only conversion candidates and charge the inert interactions
+//! between them in one negative binomial draw per window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,0 +1,253 @@
+//! Law tests of the exact thinning windows
+//! (`BridgedConversionWalk::step_window`), the kernel of the conversion
+//! backends.
+//!
+//! The windows skip inert interactions by thinning and charge them in one
+//! negative binomial draw per window, so they consume a different RNG stream
+//! than a per-interaction stepper and agree with it only in law: the
+//! proportional win laws `P(species i wins) = cᵢ/n` (99.9% Wilson
+//! intervals), the exact mean absorption time `Σₓ G(a, x)/q(x)`, and, when
+//! the event budget binds, the joint law of the final counts (two-sample χ²)
+//! and of the interactions (two-sample Kolmogorov–Smirnov) against a
+//! `CountedSimulation::step` loop.
+
+use lv_protocols::{BridgedConversionWalk, CountedDynamics, CountedSimulation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::BTreeMap;
+
+fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
+/// Runs windows from `counts` until absorption or `budget` interactions;
+/// returns the final counts and the interactions.
+fn window_run(counts: &[u64], budget: u64, seed: u64) -> (Vec<u64>, u64) {
+    let mut r = rng(seed);
+    let mut walk = BridgedConversionWalk::new(counts);
+    while !walk.is_absorbed() && walk.interactions() < budget {
+        walk.step_window(&mut r, budget - walk.interactions());
+    }
+    assert!(walk.interactions() <= budget, "a window overran the budget");
+    assert_eq!(walk.counts().iter().sum::<u64>(), walk.total());
+    (walk.counts().to_vec(), walk.interactions())
+}
+
+/// The same run on the exact per-interaction stepper.
+fn step_run(counts: &[u64], budget: u64, seed: u64) -> (Vec<u64>, u64) {
+    let dynamics = CountedDynamics::k_opinion_czyzowicz(counts.len());
+    let mut r = rng(seed);
+    let mut sim = CountedSimulation::new(&dynamics, counts);
+    while !sim.is_absorbed() && sim.interactions() < budget {
+        sim.step(&mut r);
+    }
+    (sim.counts().to_vec(), sim.interactions())
+}
+
+/// The Wilson score interval at z = 3.29 (99.9%).
+fn wilson_999(wins: u64, trials: u64) -> (f64, f64) {
+    let z = 3.29f64;
+    let n = trials as f64;
+    let p = wins as f64 / n;
+    let z2 = z * z;
+    let denominator = 1.0 + z2 / n;
+    let center = (p + z2 / (2.0 * n)) / denominator;
+    let half_width = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denominator;
+    (center - half_width, center + half_width)
+}
+
+/// Checks every species' win frequency against `cᵢ/n`.
+fn assert_proportional_law(counts: &[u64], trials: u64, seed_base: u64) {
+    let n: u64 = counts.iter().sum();
+    let mut wins = vec![0u64; counts.len()];
+    for seed in 0..trials {
+        let (end, _) = window_run(counts, u64::MAX, seed_base + seed);
+        let winner = end.iter().position(|&c| c == n).expect("absorbed");
+        wins[winner] += 1;
+    }
+    for (species, (&won, &count)) in wins.iter().zip(counts).enumerate() {
+        let (lo, hi) = wilson_999(won, trials);
+        let law = count as f64 / n as f64;
+        assert!(
+            lo <= law && law <= hi,
+            "{counts:?}: species {species} won {won}/{trials}, 99.9% Wilson \
+             [{lo:.4}, {hi:.4}] misses {law:.4}"
+        );
+    }
+}
+
+#[test]
+fn two_species_win_rate_follows_the_proportional_law() {
+    for (counts, trials, seed_base) in [
+        ([32u64, 32], 4_000u64, 100_000u64),
+        ([48, 16], 4_000, 200_000),
+        ([61, 3], 4_000, 300_000),
+        ([800, 200], 500, 400_000),
+    ] {
+        assert_proportional_law(&counts, trials, seed_base);
+    }
+}
+
+#[test]
+fn three_species_win_rates_follow_the_proportional_law() {
+    assert_proportional_law(&[45, 27, 18], 3_000, 500_000);
+    assert_proportional_law(&[500, 300, 200], 300, 600_000);
+}
+
+#[test]
+fn mean_interactions_match_the_exact_absorption_time() {
+    // Two species: the A-count is a ±1 walk on conversions that visits x
+    // G(a, x) = 2·min(a, x)·(n − max(a, x))/n times on average, each visit
+    // waiting 1/q(x) interactions, q(x) = 2x(n − x)/(n(n − 1)). The budget
+    // never binds.
+    for (a, n, trials, seed_base) in [
+        (32u64, 64u64, 4_000u64, 700_000u64),
+        (56, 64, 4_000, 800_000),
+        (800, 1_000, 400, 900_000),
+    ] {
+        let exact: f64 = (1..n)
+            .map(|x| {
+                let visits = 2.0 * a.min(x) as f64 * (n - a.max(x)) as f64 / n as f64;
+                let q = 2.0 * x as f64 * (n - x) as f64 / (n as f64 * (n - 1) as f64);
+                visits / q
+            })
+            .sum();
+        let times: Vec<f64> = (0..trials)
+            .map(|seed| window_run(&[a, n - a], u64::MAX, seed_base + seed).1 as f64)
+            .collect();
+        let mean = times.iter().sum::<f64>() / trials as f64;
+        let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / (trials - 1) as f64;
+        let z = (mean - exact) / (var / trials as f64).sqrt();
+        assert!(
+            z.abs() < 4.0,
+            "({a}, {}): mean interactions {mean:.0} vs exact {exact:.0} (z = {z:.2})",
+            n - a
+        );
+    }
+}
+
+/// The 99.9% quantile of χ² with `dof` degrees of freedom
+/// (Wilson–Hilferty).
+fn chi2_999(dof: usize) -> f64 {
+    let d = dof as f64;
+    let h = 2.0 / (9.0 * d);
+    d * (1.0 - h + 3.09 * h.sqrt()).powi(3)
+}
+
+/// Two-sample χ² between two equally sized samples of final count vectors,
+/// pooling the cells with fewer than 10 observations between them.
+fn two_sample_chi2(x: &[Vec<u64>], y: &[Vec<u64>]) -> (f64, usize) {
+    let mut cells: BTreeMap<&[u64], (u64, u64)> = BTreeMap::new();
+    for counts in x {
+        cells.entry(counts).or_default().0 += 1;
+    }
+    for counts in y {
+        cells.entry(counts).or_default().1 += 1;
+    }
+    let (mut pooled, mut chi2, mut dof) = ((0u64, 0u64), 0.0, 0usize);
+    let mut add = |(a, b): (u64, u64)| {
+        chi2 += (a as f64 - b as f64).powi(2) / (a + b) as f64;
+        dof += 1;
+    };
+    for &(a, b) in cells.values() {
+        if a + b >= 10 {
+            add((a, b));
+        } else {
+            pooled = (pooled.0 + a, pooled.1 + b);
+        }
+    }
+    if pooled.0 + pooled.1 > 0 {
+        add(pooled);
+    }
+    (chi2, dof - 1)
+}
+
+/// Two-sample Kolmogorov–Smirnov statistic `sup |F₁ − F₂|`.
+fn ks_statistic(xs: &mut [u64], ys: &mut [u64]) -> f64 {
+    xs.sort_unstable();
+    ys.sort_unstable();
+    let (m, n) = (xs.len(), ys.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut d: f64 = 0.0;
+    while i < m && j < n {
+        let t = xs[i].min(ys[j]);
+        while i < m && xs[i] == t {
+            i += 1;
+        }
+        while j < n && ys[j] == t {
+            j += 1;
+        }
+        d = d.max((i as f64 / m as f64 - j as f64 / n as f64).abs());
+    }
+    d
+}
+
+#[test]
+fn budget_bound_runs_match_the_step_loop_in_law() {
+    // Budgets near the median absorption time, so about half the runs are
+    // cut: the final counts then come from the hypergeometric placement of
+    // the budget inside a window and the replay of its log.
+    for (counts, budget, trials) in [
+        (vec![14u64, 10], 350u64, 4_000u64),
+        (vec![9, 6, 5], 180, 4_000),
+    ] {
+        let mut windows: Vec<(Vec<u64>, u64)> = (0..trials)
+            .map(|seed| window_run(&counts, budget, 1_000_000 + seed))
+            .collect();
+        let mut steps: Vec<(Vec<u64>, u64)> = (0..trials)
+            .map(|seed| step_run(&counts, budget, 2_000_000 + seed))
+            .collect();
+        let cut = windows.iter().filter(|(_, t)| *t == budget).count() as u64;
+        assert!(
+            cut > trials / 5 && cut < trials * 4 / 5,
+            "{counts:?}: the budget binds in {cut} of {trials} runs"
+        );
+        let ends = |runs: &[(Vec<u64>, u64)]| runs.iter().map(|r| r.0.clone()).collect::<Vec<_>>();
+        let (chi2, dof) = two_sample_chi2(&ends(&windows), &ends(&steps));
+        assert!(
+            chi2 < chi2_999(dof),
+            "{counts:?}: final counts χ² = {chi2:.1} over {dof} dof (99.9% {:.1})",
+            chi2_999(dof)
+        );
+        let mut xs: Vec<u64> = windows.iter_mut().map(|r| r.1).collect();
+        let mut ys: Vec<u64> = steps.iter_mut().map(|r| r.1).collect();
+        let d = ks_statistic(&mut xs, &mut ys);
+        // The α = 0.001 two-sample threshold is 1.95·√(2/trials).
+        let bound = 1.95 * (2.0 / trials as f64).sqrt();
+        assert!(
+            d <= bound,
+            "{counts:?}: interactions KS distance {d:.4} > {bound:.4}"
+        );
+    }
+}
+
+#[test]
+fn windows_conserve_agents_and_log_their_conversions() {
+    let mut r = rng(17);
+    for counts in [vec![600u64, 400], vec![50, 30, 20, 1]] {
+        let mut walk = BridgedConversionWalk::new(&counts);
+        while !walk.is_absorbed() {
+            let before = walk.counts().to_vec();
+            let step = walk.step_window(&mut r, u64::MAX);
+            let mut replayed = before;
+            let mut conversions = 0;
+            for (attacker, victim) in walk.window_conversions() {
+                assert_ne!(attacker, victim);
+                replayed[attacker] += 1;
+                replayed[victim] -= 1;
+                conversions += 1;
+            }
+            assert_eq!(replayed, walk.counts(), "the log replays the window");
+            match step {
+                lv_protocols::BridgeStep::Window {
+                    fired,
+                    conversions: c,
+                } => {
+                    assert_eq!(c, conversions);
+                    assert!(fired >= c);
+                }
+                other => panic!("an unbudgeted window returned {other:?}"),
+            }
+        }
+    }
+}

@@ -277,7 +277,7 @@ fn large_sweeps(config: ExperimentConfig) -> Vec<LargeSweep> {
         },
         LargeSweep {
             key: "czyzowicz-lv",
-            label: "2-state Czyzowicz et al. LV protocol (batched)",
+            label: "2-state Czyzowicz et al. LV protocol (thinning windows)",
             backend: "czyzowicz-lv",
             sizes: czyzowicz_sizes,
             trials: conversion_trials,
@@ -295,7 +295,7 @@ fn large_sweeps(config: ExperimentConfig) -> Vec<LargeSweep> {
         },
         LargeSweep {
             key: "czyzowicz-lv-k3",
-            label: "3-opinion Czyzowicz dynamics, plurality margin (batched)",
+            label: "3-opinion Czyzowicz dynamics, plurality margin (thinning windows)",
             backend: "czyzowicz-lv-k",
             sizes: plurality_sizes,
             trials: conversion_trials,

@@ -23,7 +23,7 @@
 //!   [`engine::Scenario`] description (model + initial population + stop
 //!   condition + observers) executed by any [`engine::Backend`] from the
 //!   string-keyed registry (`"jump-chain"`, `"gillespie-direct"`,
-//!   `"next-reaction"`, `"tau-leaping"`, `"ode"`, the batched protocol
+//!   `"next-reaction"`, `"tau-leaping"`, `"ode"`, the count-based protocol
 //!   baselines `"approx-majority"`, `"exact-majority"`, `"czyzowicz-lv"`,
 //!   `"annihilation-lv"`, `"czyzowicz-lv-k"`, the diffusion-bridged
 //!   conversion backends `"czyzowicz-lv-bridged"` /
@@ -39,7 +39,9 @@
 //!   [`protocols::sampling`]) that pushes protocol runs to `n = 10⁷⁺`, and
 //!   the diffusion-bridged first-passage sampler
 //!   ([`protocols::BridgedConversionWalk`]) that collapses the `Θ(n²)`
-//!   interactions of a conversion trial into `Õ(poly log n)` bridge blocks.
+//!   interactions of a conversion trial into `Õ(poly log n)` bridge blocks,
+//!   and whose exact thinning windows skip the inert interactions of the
+//!   conversion dynamics.
 //! * [`server`] — the threshold-surface service: a memoized sweep server
 //!   ([`server::ThresholdService`]) over a versioned length-prefixed wire
 //!   format (TCP or Unix sockets), with incremental Wilson refinement,
