@@ -32,7 +32,6 @@ const LAYERS: &[(&str, u32)] = &[
     ("rand", 0),
     ("serde", 0),
     ("serde_derive", 0),
-    ("criterion", 0),
     ("proptest", 0),
     ("lv-crn", 10),
     ("lv-chains", 10),

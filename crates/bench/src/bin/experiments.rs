@@ -1,11 +1,13 @@
 //! The experiment harness: regenerates every table and series of the paper's
-//! evaluation (Table 1 rows plus the supporting theorem/lemma checks), as
-//! indexed in DESIGN.md and recorded in EXPERIMENTS.md.
+//! evaluation (Table 1 rows plus the supporting theorem/lemma checks). The
+//! experiments live in `lv_sim::experiments`, whose module doc maps each to
+//! the paper artefact it reproduces.
 //!
 //! Usage:
 //!
 //! ```sh
 //! cargo run --release -p lv-bench --bin experiments -- [--exp e1,...|all] [--profile quick|full] [--seed N]
+//! cargo run --release -p lv-bench --bin experiments -- --help
 //! ```
 
 use lv_sim::experiments::{self, ExperimentConfig, Profile};
@@ -18,7 +20,8 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line: `Ok(None)` asks for the usage (`--help`).
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         experiments: vec!["all".to_string()],
         profile: Profile::Quick,
@@ -47,20 +50,16 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("seed {value:?} is not an integer"))?;
             }
-            "--help" | "-h" => {
-                return Err(String::new());
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
-fn usage() {
-    eprintln!(
-        "usage: experiments [--exp e1,e2,...|all] [--profile quick|full] [--seed N]\n\
+const USAGE: &str = "usage: experiments [--exp e1,e2,...|all] [--profile quick|full] [--seed N]\n\
          \n\
-         Experiments (see DESIGN.md for the paper artefact each reproduces):\n\
+         Experiments (crates/sim/src/experiments/mod.rs maps each to the paper):\n\
          \te1   Table 1 row 1, self-destructive threshold sweep\n\
          \te2   Table 1 row 1, non-self-destructive threshold sweep\n\
          \te3   Table 1 row 2, balanced inter+intra competition (Theorems 20/23)\n\
@@ -76,18 +75,17 @@ fn usage() {
          \te13  pseudo-coupling domination\n\
          \te14  k-species plurality presets across backends\n\
          \te15  threshold scaling per backend + k-species plurality margins\n\
-         \te16  large-n batched protocol threshold sweeps (10^4 .. 10^7)"
-    );
-}
+         \te16  large-n batched protocol threshold sweeps (10^4 .. 10^7)";
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}");
-            }
-            usage();
+            eprintln!("error: {message}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -109,8 +107,7 @@ fn main() -> ExitCode {
             match experiments::run_by_id(id, config) {
                 Some(report) => reports.push(report),
                 None => {
-                    eprintln!("error: unknown experiment id {id:?}");
-                    usage();
+                    eprintln!("error: unknown experiment id {id:?}\n{USAGE}");
                     return ExitCode::from(2);
                 }
             }

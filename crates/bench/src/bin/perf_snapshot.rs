@@ -2,13 +2,13 @@
 //! artifact.
 //!
 //! Runs the paper's two-species jump-chain kernel
-//! (`two_species_jump_chain`), the fixed-work kernels the Criterion benches
-//! measure interactively (`simulator_kernels_k6`, `batch_streaming`,
-//! `sampling_kernels`, `protocol_batching`, `protocol_bridging`), an
-//! early-stopped threshold probe on the parallel stream
-//! (`stream_early_stop`) plus the threshold-surface server's cache-hit
-//! round trip (`server_roundtrip`) with a plain wall-clock timer and writes
-//! the results to `BENCH_8.json`,
+//! (`two_species_jump_chain`), every registered backend on one n = 512
+//! majority scenario to consensus (`simulator_kernels`), the fixed-work
+//! kernels (`simulator_kernels_k6`, `batch_streaming`, `sampling_kernels`,
+//! `protocol_batching`, `protocol_bridging`), an early-stopped threshold
+//! probe on the parallel stream (`stream_early_stop`) plus the
+//! threshold-surface server's cache-hit round trip (`server_roundtrip`)
+//! with a plain wall-clock timer and writes the results to `BENCH_8.json`,
 //! so the performance trajectory of the hot paths is recorded per revision
 //! instead of living only in scrollback. CI runs `--quick` mode on every
 //! push, which keeps the artifact (and the kernels behind it) from rotting.
@@ -50,7 +50,7 @@
 //! the JSON is written, and the tool then exits with status 1 naming every
 //! failed guard.
 
-use lv_engine::{backend, Backend, RunReport, Scenario};
+use lv_engine::{backend, Backend, BackendRegistry, RunReport, Scenario};
 use lv_lotka::{CompetitionKind, LvModel, MultiLvModel};
 use lv_sim::{MonteCarlo, Seed, ThresholdSearch};
 use rand::rngs::StdRng;
@@ -278,6 +278,25 @@ fn main() {
             stream_ms[1], stream_ms[0],
         )
     });
+
+    // ---- simulator_kernels: every registered backend runs the same
+    // observer-free SD majority scenario (n = 512, split 281/231) to
+    // consensus, so the entries compare the execution engines themselves.
+    let consensus = Scenario::new(lv, (281, 231))
+        .with_stop(lv_crn::StopCondition::any_species_extinct().with_max_events(100_000_000))
+        .with_tau(1e-3);
+    for (trial, engine) in BackendRegistry::global().iter().enumerate() {
+        let mut events = 0;
+        let wall_ms = time_ms(reps, || {
+            let mut rng = seed().rng_for_trial(trial as u64);
+            events = engine.run(&consensus, &mut rng).events;
+        });
+        kernels.push(Kernel {
+            name: format!("simulator_kernels/{}_to_consensus_n512", engine.name()),
+            wall_ms,
+            events,
+        });
+    }
 
     // ---- simulator_kernels_k6: 5000 exact CRN events on a symmetric
     // 6-species network, per simulator.

@@ -18,7 +18,7 @@
 //!
 //! [`PseudoCoupling`] is an operational implementation of exactly this joint
 //! chain, so the invariants and the domination conditions can be checked
-//! empirically (experiment E13 of DESIGN.md).
+//! empirically (experiment E13 of `lv-sim`'s experiment suite).
 
 use crate::chain::BirthDeathChain;
 use rand::Rng;

@@ -80,8 +80,8 @@ fn non_self_destructive_asymmetry_biases_the_competition_noise() {
     //   √(n log n) gap is hopeless — only near-linear gaps can compensate.
     //
     // (The neutral case, drift zero, is the Θ(√n·log n)-threshold regime of
-    // Theorem 18; this deviation for minority-favouring asymmetry is recorded
-    // in EXPERIMENTS.md.)
+    // Theorem 18; this test pins down the deviation for minority-favouring
+    // asymmetry.)
     let n: u64 = 2_000;
     let gap = ((n as f64) * (n as f64).ln()).sqrt() as u64;
     let a = (n + gap) / 2;

@@ -24,8 +24,10 @@ use serde::{Deserialize, Serialize};
 /// bounding the birth propensity by a resource-inflow cap `C` exercises the
 /// same "bounded, non-mass-action growth" behaviour the analysis relies on
 /// (their dominating chain is a nice chain precisely because growth is
-/// bounded), without simulating the resource molecule counts themselves. This
-/// substitution is recorded in DESIGN.md.
+/// bounded), without simulating the resource molecule counts themselves.
+/// This is a deliberate substitution: the thresholds measured here are those
+/// of the capped model, which shares the bounded growth of Andaur et al.'s
+/// model but not its resource dynamics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AndaurResourceModel {
     /// Per-capita growth rate `β` (applied to the resource-limited count).

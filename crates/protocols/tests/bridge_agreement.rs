@@ -44,11 +44,6 @@ fn counted_run(dynamics: &CountedDynamics, a: u64, b: u64, seed: u64) -> (bool, 
     (sim.counts()[0] > 0, sim.interactions())
 }
 
-/// The Wilson 95% score interval for `wins` successes over `trials`.
-fn wilson_95(wins: u64, trials: u64) -> (f64, f64) {
-    wilson(wins, trials, 1.96)
-}
-
 /// The Wilson score interval at normal quantile `z`.
 fn wilson(wins: u64, trials: u64, z: f64) -> (f64, f64) {
     let n = trials as f64;
@@ -85,20 +80,24 @@ fn ks_statistic(xs: &mut [u64], ys: &mut [u64]) -> f64 {
 #[test]
 fn bridged_win_probability_sits_in_the_wilson_interval_of_the_proportional_law() {
     // P(A wins) = a/n exactly for the conversion dynamics; the bridged
-    // sampler must keep each empirical Wilson 95% interval on the law.
-    for (a, n, trials, seed_base) in [
-        (512u64, 1_024u64, 800u64, 10_000u64), // tie: blocks do all the work
-        (768, 1_024, 800, 20_000),             // 3:1, mixed block/band regime
-        (992, 1_024, 800, 30_000),             // near-boundary start
+    // sampler must keep each empirical Wilson interval on the law. Three
+    // starts share a 10⁻³ family false-alarm rate (Bonferroni: z = 3.59 per
+    // start), and 2 700 trials per start keep each interval no wider than a
+    // 95% one over 800 trials: (3.59 / 1.96)² × 800 ≈ 2 700.
+    for (a, n, seed_base) in [
+        (512u64, 1_024u64, 10_000u64), // tie: blocks do all the work
+        (768, 1_024, 20_000),          // 3:1, mixed block/band regime
+        (992, 1_024, 30_000),          // near-boundary start
     ] {
+        let trials = 2_700u64;
         let wins = (0..trials)
             .filter(|&seed| bridged_run(a, n - a, seed_base + seed).0)
             .count() as u64;
-        let (lo, hi) = wilson_95(wins, trials);
+        let (lo, hi) = wilson(wins, trials, 3.59);
         let law = a as f64 / n as f64;
         assert!(
             lo <= law && law <= hi,
-            "start ({a}, {}): Wilson 95% [{lo:.4}, {hi:.4}] misses a/n = {law:.4}",
+            "start ({a}, {}): Wilson z = 3.59 [{lo:.4}, {hi:.4}] misses a/n = {law:.4}",
             n - a
         );
     }

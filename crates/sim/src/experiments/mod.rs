@@ -1,11 +1,11 @@
-//! The experiment suite of DESIGN.md (E1–E16).
+//! The experiment suite (E1–E16); README's "Reproducing the paper" section
+//! summarises what it shows.
 //!
 //! Every experiment regenerates one artefact of the paper's evaluation —
 //! a row of Table 1, a theorem's quantitative claim, or a supporting scaling
-//! curve — and returns an [`ExperimentReport`] that renders as plain text
-//! (the same text EXPERIMENTS.md records). The `experiments` binary in the
-//! `lv-bench` crate runs any subset of them from the command line, and the
-//! Criterion benches wrap the same functions.
+//! curve — and returns an [`ExperimentReport`] that renders as plain text.
+//! The `experiments` binary in the `lv-bench` crate runs any subset of them
+//! from the command line.
 //!
 //! | id | paper artefact | function |
 //! |----|----------------|----------|
@@ -43,10 +43,10 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Profile {
     /// Small population sizes and trial counts — seconds per experiment, used
-    /// by tests and the Criterion benches.
+    /// by tests and the `experiments` binary's default run.
     Quick,
-    /// The population sizes and trial counts reported in EXPERIMENTS.md —
-    /// minutes per experiment.
+    /// The paper-scale population sizes and trial counts — minutes per
+    /// experiment.
     Full,
 }
 
@@ -116,7 +116,7 @@ pub struct ExperimentReport {
     pub title: String,
     /// Result tables (one per series).
     pub tables: Vec<Table>,
-    /// Key findings as sentences (the qualitative checks of DESIGN.md).
+    /// Key findings as sentences (the experiment's qualitative checks).
     pub findings: Vec<String>,
 }
 

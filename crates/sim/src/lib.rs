@@ -21,7 +21,7 @@
 //! * [`ScalingLaw`] / [`ScalingFit`] — least-squares fits of measured
 //!   thresholds or times against the candidate asymptotic laws
 //!   (`log² n`, `√(n log n)`, `√n`, `n`, …);
-//! * [`experiments`] — one module per experiment of DESIGN.md (E1–E15), each
+//! * [`experiments`] — the experiment suite (E1–E16), each experiment
 //!   producing a printable report; together they regenerate every row of
 //!   Table 1 plus the supporting scaling results, the k-species plurality
 //!   suite and the backend-generic threshold-scaling comparison;

@@ -2,8 +2,8 @@
 //!
 //! The experiment suite prints results as plain-text tables mirroring the
 //! rows of Table 1 and the series behind each figure-style sweep. The tables
-//! are deliberately dependency-free so they render identically in test logs,
-//! the `experiments` binary and EXPERIMENTS.md.
+//! are deliberately dependency-free so they render identically in test logs
+//! and in the `experiments` binary's output.
 
 use std::fmt;
 

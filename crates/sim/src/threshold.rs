@@ -465,7 +465,7 @@ where
 /// needs `ω(n)` trials per gap, so the search uses the configured trial
 /// budget and a clamped target `min(1 − 1/n, 1 − 3/trials)` — enough to
 /// expose the asymptotic *shape* (polylog vs. polynomial) that Table 1 is
-/// about, which is how EXPERIMENTS.md reports it.
+/// about, which is how the E1/E2 experiments report it.
 ///
 /// Each probe is adaptive: it streams trials through the early-stopped
 /// success estimator with a decision boundary at the target, so it ends as

@@ -90,7 +90,7 @@ fn chain_domination_holds_across_crates() {
 fn quick_experiment_suite_runs_and_reports() {
     // Run three representative experiments in the quick profile end to end
     // and sanity-check their reports. (The full suite is exercised by the
-    // `experiments` binary and the benches.)
+    // `experiments` binary.)
     let config = ExperimentConfig::quick(17);
     for id in ["e3", "e6", "e13"] {
         let report = experiments::run_by_id(id, config).expect("known experiment id");
