@@ -5,10 +5,10 @@
 //! (`two_species_jump_chain`), every registered backend on one n = 512
 //! majority scenario to consensus (`simulator_kernels`), the fixed-work
 //! kernels (`simulator_kernels_k6`, `batch_streaming`, `sampling_kernels`,
-//! `protocol_batching`, `protocol_bridging`), an early-stopped threshold
-//! probe on the parallel stream (`stream_early_stop`) plus the
-//! threshold-surface server's cache-hit round trip (`server_roundtrip`)
-//! with a plain wall-clock timer and writes the results to `BENCH_8.json`,
+//! `protocol_batching`, `protocol_windows`, `protocol_bridging`), an
+//! early-stopped threshold probe on the parallel stream
+//! (`stream_early_stop`) plus the threshold-surface server's cache-hit
+//! round trip (`server_roundtrip`) with a plain wall-clock timer and writes the results to `BENCH_8.json`,
 //! so the performance trajectory of the hot paths is recorded per revision
 //! instead of living only in scrollback. CI runs `--quick` mode on every
 //! push, which keeps the artifact (and the kernels behind it) from rotting.
@@ -34,6 +34,14 @@
 //!   *falls* with `n` (one epoch of Θ(√n) interactions costs a constant
 //!   number of draws) while the agent-list cost rises once its state array
 //!   outgrows the cache.
+//! - `protocol_windows`: approximate majority's thinning windows vs its
+//!   batched epochs vs the backend's window-or-epoch rule, on
+//!   `protocol-sweep`'s own points (`n = 10⁴` and `10⁵`), timed interleaved
+//!   on the same trial seeds; interactions per trial are checked in law, and
+//!   the windows must beat the epochs by 2× or more at `n = 10⁴` at equal
+//!   work (also in `--quick` mode, which runs the same points on fewer
+//!   trials). The section also prints the rule's two cost constants,
+//!   nanoseconds per candidate and per epoch.
 //! - `protocol_bridging`: the conversion dynamics. First the exact
 //!   thinning-window kernel (`czyzowicz-lv`, `czyzowicz-lv-k`) against the
 //!   batched counted epoch on `protocol-sweep`'s own conversion points
@@ -727,6 +735,157 @@ fn main() {
             wall_ms: epoch_ms,
             events: epochs,
         });
+    }
+
+    // ---- protocol_windows: the approximate-majority backend's two steppers
+    // on `protocol-sweep`'s own points (n = 10⁴ and 10⁵, at gaps inside the
+    // sweep's threshold bands), built as the threshold search builds them.
+    // Three arms run the same trial seeds to the search's stop, timed
+    // interleaved: exact thinning windows alone
+    // (`CountedSimulation::step_window`), batched epochs alone
+    // (`step_epoch`, single steps where an epoch would overrun the budget),
+    // and the backend itself, which picks one of the two before every step
+    // by its window-or-epoch rule. Interactions per trial must agree in law.
+    // Absorption times differ per stream, so the comparisons project the
+    // epochs' per-interaction cost onto the other arm's interaction count.
+    // Direction guard: at n = 10⁴ the windows must beat the epochs by 2× or
+    // more at equal work.
+    //
+    // Then the rule's two cost constants: nanoseconds per window candidate
+    // (`C_cand`) and per epoch (`C_epoch`), each stepper alone over the
+    // first 2n interactions of the same trials, timed interleaved. That is
+    // the near-tie phase (W̄/N ≈ 0.5) where the rule's choice is closest;
+    // later in a run epochs get cheaper (the counts barely move, so their
+    // cached urn samplers hit), but there the windows are cheaper still.
+    // The backend's `EPOCH_COST_IN_CANDIDATES` is `C_epoch/C_cand`.
+    {
+        use lv_protocols::{ApproximateMajority, CountedDynamics, CountedSimulation};
+        use lv_sim::{GapScenario, TwoSpeciesGap};
+        let trials: u64 = if quick { 8 } else { 32 };
+        let window_reps = if quick { 5 } else { 21 };
+        let dynamics = CountedDynamics::from_protocol(&ApproximateMajority::new());
+        let engine = backend("approx-majority").expect("builtin backend");
+        for (n, gap) in [(10_000u64, 130u64), (100_000, 480)] {
+            let budget = (40.0 * n as f64 * (n as f64).ln()).ceil() as u64;
+            let scenario = TwoSpeciesGap::new(LvModel::default(), n)
+                .with_max_events(budget)
+                .scenario(gap);
+            // One stepper alone until the search's stop or `limit`
+            // interactions: interactions per trial, and the stepper's work
+            // units (candidates for windows, epochs for epochs).
+            let alone = |windows: bool, limit: u64| -> (Vec<u64>, u64) {
+                let limit = limit.min(budget);
+                let mut work = 0u64;
+                let events = (0..trials)
+                    .map(|trial| {
+                        let mut rng = seed().rng_for_trial(trial);
+                        let mut sim =
+                            CountedSimulation::new(&dynamics, scenario.initial().counts());
+                        let mut opinions = [0u64; 2];
+                        loop {
+                            sim.opinion_counts_into(&mut opinions);
+                            if opinions.contains(&0) || sim.interactions() >= limit {
+                                break;
+                            }
+                            let left = limit - sim.interactions();
+                            if windows {
+                                sim.step_window(&mut rng, left);
+                            } else if sim.step_epoch(&mut rng, left).is_some() {
+                                work += 1;
+                            } else {
+                                sim.step(&mut rng);
+                            }
+                        }
+                        work += sim.candidates();
+                        sim.interactions()
+                    })
+                    .collect();
+                (events, work)
+            };
+            let rule = || -> Vec<u64> {
+                (0..trials)
+                    .map(|trial| {
+                        engine
+                            .run(&scenario, &mut seed().rng_for_trial(trial))
+                            .events
+                    })
+                    .collect()
+            };
+            let (window_events, _) = alone(true, budget);
+            let (epoch_events, _) = alone(false, budget);
+            let rule_events = rule();
+            let label = format!("approx_majority_n{n}_gap{gap}");
+            assert_events_agree_in_law(&label, &window_events, &epoch_events);
+            assert_events_agree_in_law(&label, &rule_events, &epoch_events);
+            let [window_ms, epoch_ms, rule_ms] = time_interleaved_ms(
+                window_reps,
+                [
+                    &|| assert_eq!(alone(true, budget).0, window_events),
+                    &|| assert_eq!(alone(false, budget).0, epoch_events),
+                    &|| assert_eq!(rule(), rule_events),
+                ],
+            );
+            let work = |events: &[u64]| events.iter().sum::<u64>();
+            for (variant, wall_ms, events) in [
+                ("windows", window_ms, work(&window_events)),
+                ("epochs", epoch_ms, work(&epoch_events)),
+                ("rule", rule_ms, work(&rule_events)),
+            ] {
+                kernels.push(Kernel {
+                    name: format!("protocol_windows/{label}_{trials}trials_{variant}"),
+                    wall_ms,
+                    events,
+                });
+            }
+            let per_interaction_epoch_ms = epoch_ms / work(&epoch_events) as f64;
+            let projected = |events: &[u64]| per_interaction_epoch_ms * work(events) as f64;
+            for (variant, accelerated_ms, events) in [
+                ("windows", window_ms, &window_events),
+                ("rule", rule_ms, &rule_events),
+            ] {
+                speedups.push(Speedup {
+                    name: format!("approx_majority_{variant}_vs_epochs_n{n}"),
+                    baseline_ms: projected(events),
+                    accelerated_ms,
+                });
+            }
+            if n == 10_000 {
+                let baseline_ms = projected(&window_events);
+                guard(&mut failed, baseline_ms >= 2.0 * window_ms, || {
+                    format!(
+                        "{label}: thinning windows are not 2x the epochs at equal work: \
+                         {window_ms:.3} ms vs {baseline_ms:.3} ms"
+                    )
+                });
+            }
+
+            let segment = 2 * n;
+            let (_, candidates) = alone(true, segment);
+            let (_, epochs) = alone(false, segment);
+            let [candidate_ms, epochs_ms] = time_interleaved_ms(
+                window_reps,
+                [&|| assert_eq!(alone(true, segment).1, candidates), &|| {
+                    assert_eq!(alone(false, segment).1, epochs)
+                }],
+            );
+            for (unit, wall_ms, events) in [
+                ("candidate", candidate_ms, candidates),
+                ("epoch", epochs_ms, epochs),
+            ] {
+                kernels.push(Kernel {
+                    name: format!("protocol_windows/{unit}_cost_n{n}_first_{segment}"),
+                    wall_ms,
+                    events,
+                });
+            }
+            let c_cand = candidate_ms * 1e6 / candidates as f64;
+            let c_epoch = epochs_ms * 1e6 / epochs as f64;
+            println!(
+                "protocol_windows/n{n}: C_cand {c_cand:.2} ns per candidate, C_epoch {c_epoch:.0} ns \
+                 per epoch, C_epoch/C_cand {:.0}",
+                c_epoch / c_cand
+            );
+        }
     }
 
     // ---- protocol_bridging/thinning: the conversion backends' exact

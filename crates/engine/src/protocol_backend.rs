@@ -17,27 +17,42 @@
 //! # Batched vs agent-list execution
 //!
 //! The two-opinion protocol backends (`approx-majority`, `exact-majority`,
-//! `annihilation-lv`) execute **count-based and batched**
-//! ([`lv_protocols::CountedSimulation`]): an epoch samples a collision-free
-//! batch of `Θ(√n)` interactions from the birthday-bound distribution,
-//! applies the transitions as count deltas via hypergeometric splits, and
-//! resolves the one colliding interaction exactly. Epochs are equal *in
-//! distribution* to the same number of per-interaction steps, but consume a
-//! different RNG stream and report aggregated [`StepRecord`]s
-//! (`event = None`, `firings = epoch length` — the same vocabulary as
+//! `annihilation-lv`) execute **in count space**
+//! ([`lv_protocols::CountedSimulation`]) with two exact steppers:
+//!
+//! - a batched *epoch* samples a collision-free batch of `Θ(√n)`
+//!   interactions from the birthday-bound distribution, applies the
+//!   transitions as count deltas via hypergeometric splits, and resolves
+//!   the one colliding interaction exactly;
+//! - a *thinning window* draws only candidates for the interactions that
+//!   change a state (`W̄/(n(n−1))` of them per interaction, `W̄` a bound on
+//!   the productive ordered-pair weight) and charges the inert ones in one
+//!   negative binomial draw.
+//!
+//! Before every step [`window_pays`] compares their expected costs per
+//! interaction — one deterministic rule, calibrated by `perf-snapshot` — so
+//! small populations and near-consensus states run windows, and the
+//! near-tie phase of large populations runs epochs. Both are equal *in
+//! distribution* to the same number of per-interaction steps but consume a
+//! different RNG stream and report aggregated [`StepRecord`]s (`event =
+//! None`, `firings` = their interactions — the same vocabulary as
 //! tau-leaping), so agreement with the agent-list stepper is statistical,
-//! not bit-exact. Absorption — no schedulable pair can change any state —
-//! is detected by an `O(#states²)` count check at epoch boundaries, which
-//! subsumes the per-protocol monitors (committed consensus, exhausted
-//! strong tokens) of the agent-list path.
+//! not bit-exact; with observers attached, a window is replayed as one
+//! classified record per productive interaction. Absorption — no
+//! schedulable pair can change any state — is detected by an
+//! `O(#states²)` count check between steps, which subsumes the
+//! per-protocol monitors (committed consensus, exhausted strong tokens) of
+//! the agent-list path, and a window ends on the interaction that empties a
+//! state, so a committed opinion's extinction stops a run exactly there.
 //!
 //! The Czyzowicz conversion dynamics (`czyzowicz-lv`, `czyzowicz-lv-k` and
 //! the two bridged rows) run on [`lv_protocols::BridgedConversionWalk`]
-//! instead: only a cross-opinion pair changes state there, so exact
-//! *thinning windows* skip the inert interactions without simulating them,
-//! and the bridged rows add diffusion-bridged blocks away from the
-//! boundaries (see [`run_conversion`]). They report aggregated records too
-//! and count as batched.
+//! instead: only a cross-opinion pair changes state there, so the walk's
+//! own thinning windows skip the inert interactions, the exact rows hand
+//! the counts to a counted epoch wherever the same rule picks one, and the
+//! bridged rows add diffusion-bridged blocks away from the boundaries (see
+//! [`run_conversion`]). They report aggregated records too and count as
+//! batched.
 //!
 //! The legacy agent-list steppers of the first three two-opinion baselines
 //! are registered under `-agents` names for bit-exact runs against
@@ -52,6 +67,7 @@ use crate::report::RunReport;
 use crate::scenario::Scenario;
 use lv_crn::StopReason;
 use lv_lotka::PopulationEvent;
+use lv_protocols::sampling::BatchLengthSampler;
 use lv_protocols::{
     ApproximateMajority, BridgedConversionWalk, CountedDynamics, CountedSimulation,
     CzyzowiczLvProtocol, ExactMajority4State, FourState, Interaction, Opinion, PopulationProtocol,
@@ -59,11 +75,27 @@ use lv_protocols::{
 };
 use rand::rngs::StdRng;
 
-/// Populations below this size are single-stepped even by the batched
-/// backends: birthday-bound batches hold only a handful of interactions
-/// there (`E[ℓ] = Θ(√n)`), so the epoch set-up cost is not amortised — the
-/// regime "near absorption" where batches degenerate.
-const BATCH_MIN_POPULATION: u64 = 64;
+/// The cost of one batched epoch in units of one thinning-window
+/// candidate, `C_epoch/C_cand` (see [`window_pays`]), as measured by
+/// `perf-snapshot`'s `protocol_windows` section on a 2-vCPU x86-64 host in
+/// full mode, over the first 2n interactions of approximate-majority
+/// trials: 1017 ns per epoch against 9.27 ns per candidate at n = 10⁵
+/// (ratio 110), 894 ns against 9.63 ns at n = 10⁴ (ratio 93). The n = 10⁵
+/// ratio is the one that decides anything: at n = 10⁴ an epoch holds
+/// `E[ℓ] + 1 ≈ 64` interactions, so any ratio above 64 runs windows
+/// throughout.
+const EPOCH_COST_IN_CANDIDATES: f64 = 110.0;
+
+/// The window-or-epoch rule of the count-space backends: a thinning window
+/// costs about `C_cand` per candidate and draws `candidate_rate` candidates
+/// per interaction, an epoch costs about `C_epoch` for its
+/// `epoch_interactions = E[ℓ] + 1` interactions, so the window is the
+/// cheaper step per interaction iff
+/// `C_cand · candidate_rate < C_epoch/(E[ℓ] + 1)`. Deterministic: it reads
+/// only the configuration and the population size, never a clock.
+fn window_pays(candidate_rate: f64, epoch_interactions: f64) -> bool {
+    candidate_rate * epoch_interactions < EPOCH_COST_IN_CANDIDATES
+}
 
 /// Protocol-specific absorption bookkeeping for the generic agent-list
 /// stepper: decides when the configuration is *absorbed* (no future
@@ -183,12 +215,19 @@ where
     }
 }
 
-/// Runs compiled [`CountedDynamics`] as an execution backend: count-based
-/// state, batched epochs above [`BATCH_MIN_POPULATION`] agents, exact
-/// single-stepping below it and whenever a sampled epoch would overrun the
-/// event budget. Single steps report classified per-event records exactly
-/// like the agent-list path; epochs report one aggregated record
-/// (`event = None`, `firings` = epoch length).
+/// Runs compiled [`CountedDynamics`] as an execution backend on count-based
+/// state, choosing before every step between a batched epoch
+/// ([`CountedSimulation::step_epoch`]) and an exact thinning window
+/// ([`CountedSimulation::step_window`]) by [`window_pays`]. A window also
+/// takes over whenever a sampled epoch would overrun the event budget: it
+/// cuts itself at the budget exactly.
+///
+/// Epochs report one aggregated record (`event = None`, `firings` = epoch
+/// length), and so do windows on observer-free runs. With observers
+/// attached, each window is replayed as one classified record per
+/// productive interaction (a cancellation is an `Interspecific` attack, a
+/// recruitment a `Birth`) plus one `event = None` record for its inert
+/// interactions, all stamped with the window's end time.
 fn run_counted(
     dynamics: &CountedDynamics,
     name: &'static str,
@@ -210,7 +249,13 @@ fn run_counted(
         return driver.finish(name, StopReason::Absorbed);
     }
     let mut sim = CountedSimulation::new(dynamics, initial.counts());
+    let epoch_interactions = sim.mean_epoch_interactions();
+    // Where even a window that draws every interaction as a candidate pays,
+    // the rule needs no evaluation.
+    let always_windows = window_pays(1.0, epoch_interactions);
+    let per_interaction = !scenario.observers().is_empty();
     let mut opinions = vec![0u64; dynamics.species_count()];
+    sim.opinion_counts_into(&mut opinions);
     loop {
         if let Some(reason) = driver.check_stop() {
             return driver.finish(name, reason);
@@ -218,26 +263,46 @@ fn run_counted(
         if sim.is_absorbed() {
             return driver.finish(name, StopReason::Absorbed);
         }
-        let remaining = driver.events_left();
-        if sim.total() >= BATCH_MIN_POPULATION {
-            if let Some(fired) = sim.step_epoch(rng, remaining) {
+        let budget = driver.events_left();
+        if !always_windows && !window_pays(sim.candidate_rate(), epoch_interactions) {
+            if let Some(fired) = sim.step_epoch(rng, budget) {
                 sim.opinion_counts_into(&mut opinions);
                 driver.record(None, &opinions, sim.interactions() as f64, fired);
                 continue;
             }
-            // The sampled epoch would overrun the event budget; the run ends
-            // within `remaining` interactions either way, so finish it one
-            // exact interaction at a time (no bias in the truncated prefix).
         }
-        let interaction = sim.step(rng);
-        sim.opinion_counts_into(&mut opinions);
-        let event = classify(
-            dynamics.output(interaction.initiator_before),
-            dynamics.output(interaction.initiator_after),
-            dynamics.output(interaction.responder_before),
-            dynamics.output(interaction.responder_after),
-        );
-        driver.record(event, &opinions, sim.interactions() as f64, 1);
+        let fired = sim.step_window(rng, budget);
+        let time = sim.interactions() as f64;
+        if !per_interaction {
+            sim.opinion_counts_into(&mut opinions);
+            driver.record(None, &opinions, time, fired);
+            continue;
+        }
+        let mut inert = fired;
+        for interaction in sim.window_interactions() {
+            for (before, after) in [
+                (interaction.initiator_before, interaction.initiator_after),
+                (interaction.responder_before, interaction.responder_after),
+            ] {
+                if let Some(species) = dynamics.output(before) {
+                    opinions[species] -= 1;
+                }
+                if let Some(species) = dynamics.output(after) {
+                    opinions[species] += 1;
+                }
+            }
+            let event = classify(
+                dynamics.output(interaction.initiator_before),
+                dynamics.output(interaction.initiator_after),
+                dynamics.output(interaction.responder_before),
+                dynamics.output(interaction.responder_after),
+            );
+            driver.record(event, &opinions, time, 1);
+            inert -= 1;
+        }
+        if inert > 0 {
+            driver.record(None, &opinions, time, inert);
+        }
     }
 }
 
@@ -246,7 +311,7 @@ fn run_counted(
 /// `"czyzowicz-lv"`, `"czyzowicz-lv-k"` and, with `bridged`, of the two
 /// diffusion-bridged rows.
 ///
-/// Every row steps by exact **thinning windows**
+/// The rows step by exact **thinning windows**
 /// ([`BridgedConversionWalk::step_window`]): the inert interactions — 70–80%
 /// of them near a tie — are never simulated one by one but charged per
 /// window in one negative binomial draw, and a window cut at the event
@@ -256,9 +321,17 @@ fn run_counted(
 /// `cᵢ/n` over `k` species), on a different RNG stream than a per-interaction
 /// stepper. A window ends at every extinction, so extinction and consensus
 /// stops are checked exactly; other count conditions are checked at window
-/// ends, as at the batched backends' epoch boundaries.
+/// ends, as at epoch boundaries.
 ///
-/// The bridged rows first try a diffusion-bridged block
+/// The exact rows apply [`window_pays`] before every step and hand the
+/// counts to a batched epoch of [`CountedDynamics::k_opinion_czyzowicz`]
+/// where it picks one: a window draws a candidate for about half of the
+/// interactions near a tie, so past `n ≈ 10⁵` an epoch's `Θ(√n)`
+/// interactions for a constant number of draws are cheaper. Below
+/// `n ≈ 3·10⁴`, where even a window drawing every interaction is cheaper
+/// than an epoch, the rule is not evaluated and the stream is the windows'.
+///
+/// The bridged rows instead first try a diffusion-bridged block
 /// ([`BridgedConversionWalk::try_block`]) and fall back to a window inside
 /// the boundary-proximity band. Blocks bridge the displacement exactly but
 /// reconstruct the interaction clock from its CLT limit, so their cost per
@@ -266,12 +339,12 @@ fn run_counted(
 /// which is what pushes the linear-gap-law sweeps of E16 to `n = 10⁷`.
 ///
 /// Observer-free runs (the threshold searches) record one aggregated
-/// [`StepRecord`](crate::StepRecord) per window or block (`event = None`,
-/// `firings` = its interactions). With observers attached, each window is
-/// replayed from its log as one competitive-attack record per conversion
-/// plus one `event = None` record for its inert interactions, all stamped
-/// with the window's end time, so event counts and the noise decomposition
-/// see every conversion.
+/// [`StepRecord`](crate::StepRecord) per window, epoch or block (`event =
+/// None`, `firings` = its interactions). With observers attached, each
+/// window is replayed from its log as one competitive-attack record per
+/// conversion plus one `event = None` record for its inert interactions,
+/// all stamped with the window's end time, so event counts and the noise
+/// decomposition see every conversion the windows resolve.
 fn run_conversion(
     name: &'static str,
     scenario: &Scenario,
@@ -289,6 +362,18 @@ fn run_conversion(
     let mut walk = BridgedConversionWalk::new(initial.counts());
     let per_conversion = !scenario.observers().is_empty();
     let mut counts = initial.counts().to_vec();
+    // The exact rows hand the counts to a batched epoch wherever
+    // `window_pays` picks one (blocks play that part on the bridged rows).
+    // Where even a window that draws every interaction as a candidate pays,
+    // the rule needs no evaluation and no epoch engine.
+    let epochs_may_pay = !bridged && {
+        let epoch_interactions = BatchLengthSampler::shared(initial.total()).mean() + 1.0;
+        !window_pays(1.0, epoch_interactions)
+    };
+    let dynamics =
+        epochs_may_pay.then(|| CountedDynamics::k_opinion_czyzowicz(scenario.species_count()));
+    let mut epochs: Option<CountedSimulation> = None;
+    let mut elapsed = 0u64;
     loop {
         if let Some(reason) = driver.check_stop() {
             return driver.finish(name, reason);
@@ -299,13 +384,27 @@ fn run_conversion(
         let budget = driver.events_left();
         if bridged {
             if let Some(fired) = walk.try_block(rng, budget) {
-                driver.record(None, walk.counts(), walk.interactions() as f64, fired);
+                elapsed += fired;
+                driver.record(None, walk.counts(), elapsed as f64, fired);
                 continue;
+            }
+        }
+        if let Some(dynamics) = &dynamics {
+            let sim = epochs.get_or_insert_with(|| CountedSimulation::new(dynamics, walk.counts()));
+            if !window_pays(walk.candidate_rate(), sim.mean_epoch_interactions()) {
+                sim.set_counts(walk.counts());
+                if let Some(fired) = sim.step_epoch(rng, budget) {
+                    walk.set_counts(sim.counts());
+                    elapsed += fired;
+                    driver.record(None, walk.counts(), elapsed as f64, fired);
+                    continue;
+                }
             }
         }
         counts.copy_from_slice(walk.counts());
         let fired = walk.step_window(rng, budget).fired();
-        let time = walk.interactions() as f64;
+        elapsed += fired;
+        let time = elapsed as f64;
         if !per_conversion {
             driver.record(None, walk.counts(), time, fired);
             continue;
@@ -579,18 +678,30 @@ mod tests {
         let outcome = report.to_majority_outcome();
         assert!(outcome.individual_events > 0, "recruitments happened");
         assert!(outcome.competitive_events > 0, "cancellations happened");
-        // The batched path aggregates: far fewer steps than events, and the
-        // aggregated firings land in the unclassified counter (the
-        // tau-leaping vocabulary).
+        // The counted path replays its windows for observers: one
+        // classified record per productive interaction and one aggregated
+        // record per window for the inert ones.
         let report = backend("approx-majority").run(&scenario, &mut rng(1));
+        let counts = report.event_counts().unwrap();
+        assert!(counts.individual > 0, "recruitments happened");
+        assert!(counts.competitive > 0, "cancellations happened");
+        assert!(counts.unclassified > 0, "inert interactions happened");
+        assert_eq!(
+            counts.individual + counts.competitive + counts.unclassified,
+            report.events
+        );
+        assert!(report.steps < report.events);
+        // Without observers every step aggregates: far fewer steps than
+        // events.
+        let unobserved = Scenario::new(LvModel::default(), (400, 100));
+        let report = backend("approx-majority").run(&unobserved, &mut rng(1));
+        assert!(report.majority_won());
         assert!(
             report.steps < report.events / 4,
             "batching did not aggregate: {} steps for {} events",
             report.steps,
             report.events
         );
-        let counts = report.event_counts().unwrap();
-        assert!(counts.unclassified > 0);
     }
 
     #[test]
@@ -619,10 +730,9 @@ mod tests {
 
     #[test]
     fn event_budget_truncates_runs_exactly() {
-        // Also on the batched path: a sampled epoch that would overrun the
-        // budget falls back to single exact steps, so the event count is
-        // exact, not epoch-granular. The conversion rows cut a thinning
-        // window at the budget instead, with or without observers.
+        // Also on the count-space paths: a thinning window that would
+        // overrun the budget is cut at it, with or without observers, so
+        // the event count is exact, not window- or epoch-granular.
         let scenario = Scenario::new(LvModel::default(), (500, 480))
             .with_stop(StopCondition::any_species_extinct().with_max_events(25));
         let observed = scenario.clone().observe(crate::ObserverSpec::EventCounts);
@@ -948,11 +1058,15 @@ mod tests {
     #[test]
     fn batched_runs_match_agent_list_runs_statistically() {
         // The engine-level distributional cross-validation: batched and
-        // agent-list backends must estimate the same win probability. The
-        // population is above BATCH_MIN_POPULATION so epochs really batch.
+        // agent-list backends must estimate the same win probability. Three
+        // two-sample z tests at z = 3.59 (two-sided 3.3·10⁻⁴ each, so the
+        // test fails a correct sampler at most once in 10³ streams). At 650
+        // trials per arm the z bound is at most 3.59·√(2·¼/650) = 0.0996,
+        // inside the |Δp| < 0.1 this test held before, so it detects every
+        // deviation it did.
         let scenario = Scenario::new(LvModel::default(), (90, 70))
             .with_stop(StopCondition::any_species_extinct().with_max_events(10_000_000));
-        let trials = 400u64;
+        let trials = 650u64;
         let measure = |backend: &dyn Backend, offset: u64| {
             (0..trials)
                 .filter(|&seed| {
@@ -975,12 +1089,92 @@ mod tests {
         ] {
             let p_batched = measure(batched, 1_000);
             let p_agents = measure(agents, 2_000);
+            let pooled = (p_batched + p_agents) / 2.0;
+            let bound = 3.59 * (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt();
             assert!(
-                (p_batched - p_agents).abs() < 0.1,
-                "{}: batched {p_batched} vs agent-list {p_agents}",
+                (p_batched - p_agents).abs() <= bound,
+                "{}: batched {p_batched} vs agent-list {p_agents} (bound {bound:.4})",
                 batched.name()
             );
         }
+    }
+
+    #[test]
+    fn conversion_rows_keep_windows_at_the_sweep_points() {
+        // protocol-sweep's exact conversion points: `czyzowicz-lv` at
+        // n = 1000 and `czyzowicz-lv-k` at n = 999 over three opinions. An
+        // epoch holds so few interactions there that even a window drawing
+        // every interaction as a candidate is cheaper, so the rule keeps
+        // windows for whole runs and the rows draw exactly what a bare
+        // window loop draws.
+        for n in [1_000u64, 999] {
+            let epoch = BatchLengthSampler::shared(n).mean() + 1.0;
+            assert!(window_pays(1.0, epoch), "n = {n}: E[ℓ] + 1 = {epoch:.1}");
+        }
+        use lv_lotka::{CompetitionKind, MultiLvModel};
+        let k3 = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
+        let points = [
+            (
+                "czyzowicz-lv",
+                Scenario::new(LvModel::default(), (850, 150)).with_stop(
+                    StopCondition::any_species_extinct().with_max_events(4 * 1_000 * 1_000),
+                ),
+            ),
+            (
+                "czyzowicz-lv-k",
+                Scenario::new(k3, vec![799, 100, 100])
+                    .with_stop(StopCondition::consensus().with_max_events(4 * 999 * 999)),
+            ),
+        ];
+        for (name, scenario) in points {
+            let budget = scenario.stop().max_events().unwrap();
+            for seed in 0..4 {
+                let report = backend(name).run(&scenario, &mut rng(seed));
+                let mut r = rng(seed);
+                let mut walk = BridgedConversionWalk::new(scenario.initial().counts());
+                while !walk.is_absorbed() && walk.interactions() < budget {
+                    walk.step_window(&mut r, budget - walk.interactions());
+                }
+                assert_eq!(report.final_state.counts(), walk.counts(), "{name}");
+                assert_eq!(report.events, walk.interactions(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn large_populations_hand_over_between_epochs_and_windows() {
+        // At n = 10⁶ an epoch holds ~600 interactions, so the rule starts
+        // every row below on epochs; a budget cut lands exactly on the
+        // budget either way, and agents are conserved across the hand-overs.
+        let scenario = Scenario::new(LvModel::default(), (520_000, 480_000))
+            .with_stop(StopCondition::any_species_extinct().with_max_events(123_457));
+        for name in [
+            "approx-majority",
+            "exact-majority",
+            "annihilation-lv",
+            "czyzowicz-lv",
+            "czyzowicz-lv-k",
+        ] {
+            let report = backend(name).run(&scenario, &mut rng(17));
+            assert_eq!(report.reason, StopReason::MaxEventsReached, "{name}");
+            assert_eq!(report.events, 123_457, "{name}");
+            assert!(
+                report.steps * 100 < report.events,
+                "{name}: {} steps",
+                report.steps
+            );
+            if name.starts_with("czyzowicz") {
+                assert_eq!(report.final_state.total(), 1_000_000, "{name}");
+            }
+        }
+        // Near consensus the windows take over, and a window ends on the
+        // interaction that empties the minority: the run stops right there,
+        // with the blanks it has not yet recruited.
+        let endgame = Scenario::new(LvModel::default(), (999_990, 10));
+        let report = backend("approx-majority").run(&endgame, &mut rng(18));
+        assert!(report.consensus_reached());
+        assert_eq!(report.final_state.count(1), 0);
+        assert!(report.final_state.count(0) < 1_000_000);
     }
 
     #[test]

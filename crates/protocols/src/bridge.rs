@@ -27,8 +27,9 @@
 //!   interval, so absorption is never approximated.
 //! * **Boundary-exact band: thinning windows.** Once `L` would fall under
 //!   [`MIN_BLOCK`] the walk advances by exact *thinning windows*
-//!   ([`BridgedConversionWalk::step_window`]), which are also the whole
-//!   kernel of the exact conversion backends. A window fixes a box in which
+//!   ([`BridgedConversionWalk::step_window`]), which are also the kernel
+//!   of the exact conversion backends (next to counted epochs at large
+//!   `n`). A window fixes a box in which
 //!   every live count stays within `±w` (`w` = the smallest live count over
 //!   [`WINDOW_FRACTION`], at least 1) and bounds `q` over it by `q̄`. It
 //!   then draws *candidates*: each interaction is a candidate with
@@ -216,6 +217,30 @@ impl BridgedConversionWalk {
     /// Interactions represented so far (inert ones included).
     pub fn interactions(&self) -> u64 {
         self.interactions
+    }
+
+    /// Replaces the per-opinion counts, keeping the population size and the
+    /// interaction count: hands a configuration over from another stepper
+    /// of the same dynamics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the opinion count or the population size differs.
+    pub fn set_counts(&mut self, counts: &[u64]) {
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            self.n,
+            "conversions conserve the population"
+        );
+        self.counts.copy_from_slice(counts);
+    }
+
+    /// The share of interactions a [`step_window`](Self::step_window) call
+    /// from the current counts draws as candidates, `D̄/(n(n−1))`: its
+    /// expected candidates per interaction.
+    pub fn candidate_rate(&self) -> f64 {
+        let (_, bound) = self.window_box(self.cross_pairs() as u64);
+        bound as f64 / (self.n * (self.n - 1)) as f64
     }
 
     /// Whether the dynamics are absorbed: at most one opinion left alive
@@ -589,7 +614,7 @@ const B_CONVERTS_A: u32 = 3;
 /// redrawing when the low word falls in the rejection zone
 /// `(2⁶⁴ − bound) mod bound`, which the caller computes once per window.
 #[inline]
-fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: u64, zone: u64) -> u64 {
+pub(crate) fn uniform_below<R: Rng + ?Sized>(rng: &mut R, bound: u64, zone: u64) -> u64 {
     loop {
         let wide = (rng.next_u64() as u128) * (bound as u128);
         if wide as u64 >= zone {

@@ -36,15 +36,19 @@
 //! [`counted`] module simulates populations as state → count maps instead of
 //! agent lists: [`CountedDynamics`] compiles a protocol (any
 //! [`EnumerableProtocol`], or the `k`-opinion Czyzowicz dynamics) into a
-//! dense transition table, and [`CountedSimulation`] steps it either one
-//! exact interaction at a time or in collision-free *batches* of `Θ(√n)`
+//! dense transition table, and [`CountedSimulation`] steps it in three
+//! ways, all equal in distribution to the agent-list stepper: one exact
+//! interaction at a time; in collision-free *batches* of `Θ(√n)`
 //! interactions sampled by the birthday-bound and hypergeometric draws of
-//! [`sampling`] — equal in distribution to the agent-list stepper. The
-//! sampling layer's rejection kernels ([`HypergeometricSampler`],
-//! [`BinomialSampler`]) run in constant expected time with per-urn cached
-//! setup, so each epoch costs `O(1)` draws of `O(1)` work — `o(1)` per
-//! interaction with small constants. This is the engine behind the batched
-//! protocol backends and the `n = 10⁷` threshold sweeps.
+//! [`sampling`]; or in exact *thinning windows* that draw only candidates
+//! for the interactions that change a state and charge the inert ones in
+//! one negative binomial draw. The sampling layer's rejection kernels
+//! ([`HypergeometricSampler`], [`BinomialSampler`]) run in constant
+//! expected time with per-urn cached setup, so each epoch costs `O(1)`
+//! draws of `O(1)` work — `o(1)` per interaction with small constants — and
+//! a window costs `O(1)` per candidate, which is cheaper still wherever few
+//! pairs react. This is the engine behind the count-space protocol backends
+//! and the `n = 10⁷` threshold sweeps.
 //!
 //! # Diffusion-bridged first-passage sampling
 //!
@@ -57,7 +61,8 @@
 //! and a boundary-exact band), bringing per-trial cost down to
 //! `Õ(poly log n)` so linear-law sweeps reach `n = 10⁷`. Its exact
 //! *thinning windows* ([`BridgedConversionWalk::step_window`]) resolve the
-//! band and are the whole kernel of the exact conversion backends: they
+//! band and are the kernel of the exact conversion backends (which switch
+//! to counted epochs in the near-tie phase of large populations): they
 //! draw only conversion candidates and charge the inert interactions
 //! between them in one negative binomial draw per window.
 

@@ -64,6 +64,8 @@ pub struct BatchLengthSampler {
     /// cutting the `O(log √n)` cold-cache probes of a full-table search to
     /// two or three touching one cache line.
     guide: Vec<u32>,
+    /// `E[ℓ] = Σⱼ P(ℓ ≥ j + 1)`, the sum of the survival table.
+    mean: f64,
 }
 
 /// Number of uniform buckets in the [`BatchLengthSampler`] guide index.
@@ -106,12 +108,23 @@ impl BatchLengthSampler {
             }
             guide[b] = cut as u32;
         }
-        BatchLengthSampler { n, survival, guide }
+        let mean = survival.iter().sum();
+        BatchLengthSampler {
+            n,
+            survival,
+            guide,
+            mean,
+        }
     }
 
     /// The population size this sampler was built for.
     pub fn population(&self) -> u64 {
         self.n
+    }
+
+    /// The mean batch length `E[ℓ]` (up to the `1e-18` tail truncation).
+    pub fn mean(&self) -> f64 {
+        self.mean
     }
 
     /// The process-wide shared survival table for population size `n`.
@@ -237,6 +250,25 @@ mod tests {
                 assert!(len >= 1, "first interaction cannot collide (n = {n})");
                 assert!(2 * len <= n, "len {len} uses more than {n} agents");
             }
+        }
+    }
+
+    #[test]
+    fn mean_is_the_sampled_mean() {
+        for (n, seed) in [(2u64, 10u64), (64, 11), (10_000, 12)] {
+            let sampler = BatchLengthSampler::new(n);
+            let mut r = rng(seed);
+            let trials = 20_000;
+            let samples: Vec<f64> = (0..trials).map(|_| sampler.sample(&mut r) as f64).collect();
+            let mean = samples.iter().sum::<f64>() / trials as f64;
+            let sd =
+                (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / trials as f64).sqrt();
+            // 4 standard errors (and exact at n = 2, where ℓ = 1 always).
+            assert!(
+                (mean - sampler.mean()).abs() <= 4.0 * sd / (trials as f64).sqrt() + 1e-9,
+                "n = {n}: sampled {mean} vs table {}",
+                sampler.mean()
+            );
         }
     }
 

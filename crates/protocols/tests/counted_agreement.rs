@@ -52,15 +52,26 @@ fn agent_list_run<P: PopulationProtocol>(
     }
 }
 
-/// Runs a counted simulation with the same stop criterion, single-stepping
-/// (`batched = false`) or in birthday-bound epochs (`batched = true`).
+/// How a counted run steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stepper {
+    /// `CountedSimulation::step`.
+    Single,
+    /// Birthday-bound epochs, single steps where one would overrun the
+    /// budget.
+    Batched,
+    /// Exact thinning windows.
+    Windowed,
+}
+
+/// Runs a counted simulation with the same stop criterion.
 fn counted_run(
     dynamics: &CountedDynamics,
     a: u64,
     b: u64,
     seed: u64,
     budget: u64,
-    batched: bool,
+    stepper: Stepper,
 ) -> (RunOutcome, u64) {
     let mut sim = CountedSimulation::new(dynamics, &[a, b]);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -78,10 +89,15 @@ fn counted_run(
             return (RunOutcome::Undecided, sim.interactions());
         }
         let remaining = budget - sim.interactions();
-        if batched && sim.step_epoch(&mut rng, remaining).is_some() {
-            continue;
+        match stepper {
+            Stepper::Windowed => {
+                sim.step_window(&mut rng, remaining);
+            }
+            Stepper::Batched if sim.step_epoch(&mut rng, remaining).is_some() => {}
+            _ => {
+                sim.step(&mut rng);
+            }
         }
-        sim.step(&mut rng);
     }
 }
 
@@ -110,7 +126,8 @@ fn total_variation(p: &[f64; 3], q: &[f64; 3]) -> f64 {
 }
 
 /// One cross-validation: agent-list vs counted single-step vs counted
-/// batched, on outcome frequencies (TVD) and mean interaction counts.
+/// batched vs counted windowed, on outcome frequencies (TVD) and mean
+/// interaction counts.
 fn cross_validate<P: EnumerableProtocol>(
     protocol: &P,
     name: &str,
@@ -124,14 +141,22 @@ fn cross_validate<P: EnumerableProtocol>(
     let (agent_freq, agent_mean) =
         frequencies(|seed| agent_list_run(protocol, a, b, seed, budget), trials);
     let (single_freq, single_mean) = frequencies(
-        |seed| counted_run(&dynamics, a, b, 1_000_000 + seed, budget, false),
+        |seed| counted_run(&dynamics, a, b, 1_000_000 + seed, budget, Stepper::Single),
         trials,
     );
     let (batch_freq, batch_mean) = frequencies(
-        |seed| counted_run(&dynamics, a, b, 2_000_000 + seed, budget, true),
+        |seed| counted_run(&dynamics, a, b, 2_000_000 + seed, budget, Stepper::Batched),
         trials,
     );
-    for (other, freq) in [("counted", &single_freq), ("batched", &batch_freq)] {
+    let (window_freq, window_mean) = frequencies(
+        |seed| counted_run(&dynamics, a, b, 3_000_000 + seed, budget, Stepper::Windowed),
+        trials,
+    );
+    for (other, freq) in [
+        ("counted", &single_freq),
+        ("batched", &batch_freq),
+        ("windowed", &window_freq),
+    ] {
         let tvd = total_variation(&agent_freq, freq);
         assert!(
             tvd <= tvd_bound,
@@ -139,8 +164,13 @@ fn cross_validate<P: EnumerableProtocol>(
         );
     }
     // Interaction counts agree up to sampling noise plus the ≤ one-epoch
-    // (Θ(√n)) absorption-detection overshoot of the batched mode.
-    for (other, mean) in [("counted", single_mean), ("batched", batch_mean)] {
+    // (Θ(√n)) absorption-detection overshoot of the batched mode (windows
+    // end exactly where a committed count empties).
+    for (other, mean) in [
+        ("counted", single_mean),
+        ("batched", batch_mean),
+        ("windowed", window_mean),
+    ] {
         assert!(
             (mean - agent_mean).abs() <= 0.15 * agent_mean.max(1.0),
             "{name}: mean interactions agent-list {agent_mean:.1} vs {other} {mean:.1}"
@@ -207,7 +237,7 @@ fn k2_czyzowicz_dynamics_follow_the_proportional_law_batched() {
     let dynamics = CountedDynamics::k_opinion_czyzowicz(2);
     let trials = 1_200;
     let (freq, _) = frequencies(
-        |seed| counted_run(&dynamics, 150, 50, seed, 50_000_000, true),
+        |seed| counted_run(&dynamics, 150, 50, seed, 50_000_000, Stepper::Batched),
         trials,
     );
     assert!(freq[2] < 0.01, "runs truncated: {freq:?}");

@@ -1,6 +1,8 @@
-//! Law tests of the exact thinning windows
+//! Law tests of the exact thinning windows: the conversion walk's
 //! (`BridgedConversionWalk::step_window`), the kernel of the conversion
-//! backends.
+//! backends, and the counted engine's (`CountedSimulation::step_window`),
+//! which the approximate-majority, exact-majority and annihilation backends
+//! step by wherever they beat a batched epoch.
 //!
 //! The windows skip inert interactions by thinning and charge them in one
 //! negative binomial draw per window, so they consume a different RNG stream
@@ -9,9 +11,13 @@
 //! intervals), the exact mean absorption time `Σₓ G(a, x)/q(x)`, and, when
 //! the event budget binds, the joint law of the final counts (two-sample χ²)
 //! and of the interactions (two-sample Kolmogorov–Smirnov) against a
-//! `CountedSimulation::step` loop.
+//! `CountedSimulation::step` loop. Every assertion holds a correct sampler
+//! to a false-alarm rate of 10⁻³.
 
-use lv_protocols::{BridgedConversionWalk, CountedDynamics, CountedSimulation};
+use lv_protocols::{
+    ApproximateMajority, BridgedConversionWalk, CountedDynamics, CountedSimulation,
+    ExactMajority4State, SelfDestructiveLvProtocol,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -219,6 +225,115 @@ fn budget_bound_runs_match_the_step_loop_in_law() {
             "{counts:?}: interactions KS distance {d:.4} > {bound:.4}"
         );
     }
+}
+
+/// Runs compiled dynamics from `counts` until absorption or `budget`
+/// interactions, by counted thinning windows or by single steps; returns
+/// the final state counts and the interactions.
+fn counted_run(
+    dynamics: &CountedDynamics,
+    counts: &[u64],
+    budget: u64,
+    seed: u64,
+    windows: bool,
+) -> (Vec<u64>, u64) {
+    let mut r = rng(seed);
+    let mut sim = CountedSimulation::new(dynamics, counts);
+    while !sim.is_absorbed() && sim.interactions() < budget {
+        if windows {
+            sim.step_window(&mut r, budget - sim.interactions());
+        } else {
+            sim.step(&mut r);
+        }
+    }
+    assert!(sim.interactions() <= budget, "a window overran the budget");
+    (sim.counts().to_vec(), sim.interactions())
+}
+
+#[test]
+fn counted_windows_match_the_step_loop_in_law() {
+    // Budgets at the step loop's median absorption time, so about half the
+    // runs are cut inside a window. Final state counts: two-sample χ² at
+    // its 99.9% quantile; interactions: two-sample KS at α = 10⁻³.
+    let cases = [
+        (
+            "approx-majority",
+            CountedDynamics::from_protocol(&ApproximateMajority::new()),
+            vec![14u64, 10],
+            200u64,
+        ),
+        (
+            "exact-majority",
+            CountedDynamics::from_protocol(&ExactMajority4State::new()),
+            vec![9, 6],
+            113,
+        ),
+        (
+            "annihilation-lv",
+            CountedDynamics::from_protocol(&SelfDestructiveLvProtocol::new()),
+            vec![12, 9],
+            97,
+        ),
+    ];
+    let trials = 4_000u64;
+    for (name, dynamics, counts, budget) in cases {
+        let mut windows: Vec<(Vec<u64>, u64)> = (0..trials)
+            .map(|seed| counted_run(&dynamics, &counts, budget, 3_000_000 + seed, true))
+            .collect();
+        let mut steps: Vec<(Vec<u64>, u64)> = (0..trials)
+            .map(|seed| counted_run(&dynamics, &counts, budget, 4_000_000 + seed, false))
+            .collect();
+        let cut = windows.iter().filter(|(_, t)| *t == budget).count() as u64;
+        assert!(
+            cut > trials / 5 && cut < trials * 4 / 5,
+            "{name}: the budget binds in {cut} of {trials} runs"
+        );
+        let ends = |runs: &[(Vec<u64>, u64)]| runs.iter().map(|r| r.0.clone()).collect::<Vec<_>>();
+        let (chi2, dof) = two_sample_chi2(&ends(&windows), &ends(&steps));
+        assert!(
+            chi2 < chi2_999(dof),
+            "{name}: final counts χ² = {chi2:.1} over {dof} dof (99.9% {:.1})",
+            chi2_999(dof)
+        );
+        let mut xs: Vec<u64> = windows.iter_mut().map(|r| r.1).collect();
+        let mut ys: Vec<u64> = steps.iter_mut().map(|r| r.1).collect();
+        let d = ks_statistic(&mut xs, &mut ys);
+        let bound = 1.95 * (2.0 / trials as f64).sqrt();
+        assert!(
+            d <= bound,
+            "{name}: interactions KS distance {d:.4} > {bound:.4}"
+        );
+    }
+}
+
+#[test]
+fn counted_windows_decide_approximate_majority_like_the_step_loop() {
+    // Unbudgeted runs to absorption at a population where one window holds
+    // thousands of candidates: the win frequencies of windows and of the
+    // step loop must agree (two-sample z at 3.29, α = 10⁻³).
+    let dynamics = CountedDynamics::from_protocol(&ApproximateMajority::new());
+    let counts = [262u64, 238];
+    let trials = 1_500u64;
+    let wins = |windows: bool, base: u64| {
+        (0..trials)
+            .filter(|&seed| {
+                let (end, _) = counted_run(&dynamics, &counts, u64::MAX, base + seed, windows);
+                end[0] == 500
+            })
+            .count() as u64
+    };
+    let (window_wins, step_wins) = (wins(true, 5_000_000), wins(false, 6_000_000));
+    let (p, q) = (
+        window_wins as f64 / trials as f64,
+        step_wins as f64 / trials as f64,
+    );
+    let pooled = (p + q) / 2.0;
+    let se = (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt();
+    assert!(
+        (p - q).abs() <= 3.29 * se,
+        "windows won {p:.4}, the step loop {q:.4} (z = {:.2})",
+        (p - q) / se
+    );
 }
 
 #[test]

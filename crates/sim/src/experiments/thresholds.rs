@@ -268,7 +268,7 @@ fn large_sweeps(config: ExperimentConfig) -> Vec<LargeSweep> {
     vec![
         LargeSweep {
             key: "approx-majority",
-            label: "3-state approximate majority (batched)",
+            label: "3-state approximate majority (windows + epochs)",
             backend: "approx-majority",
             sizes: approx_sizes,
             trials: approx_trials,
@@ -307,8 +307,9 @@ fn large_sweeps(config: ExperimentConfig) -> Vec<LargeSweep> {
 
 /// **E16 — large-`n` batched protocol threshold sweeps.**
 ///
-/// The count-based batched backends collapse epochs of `Θ(√n)` interactions
-/// into a handful of hypergeometric draws, which moves protocol threshold
+/// The count-based backends collapse epochs of `Θ(√n)` interactions into a
+/// handful of hypergeometric draws and skip inert interactions in exact
+/// thinning windows, which moves protocol threshold
 /// sweeps from the `n ≤ 10³` regime of E15 to `n = 10⁷` — where the
 /// asymptotic laws finally separate numerically instead of only by fit
 /// preference. Three parts:
