@@ -453,7 +453,9 @@ fn main() {
     // ---- stream_early_stop: one probe shaped like the E16 protocol sweep's
     // (approximate majority at n = 10⁴, 48 trials, the boundary rule
     // `ThresholdSearch` builds for that budget), at 1 and 2 threads. The
-    // probe's gap lies below the threshold, so the rule stops it early; a
+    // probe's gap lies just below the threshold, so the rule stops it early
+    // but well past its 8-trial minimum (33 folded trials on this stream;
+    // gaps up to 104 stop at the minimum, 120 runs all 48); a
     // counting wrapper around the backend records `Backend::run` calls per
     // folded trial, i.e. how many trials the parallel stream ran past the
     // stop. Both thread counts must fold the same tally.
@@ -466,7 +468,7 @@ fn main() {
             inner: backend("approx-majority").expect("builtin backend"),
             runs: AtomicU64::new(0),
         }));
-        let (n, gap, trials) = (10_000u64, 104u64, 48u64);
+        let (n, gap, trials) = (10_000u64, 112u64, 48u64);
         let budget = (40.0 * n as f64 * (n as f64).ln()).ceil() as u64;
         let scenario = TwoSpeciesGap::new(LvModel::default(), n)
             .with_max_events(budget)
@@ -1080,13 +1082,15 @@ fn main() {
     }
 
     // ---- server_roundtrip: the threshold-surface service answering a
-    // cached cell, (a) as a direct in-process call and (b) as a full wire
-    // round trip over a Unix socket — the price of a cache hit with and
-    // without framing, codec and socket in the path.
+    // cached cell, (a) as a direct in-process call, (b) the frame codec of
+    // its request and response alone and (c) as a full wire round trip over
+    // a Unix socket — the price of a cache hit with and without framing,
+    // codec and socket in the path.
     {
+        use lv_server::wire::{read_message, write_message, MAX_FRAME_BYTES};
         use lv_server::{
-            BindAddr, Client, EstimateRequest, InProcessExecutor, ScenarioSpec, Server,
-            ServiceConfig, ThresholdService,
+            BindAddr, Client, EstimateRequest, InProcessExecutor, Request, Response, ScenarioSpec,
+            Server, ServiceConfig, ThresholdService,
         };
         let requests: u64 = if quick { 50 } else { 200 };
         let spec = ScenarioSpec::two_species(
@@ -1118,6 +1122,41 @@ fn main() {
             wall_ms: in_process_ms,
             events: requests,
         });
+
+        // The codec alone: encode and decode of the request and of its
+        // cache-hit response, as the client and the server each do once
+        // per round trip.
+        let request_message = Request::Estimate(request.clone());
+        let response_message =
+            Response::Estimate(service.estimate(&request).expect("cached estimate"));
+        let round_trips: [(&str, &dyn Fn()); 2] = [
+            ("request", &|| {
+                let mut frame = Vec::new();
+                write_message(&mut frame, &request_message).expect("encode");
+                let back: Request =
+                    read_message(&mut frame.as_slice(), MAX_FRAME_BYTES).expect("decode");
+                assert_eq!(back, request_message);
+            }),
+            ("response", &|| {
+                let mut frame = Vec::new();
+                write_message(&mut frame, &response_message).expect("encode");
+                let back: Response =
+                    read_message(&mut frame.as_slice(), MAX_FRAME_BYTES).expect("decode");
+                assert_eq!(back, response_message);
+            }),
+        ];
+        for (label, round_trip) in round_trips {
+            let codec_ms = time_ms(reps, || {
+                for _ in 0..requests {
+                    round_trip();
+                }
+            });
+            kernels.push(Kernel {
+                name: format!("server_roundtrip/codec_estimate_{label}_{requests}x"),
+                wall_ms: codec_ms,
+                events: requests,
+            });
+        }
 
         let socket =
             std::env::temp_dir().join(format!("lv-perf-snapshot-{}.sock", std::process::id()));

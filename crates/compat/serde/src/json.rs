@@ -1,363 +1,480 @@
-//! A minimal JSON text codec for the shim's [`Value`] data model.
+//! JSON text: the writer primitives and the pull parser.
 //!
 //! Deviations from strict JSON, all deliberate: the writer emits the bare
 //! literals `NaN`, `Infinity` and `-Infinity` for non-finite floats (scaling
 //! fits report `f64::INFINITY` standard errors on single-sample fits), and
 //! the reader accepts them back. Finite floats are written in Rust's
-//! shortest round-trip representation, so `Value → text → Value` is exact.
+//! shortest round-trip representation, so `value → text → value` is exact.
+//! The reader checks every byte it passes, skipped values included, and
+//! limits nesting to 128 values.
 
-use crate::{Deserialize, Error, Serialize, Value};
+use crate::{Deserialize, Error, Output, Serialize};
+use std::borrow::Cow;
+use std::io::Write as _;
 
 /// Serializes a value to JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
-    out
+    let mut out = Vec::new();
+    value.serialize(&mut out);
+    String::from_utf8(out).expect("the writer emits whole UTF-8 sequences")
 }
 
-/// Deserializes a value from JSON text.
-pub fn from_str<T>(text: &str) -> Result<T, Error>
-where
-    T: for<'de> Deserialize<'de>,
-{
-    T::from_value(&parse(text)?)
-}
-
-/// Serializes an already-built [`Value`] tree to JSON text.
-pub fn value_to_string(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(value, &mut out);
-    out
-}
-
-/// Parses JSON text into a [`Value`] tree.
-pub fn parse(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
-    }
+/// Deserializes a value from JSON text, which must hold exactly one value
+/// (and whitespace).
+pub fn from_str<'de, T: Deserialize<'de>>(text: &'de str) -> Result<T, Error> {
+    let mut de = Deserializer::new(text);
+    let value = T::deserialize(&mut de)?;
+    de.finish()?;
     Ok(value)
 }
 
-fn write_value(value: &Value, out: &mut String) {
+/// Writes a formatted number (an integer's `Display` form, a finite
+/// float's shortest round-trip `Debug` form) without allocating.
+pub fn write_number<O: Output>(out: &mut O, number: std::fmt::Arguments<'_>) {
+    let mut buf = [0u8; 32];
+    let mut rest = &mut buf[..];
+    rest.write_fmt(number).expect("a number fits in 32 bytes");
+    let len = 32 - rest.len();
+    out.write(&buf[..len]);
+}
+
+/// Writes a float: `NaN`, `Infinity` or `-Infinity` when not finite, else
+/// its `Debug` form, which always has a `.` or an exponent and so never
+/// reads back as an integer.
+pub fn write_f64<O: Output>(out: &mut O, value: f64) {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::I64(i) => out.push_str(&i.to_string()),
-        Value::F64(f) => write_f64(*f, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Map(fields) => {
-            out.push('{');
-            for (i, (key, field)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(field, out);
-            }
-            out.push('}');
-        }
+        _ if value.is_nan() => out.write(b"NaN"),
+        f64::INFINITY => out.write(b"Infinity"),
+        f64::NEG_INFINITY => out.write(b"-Infinity"),
+        _ => write_number(out, format_args!("{value:?}")),
     }
 }
 
-fn write_f64(f: f64, out: &mut String) {
-    if f.is_nan() {
-        out.push_str("NaN");
-    } else if f == f64::INFINITY {
-        out.push_str("Infinity");
-    } else if f == f64::NEG_INFINITY {
-        out.push_str("-Infinity");
-    } else {
-        // `{:?}` is the shortest representation that parses back exactly,
-        // and always contains `.` or `e` so integers stay distinguishable.
-        out.push_str(&format!("{f:?}"));
+/// Writes a string literal, escaping `"`, `\` and control characters.
+pub fn write_str<O: Output>(out: &mut O, text: &str) {
+    out.write(b"\"");
+    let mut start = 0;
+    for (i, byte) in text.bytes().enumerate() {
+        let mut unicode = *b"\\u0000";
+        let escaped: &[u8] = match byte {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                unicode[4] = b"0123456789abcdef"[usize::from(byte >> 4)];
+                unicode[5] = b"0123456789abcdef"[usize::from(byte & 0xf)];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.write(&text.as_bytes()[start..i]);
+        out.write(escaped);
+        start = i + 1;
     }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.write(&text.as_bytes()[start..]);
+    out.write(b"\"");
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The first token of a value: a whole scalar, or a container's opening
+/// bracket. A number is an integer when it has no `.`, `e`, `E` or inner
+/// sign and fits (`Signed` when written with a leading `-`, `-0` included),
+/// a float otherwise.
+enum Token<'de> {
+    Null,
+    Bool(bool),
+    Unsigned(u64),
+    Signed(i64),
+    Float(f64),
+    Str(Cow<'de, str>),
+    Seq,
+    Map,
+}
+
+impl Token<'_> {
+    /// What a type error calls the value.
+    fn found(&self) -> &'static str {
+        match self {
+            Token::Null => "null",
+            Token::Bool(_) => "a boolean",
+            Token::Unsigned(_) | Token::Signed(_) => "an integer",
+            Token::Float(_) => "a number",
+            Token::Str(_) => "a string",
+            Token::Seq => "a sequence",
+            Token::Map => "a map",
+        }
+    }
+}
+
+/// A pull parser over one JSON text.
+///
+/// Each read method consumes exactly one value, leading whitespace
+/// included, or fails. A value of the wrong type is still read to its end,
+/// so a syntax error inside it is reported as such.
+#[derive(Debug, Clone)]
+pub struct Deserializer<'de> {
+    text: &'de str,
     pos: usize,
+    /// Containers open around the next value.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_whitespace(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
+impl<'de> Deserializer<'de> {
+    /// A parser at the start of `text`.
+    pub fn new(text: &'de str) -> Self {
+        Deserializer {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// A parser over the text `null`: what an absent field reads.
+    pub fn null() -> Self {
+        Deserializer::new("null")
+    }
+
+    /// Checks that nothing but whitespace follows the value read.
+    pub fn finish(mut self) -> Result<(), Error> {
+        self.skip_whitespace();
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters")),
+        }
+    }
+
+    /// Reads a non-negative integer (`-0` included).
+    pub fn u64(&mut self) -> Result<u64, Error> {
+        match self.token()? {
+            Token::Unsigned(u) => Ok(u),
+            Token::Signed(i) if i >= 0 => Ok(i as u64),
+            other => self.mismatch("an unsigned integer", other),
+        }
+    }
+
+    /// Reads an integer in `i64` range.
+    pub fn i64(&mut self) -> Result<i64, Error> {
+        match self.token()? {
+            Token::Signed(i) => Ok(i),
+            Token::Unsigned(u) if u <= i64::MAX as u64 => Ok(u as i64),
+            other => self.mismatch("an integer", other),
+        }
+    }
+
+    /// Reads any number, integers and the non-finite literals included.
+    pub fn f64(&mut self) -> Result<f64, Error> {
+        match self.token()? {
+            Token::Unsigned(u) => Ok(u as f64),
+            Token::Signed(i) => Ok(i as f64),
+            Token::Float(f) => Ok(f),
+            other => self.mismatch("a number", other),
+        }
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        match self.token()? {
+            Token::Bool(b) => Ok(b),
+            other => self.mismatch("a boolean", other),
+        }
+    }
+
+    /// Reads a string, borrowed from the text unless it has escapes;
+    /// `expected` names the wanted value in a type error.
+    pub fn str(&mut self, expected: &str) -> Result<Cow<'de, str>, Error> {
+        match self.token()? {
+            Token::Str(s) => Ok(s),
+            other => self.mismatch(expected, other),
+        }
+    }
+
+    /// Consumes a `null` if one comes next; otherwise consumes nothing.
+    pub fn take_null(&mut self) -> Result<bool, Error> {
+        self.enter()?;
+        Ok(self.eat_literal("null"))
+    }
+
+    /// Reads a sequence: `element(de, index)` must read element `index`
+    /// (or [`skip`](Self::skip) it). Returns the number of elements.
+    pub fn seq(
+        &mut self,
+        element: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+    ) -> Result<usize, Error> {
+        match self.token()? {
+            Token::Seq => self.seq_rest(element),
+            other => self.mismatch("a sequence", other),
+        }
+    }
+
+    /// Reads a map: `entry(de, key)` must read the value under `key` (or
+    /// [`skip`](Self::skip) it). A value that is not a map is skipped whole
+    /// and reads as a map without keys, so every field reads as absent.
+    pub fn map(
+        &mut self,
+        entry: impl FnMut(&mut Self, &str) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        match self.token()? {
+            Token::Map => self.map_rest(entry),
+            other => self.skip_rest(other),
+        }
+    }
+
+    /// Reads and discards one value.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        let token = self.token()?;
+        self.skip_rest(token)
+    }
+
+    /// Reads one value and returns a parser that reads it again.
+    pub fn capture(&mut self) -> Result<Deserializer<'de>, Error> {
+        self.enter()?;
+        let (start, depth) = (self.pos, self.depth);
+        self.skip()?;
+        Ok(Deserializer {
+            text: &self.text[..self.pos],
+            pos: start,
+            depth,
+        })
+    }
+
+    /// Reads the rest of a value whose first token was just read.
+    fn skip_rest(&mut self, token: Token<'de>) -> Result<(), Error> {
+        match token {
+            Token::Seq => self.seq_rest(|de, _| de.skip()).map(|_| ()),
+            Token::Map => self.map_rest(|de, _| de.skip()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads a sequence's elements after its `[`.
+    fn seq_rest(
+        &mut self,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+    ) -> Result<usize, Error> {
+        self.depth += 1;
+        self.skip_whitespace();
+        let mut len = 0;
+        if !self.eat(b']') {
+            loop {
+                element(self, len)?;
+                len += 1;
+                self.skip_whitespace();
+                if self.eat(b']') {
+                    break;
+                } else if !self.eat(b',') {
+                    return Err(self.error("expected `,` or `]`"));
+                }
             }
+        }
+        self.depth -= 1;
+        Ok(len)
+    }
+
+    /// Reads a map's entries after its `{`.
+    fn map_rest(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, &str) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.depth += 1;
+        self.skip_whitespace();
+        if !self.eat(b'}') {
+            loop {
+                self.skip_whitespace();
+                if !self.eat(b'"') {
+                    return Err(self.error("expected `\"`"));
+                }
+                let key = self.string()?;
+                self.skip_whitespace();
+                if !self.eat(b':') {
+                    return Err(self.error("expected `:`"));
+                }
+                entry(self, &key)?;
+                self.skip_whitespace();
+                if self.eat(b'}') {
+                    break;
+                } else if !self.eat(b',') {
+                    return Err(self.error("expected `,` or `}`"));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// The type error for a value whose first token was just read, once
+    /// the rest of it has been read without a syntax error.
+    fn mismatch<T>(&mut self, expected: &str, token: Token<'de>) -> Result<T, Error> {
+        let found = token.found();
+        self.skip_rest(token)?;
+        Err(Error::invalid_type(expected, found))
+    }
+
+    /// Skips whitespace, checks that a value may start at this depth and
+    /// reads its first token.
+    fn token(&mut self) -> Result<Token<'de>, Error> {
+        self.enter()?;
+        let Some(byte) = self.peek() else {
+            return Err(Error::custom("unexpected end of input"));
+        };
+        Ok(match byte {
+            b'n' if self.eat_literal("null") => Token::Null,
+            b't' if self.eat_literal("true") => Token::Bool(true),
+            b'f' if self.eat_literal("false") => Token::Bool(false),
+            b'N' if self.eat_literal("NaN") => Token::Float(f64::NAN),
+            b'I' if self.eat_literal("Infinity") => Token::Float(f64::INFINITY),
+            b'-' | b'0'..=b'9' => return self.number(),
+            b'"' | b'[' | b'{' => {
+                self.pos += 1;
+                match byte {
+                    b'"' => Token::Str(self.string()?),
+                    b'[' => Token::Seq,
+                    _ => Token::Map,
+                }
+            }
+            _ => return Err(self.error(&format!("unexpected character `{}`", byte as char))),
+        })
+    }
+
+    fn enter(&mut self) -> Result<(), Error> {
+        self.skip_whitespace();
+        if self.depth >= MAX_DEPTH {
+            return Err(Error::custom("value nested too deeply"));
+        }
+        Ok(())
+    }
+
+    /// Reads a number token (or `-Infinity`).
+    fn number(&mut self) -> Result<Token<'de>, Error> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        if negative && self.eat_literal("Infinity") {
+            return Ok(Token::Float(f64::NEG_INFINITY));
+        }
+        let mut floating = false;
+        while let Some(byte @ (b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) = self.peek() {
+            floating |= !byte.is_ascii_digit();
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let integer = match (floating, negative) {
+            (false, true) => text.parse().ok().map(Token::Signed),
+            (false, false) => text.parse().ok().map(Token::Unsigned),
+            (true, _) => None,
+        };
+        match integer {
+            Some(token) => Ok(token),
+            None => text
+                .parse()
+                .map(Token::Float)
+                .map_err(|_| Error::custom(format!("invalid number `{text}`"))),
+        }
+    }
+
+    /// Reads the rest of a string literal after its opening quote.
+    fn string(&mut self) -> Result<Cow<'de, str>, Error> {
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = &self.text[start..self.pos];
+            if self.eat(b'"') {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut text) => {
+                        text.push_str(run);
+                        Cow::Owned(text)
+                    }
+                });
+            } else if !self.eat(b'\\') {
+                return Err(Error::custom("unterminated string"));
+            }
+            let text = owned.get_or_insert_with(String::new);
+            text.push_str(run);
+            text.push(self.escape()?);
+        }
+    }
+
+    /// Decodes one escape sequence after its backslash.
+    fn escape(&mut self) -> Result<char, Error> {
+        let byte = self
+            .peek()
+            .ok_or_else(|| Error::custom("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match byte {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let first = self.hex4()?;
+                let scalar = if (0xd800..0xdc00).contains(&first) {
+                    // A surrogate pair: expect `\uXXXX` low half.
+                    if !self.eat_literal("\\u") {
+                        return Err(Error::custom("unpaired surrogate"));
+                    }
+                    let second = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&second) {
+                        return Err(Error::custom("invalid low surrogate"));
+                    }
+                    0x10000 + ((first - 0xd800) << 10) + (second - 0xdc00)
+                } else {
+                    first
+                };
+                char::from_u32(scalar).ok_or_else(|| Error::custom("invalid unicode escape"))?
+            }
+            other => {
+                return Err(Error::custom(format!(
+                    "invalid escape `\\{}`",
+                    other as char
+                )))
+            }
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("truncated unicode escape"))?;
+        let scalar =
+            u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid unicode escape"))?;
+        self.pos += 4;
+        Ok(scalar)
+    }
+
+    fn error(&self, what: &str) -> Error {
+        Error::custom(format!("{what} at byte {}", self.pos))
+    }
+
+    fn skip_whitespace(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                byte as char, self.pos
-            )))
-        }
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn eat_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(Error::custom("value nested too deeply"));
-        }
-        let value = match self.peek() {
-            None => Err(Error::custom("unexpected end of input")),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'N') if self.eat_literal("NaN") => Ok(Value::F64(f64::NAN)),
-            Some(b'I') if self.eat_literal("Infinity") => Ok(Value::F64(f64::INFINITY)),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_seq(),
-            Some(b'{') => self.parse_map(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(Error::custom(format!(
-                "unexpected character `{}` at byte {}",
-                other as char, self.pos
-            ))),
-        };
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_seq(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_map(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(fields));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .peek()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let scalar = if (0xd800..0xdc00).contains(&first) {
-                                // A surrogate pair: expect `\uXXXX` low half.
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error::custom("unpaired surrogate"));
-                                }
-                                let second = self.parse_hex4()?;
-                                if !(0xdc00..0xe000).contains(&second) {
-                                    return Err(Error::custom("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xd800) << 10) + (second - 0xdc00)
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(scalar)
-                                    .ok_or_else(|| Error::custom("invalid unicode escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error::custom("truncated unicode escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error::custom("invalid unicode escape"))?;
-        let scalar =
-            u32::from_str_radix(hex, 16).map_err(|_| Error::custom("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(scalar)
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-            if self.eat_literal("Infinity") {
-                return Ok(Value::F64(f64::NEG_INFINITY));
-            }
-        }
-        let mut floating = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    floating = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if !floating {
-            if negative {
-                if let Ok(i) = text.parse::<i64>() {
-                    return Ok(Value::I64(i));
-                }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        let hit = self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes());
+        self.pos += if hit { literal.len() } else { 0 };
+        hit
     }
 }
 
@@ -365,54 +482,109 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn text<T: Serialize>(value: T) -> String {
+        to_string(&value)
+    }
+
     #[test]
     fn scalars_round_trip() {
-        for text in ["null", "true", "false", "0", "42", "-7", "1.5", "\"hi\""] {
-            let value = parse(text).unwrap();
-            assert_eq!(value_to_string(&value), text, "round-tripping {text}");
+        assert_eq!(text(0u64), "0");
+        assert_eq!(text(42u8), "42");
+        assert_eq!(text(u64::MAX), "18446744073709551615");
+        assert_eq!(text(-7i32), "-7");
+        assert_eq!(text(i64::MIN), "-9223372036854775808");
+        assert_eq!(text(1.5f64), "1.5");
+        assert_eq!(text(1.0f64), "1.0");
+        assert_eq!(text(-0.0f64), "-0.0");
+        assert_eq!(text(1e300f64), "1e300");
+        assert_eq!(text(f64::MIN_POSITIVE), "2.2250738585072014e-308");
+        assert_eq!(text(true), "true");
+        assert_eq!(text(None::<u64>), "null");
+        assert_eq!(from_str::<u64>(" 42 "), Ok(42));
+        assert_eq!(from_str::<i64>("-7"), Ok(-7));
+        assert_eq!(from_str::<bool>("false"), Ok(false));
+        assert_eq!(from_str::<Option<u64>>("null"), Ok(None));
+        assert_eq!(from_str::<String>(r#""hi""#), Ok("hi".to_string()));
+    }
+
+    #[test]
+    fn finite_floats_round_trip_exactly() {
+        for f in [
+            0.1,
+            1.0 / 3.0,
+            1e300,
+            5e-324,
+            -2.5,
+            1.0,
+            f64::MAX,
+            -f64::MIN_POSITIVE,
+        ] {
+            let back: f64 = from_str(&to_string(&f)).unwrap();
+            assert_eq!(back.to_bits(), f.to_bits(), "{f}");
         }
     }
 
     #[test]
     fn non_finite_floats_round_trip() {
+        assert_eq!(text(f64::NAN), "NaN");
+        assert_eq!(text(f64::INFINITY), "Infinity");
+        assert_eq!(text(f64::NEG_INFINITY), "-Infinity");
         for f in [f64::INFINITY, f64::NEG_INFINITY] {
-            let text = value_to_string(&Value::F64(f));
-            assert_eq!(parse(&text).unwrap(), Value::F64(f));
+            assert_eq!(from_str::<f64>(&to_string(&f)).unwrap(), f);
         }
-        let nan = value_to_string(&Value::F64(f64::NAN));
-        match parse(&nan).unwrap() {
-            Value::F64(f) => assert!(f.is_nan()),
-            other => panic!("expected NaN, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn finite_floats_round_trip_exactly() {
-        for f in [0.1, 1.0 / 3.0, 1e300, 5e-324, -2.5, 1.0] {
-            let text = value_to_string(&Value::F64(f));
-            assert_eq!(parse(&text).unwrap(), Value::F64(f), "{text}");
-        }
+        assert!(from_str::<f64>(&to_string(&f64::NAN)).unwrap().is_nan());
     }
 
     #[test]
     fn containers_round_trip() {
-        let value = Value::Map(vec![
-            (
-                "xs".to_string(),
-                Value::Seq(vec![Value::U64(1), Value::Null]),
-            ),
-            ("name".to_string(), Value::Str("a \"b\"\n".to_string())),
-        ]);
-        let text = value_to_string(&value);
-        assert_eq!(parse(&text).unwrap(), value);
+        let value = vec![
+            (vec![1u64], Some("a \"b\"\n".to_string())),
+            (Vec::new(), None),
+        ];
+        let text = to_string(&value);
+        assert_eq!(text, r#"[[[1],"a \"b\"\n"],[[],null]]"#);
+        assert_eq!(
+            from_str::<Vec<(Vec<u64>, Option<String>)>>(&text),
+            Ok(value)
+        );
     }
 
     #[test]
     fn string_escapes_parse() {
         assert_eq!(
-            parse(r#""\u0041\u00e9\ud83d\ude00\t""#).unwrap(),
-            Value::Str("Aé😀\t".to_string())
+            from_str::<String>(r#""\u0041\u00e9\ud83d\ude00\t\/""#).unwrap(),
+            "Aé😀\t/"
         );
+        let escaped = "a \"b\"\\ \n\r\t\u{1}\u{1f}😀";
+        assert_eq!(text(escaped), r#""a \"b\"\\ \n\r\t\u0001\u001f😀""#);
+        assert_eq!(from_str::<String>(&text(escaped)).unwrap(), escaped);
+    }
+
+    #[test]
+    fn strings_are_borrowed_unless_escaped() {
+        let mut de = Deserializer::new(r#"["plain","a\"b"]"#);
+        de.seq(|de, index| {
+            match (index, de.str("a string")?) {
+                (0, Cow::Borrowed("plain")) | (1, Cow::Owned(_)) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn whitespace_is_tolerated() {
+        let mut de = Deserializer::new(" { \"a\" :\n[ 1 ,\t2 ] } \r\n");
+        let mut values = Vec::new();
+        de.map(|de, key| {
+            assert_eq!(key, "a");
+            values = Vec::<u64>::deserialize(de)?;
+            Ok(())
+        })
+        .unwrap();
+        de.finish().unwrap();
+        assert_eq!(values, vec![1, 2]);
     }
 
     #[test]
@@ -432,26 +604,44 @@ mod tests {
             "{\"a\" 1}",
             "1e",
             "[]]",
+            "[1,]",
+            "{,}",
+            "{\"a\":1,}",
+            "\"\\u12\"",
         ] {
-            assert!(parse(text).is_err(), "{text:?} should fail");
+            let mut de = Deserializer::new(text);
+            let result = de.skip().and_then(|()| de.finish());
+            assert!(result.is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn captured_values_read_again() {
+        let mut de = Deserializer::new(r#" [ {"a": [1, 2]}, 3 ] "#);
+        let mut captured = Vec::new();
+        de.seq(|de, _| {
+            captured.push(de.capture()?);
+            Ok(())
+        })
+        .unwrap();
+        de.finish().unwrap();
+        let mut first = captured.remove(0);
+        first
+            .map(|de, key| {
+                assert_eq!(key, "a");
+                assert_eq!(Vec::<u64>::deserialize(de)?, vec![1, 2]);
+                Ok(())
+            })
+            .unwrap();
+        first.finish().unwrap();
+        assert_eq!(captured[0].u64().unwrap(), 3);
     }
 
     #[test]
     fn deep_nesting_is_rejected_not_overflowed() {
         let text = "[".repeat(4096) + &"]".repeat(4096);
-        assert!(parse(&text).is_err());
-    }
-
-    #[test]
-    fn whitespace_is_tolerated() {
-        let value = parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
-        assert_eq!(
-            value,
-            Value::Map(vec![(
-                "a".to_string(),
-                Value::Seq(vec![Value::U64(1), Value::U64(2)])
-            )])
-        );
+        assert!(Deserializer::new(&text).skip().is_err());
+        let ok = "[".repeat(128) + &"]".repeat(128);
+        assert!(Deserializer::new(&ok).skip().is_ok());
     }
 }

@@ -2,20 +2,27 @@
 //!
 //! The workspace annotates its data types with `#[derive(Serialize,
 //! Deserialize)]` so that a real serde can be dropped in when the build
-//! environment has registry access. Unlike the original marker-only shim,
-//! this version carries a small self-describing data model — [`Value`] — so
-//! in-tree code (the threshold-surface server, sweep persistence) can
-//! actually serialize:
+//! environment has registry access. This shim streams JSON directly, with
+//! no intermediate data model:
 //!
-//! * [`Serialize::to_value`] / [`Deserialize::from_value`] have *defaulted*
-//!   methods, so legacy marker impls (`impl Serialize for X {}`) keep
-//!   compiling; the derive macros generate real field-by-field bodies for
-//!   named structs, tuple structs and unit-only enums, and fall back to
-//!   marker impls for shapes they cannot handle (data-carrying enums).
-//! * [`json`] is a minimal text codec for [`Value`] that round-trips every
-//!   finite `f64` exactly (shortest representation) and admits the
-//!   non-finite literals `NaN`, `Infinity` and `-Infinity` that scaling
-//!   fits legitimately produce.
+//! * [`Serialize::serialize`] writes JSON text straight into an [`Output`]:
+//!   a `Vec<u8>` (a wire frame, a snapshot file) or anything else that
+//!   takes bytes, such as a hasher that never stores them.
+//! * [`Deserialize::deserialize`] pulls values out of a [`Deserializer`],
+//!   a parser over the payload text that builds nothing but the target
+//!   type. Unknown keys are skipped (but still checked as JSON), the first
+//!   of duplicate keys wins, and a missing field reads as JSON `null`, so
+//!   `Option` fields may be left out.
+//! * Both methods have *defaulted* bodies, so marker impls
+//!   (`impl Serialize for X {}`) compile: they write `null` and refuse to
+//!   read. The derive macros generate real bodies for named structs, tuple
+//!   structs and unit-only enums, and fall back to marker impls for
+//!   shapes they cannot handle (data-carrying enums).
+//! * [`json`] holds the entry points ([`json::to_string`],
+//!   [`json::from_str`]) and the parser. Finite floats are written in
+//!   Rust's shortest round-trip form, so text → value is exact; the bare
+//!   literals `NaN`, `Infinity` and `-Infinity` carry the non-finite floats
+//!   that scaling fits legitimately produce.
 //!
 //! Swapping this crate for the real `serde` remains a manifest-plus-codec
 //! change: the derive surface is a strict subset of serde's.
@@ -25,96 +32,10 @@
 
 use std::fmt;
 
-/// A self-describing serialized value — the shim's entire data model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`; also what marker-only (non-derived) impls produce.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A non-negative integer.
-    U64(u64),
-    /// A negative integer (non-negative integers normalise to [`Value::U64`]).
-    I64(i64),
-    /// A floating-point number, possibly non-finite.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// A sequence (tuples, vectors, arrays, tuple structs).
-    Seq(Vec<Value>),
-    /// An ordered field map (named-field structs).
-    Map(Vec<(String, Value)>),
-}
+pub mod json;
 
-impl Value {
-    /// Looks up a field in a [`Value::Map`].
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        match self {
-            Value::Map(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, accepting any non-negative integer `Value`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(u) => Some(*u),
-            Value::I64(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, accepting any in-range integer `Value`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(i) => Some(*i),
-            Value::U64(u) if *u <= i64::MAX as u64 => Some(*u as i64),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, accepting any numeric `Value`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(f) => Some(*f),
-            Value::U64(u) => Some(*u as f64),
-            Value::I64(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is a `Seq`.
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The field list, if this is a `Map`.
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
+pub use json::Deserializer;
+pub use serde_derive::{Deserialize, Serialize};
 
 /// A (de)serialization error: a plain message, as in `serde::de::Error`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +47,7 @@ impl Error {
         Error(message.to_string())
     }
 
-    /// A required struct field was absent from the value.
+    /// A required struct field was absent.
     pub fn missing_field(name: &str) -> Self {
         Error(format!("missing field `{name}`"))
     }
@@ -136,17 +57,9 @@ impl Error {
         Error(format!("unknown variant `{name}`"))
     }
 
-    /// The value had the wrong shape for the requested type.
-    pub fn invalid_type(expected: &str, found: &Value) -> Self {
-        let found = match found {
-            Value::Null => "null",
-            Value::Bool(_) => "a boolean",
-            Value::U64(_) | Value::I64(_) => "an integer",
-            Value::F64(_) => "a number",
-            Value::Str(_) => "a string",
-            Value::Seq(_) => "a sequence",
-            Value::Map(_) => "a map",
-        };
+    /// The value had the wrong shape for the requested type; `found`
+    /// describes it (`"null"`, `"a string"`, `"an integer"`, ...).
+    pub fn invalid_type(expected: &str, found: &str) -> Self {
         Error(format!("invalid type: expected {expected}, found {found}"))
     }
 }
@@ -159,247 +72,197 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Stand-in for `serde::Serialize` with a defaulted body so legacy marker
-/// impls (`impl Serialize for X {}`) keep compiling.
-pub trait Serialize {
-    /// Converts `self` into the shim's [`Value`] data model. The default
-    /// (marker impls) produces [`Value::Null`].
-    fn to_value(&self) -> Value {
-        Value::Null
+/// Where serialized JSON text goes.
+pub trait Output {
+    /// Appends `bytes`, which are always whole UTF-8 sequences.
+    fn write(&mut self, bytes: &[u8]);
+}
+
+impl Output for Vec<u8> {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-/// Stand-in for `serde::Deserialize` with a defaulted body so legacy marker
-/// impls keep compiling.
+/// Stand-in for `serde::Serialize` with a defaulted body so marker impls
+/// (`impl Serialize for X {}`) keep compiling.
+pub trait Serialize {
+    /// Writes `self` as JSON text. The default (marker impls) writes
+    /// `null`.
+    fn serialize<O: Output>(&self, out: &mut O) {
+        out.write(b"null");
+    }
+}
+
+/// Stand-in for `serde::Deserialize` with a defaulted body so marker impls
+/// keep compiling.
 pub trait Deserialize<'de>: Sized {
-    /// Rebuilds `Self` from a [`Value`]. The default (marker impls) always
-    /// errors.
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let _ = value;
+    /// Reads one value of `Self` from `de`. The default (marker impls)
+    /// always errors.
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let _ = de;
         Err(Error::custom(
             "deserialization is not implemented for this type under the offline serde shim",
         ))
     }
 }
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! impl_integer {
+    ($read:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(u64::from(*self))
+            fn serialize<O: Output>(&self, out: &mut O) {
+                json::write_number(out, format_args!("{self}"));
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_u64()
-                    .ok_or_else(|| Error::invalid_type("an unsigned integer", value))?;
-                <$t>::try_from(raw).map_err(|_| Error::custom("integer out of range"))
+            fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+                <$t>::try_from(de.$read()?).map_err(|_| Error::custom("integer out of range"))
             }
         }
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64);
+impl_integer!(u64: u8, u16, u32, u64, usize);
+impl_integer!(i64: i8, i16, i32, i64, isize);
 
-impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-}
-
-impl<'de> Deserialize<'de> for usize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let raw = value
-            .as_u64()
-            .ok_or_else(|| Error::invalid_type("an unsigned integer", value))?;
-        usize::try_from(raw).map_err(|_| Error::custom("integer out of range"))
-    }
-}
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
+macro_rules! impl_scalar {
+    ($($t:ty: |$value:ident, $out:ident| $write:expr, |$de:ident| $read:expr;)*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let raw = i64::from(*self);
-                if raw >= 0 {
-                    Value::U64(raw as u64)
-                } else {
-                    Value::I64(raw)
-                }
+            fn serialize<O: Output>(&self, $out: &mut O) {
+                let $value = self;
+                $write
             }
         }
         impl<'de> Deserialize<'de> for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_i64()
-                    .ok_or_else(|| Error::invalid_type("an integer", value))?;
-                <$t>::try_from(raw).map_err(|_| Error::custom("integer out of range"))
+            fn deserialize($de: &mut Deserializer<'de>) -> Result<Self, Error> {
+                $read
             }
         }
     )*};
 }
 
-impl_signed!(i8, i16, i32, i64);
-
-impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        if *self >= 0 {
-            Value::U64(*self as u64)
-        } else {
-            Value::I64(*self as i64)
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for isize {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let raw = value
-            .as_i64()
-            .ok_or_else(|| Error::invalid_type("an integer", value))?;
-        isize::try_from(raw).map_err(|_| Error::custom("integer out of range"))
-    }
-}
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-
-impl<'de> Deserialize<'de> for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .ok_or_else(|| Error::invalid_type("a number", value))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-
-impl<'de> Deserialize<'de> for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| Error::invalid_type("a number", value))
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl<'de> Deserialize<'de> for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::invalid_type("a boolean", value))
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl<'de> Deserialize<'de> for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::invalid_type("a string", value))
-    }
+impl_scalar! {
+    f64: |value, out| json::write_f64(out, *value), |de| de.f64();
+    f32: |value, out| json::write_f64(out, f64::from(*value)), |de| de.f64().map(|f| f as f32);
+    bool: |value, out| out.write(if *value { b"true" } else { b"false" }), |de| de.bool();
+    String: |value, out| json::write_str(out, value), |de| de.str("a string").map(String::from);
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<O: Output>(&self, out: &mut O) {
+        json::write_str(out, self);
     }
 }
 
+/// The unit value writes `null`, as in serde.
+impl Serialize for () {}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        T::to_value(self)
+    fn serialize<O: Output>(&self, out: &mut O) {
+        T::serialize(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<O: Output>(&self, out: &mut O) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.serialize(out),
+            None => out.write(b"null"),
         }
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+        if de.take_null()? {
+            Ok(None)
+        } else {
+            T::deserialize(de).map(Some)
         }
     }
 }
 
+fn serialize_seq<'a, O: Output, T: Serialize + 'a>(
+    out: &mut O,
+    items: impl IntoIterator<Item = &'a T>,
+) {
+    out.write(b"[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write(b",");
+        }
+        item.serialize(out);
+    }
+    out.write(b"]");
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<O: Output>(&self, out: &mut O) {
+        serialize_seq(out, self);
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_seq()
-            .ok_or_else(|| Error::invalid_type("a sequence", value))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        de.seq(|de, _| {
+            items.push(T::deserialize(de)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<O: Output>(&self, out: &mut O) {
+        serialize_seq(out, self);
     }
 }
 
 impl<'de, T: Deserialize<'de>, const N: usize> Deserialize<'de> for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::from_value(value)?;
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let items: Vec<T> = Vec::deserialize(de)?;
         <[T; N]>::try_from(items)
             .map_err(|_| Error::custom(format!("expected a sequence of length {N}")))
     }
 }
 
 macro_rules! impl_tuple {
-    ($(($($name:ident : $index:tt),+);)*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$index.to_value()),+])
+    ($(($first:ident : $first_index:tt $(, $name:ident : $index:tt)*);)*) => {$(
+        impl<$first: Serialize $(, $name: Serialize)*> Serialize for ($first, $($name,)*) {
+            fn serialize<O: Output>(&self, out: &mut O) {
+                out.write(b"[");
+                self.$first_index.serialize(out);
+                $(
+                    out.write(b",");
+                    self.$index.serialize(out);
+                )*
+                out.write(b"]");
             }
         }
-        impl<'de, $($name: Deserialize<'de>),+> Deserialize<'de> for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let items = value
-                    .as_seq()
-                    .ok_or_else(|| Error::invalid_type("a sequence", value))?;
-                let arity = [$($index as usize),+].len();
-                if items.len() != arity {
-                    return Err(Error::custom(format!(
-                        "expected a sequence of length {arity}, found {}",
-                        items.len()
-                    )));
+        impl<'de, $first: Deserialize<'de> $(, $name: Deserialize<'de>)*> Deserialize<'de>
+            for ($first, $($name,)*)
+        {
+            #[allow(non_snake_case)]
+            fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, Error> {
+                let mut $first = None;
+                $(let mut $name = None;)*
+                let len = de.seq(|de, index| {
+                    match index {
+                        $first_index => $first = Some($first::deserialize(de)?),
+                        $($index => $name = Some($name::deserialize(de)?),)*
+                        _ => de.skip()?,
+                    }
+                    Ok(())
+                })?;
+                let arity = [$first_index $(, $index)*].len();
+                match ($first, $($name,)*) {
+                    (Some($first), $(Some($name),)*) if len == arity => Ok(($first, $($name,)*)),
+                    _ => Err(Error::custom(format!(
+                        "expected a sequence of length {arity}, found {len}"
+                    ))),
                 }
-                Ok(($($name::from_value(&items[$index])?,)+))
             }
         }
     )*};
@@ -412,86 +275,84 @@ impl_tuple! {
     (A: 0, B: 1, C: 2, D: 3);
 }
 
-/// Helpers invoked by the generated `Deserialize` bodies.
+/// Helpers invoked by the generated `Deserialize` bodies and by
+/// hand-written impls.
 pub mod de {
-    use super::{Deserialize, Error, Value};
+    use super::{Deserialize, Deserializer, Error};
 
-    /// Extracts and deserializes a named struct field.
-    pub fn field<T>(value: &Value, name: &str) -> Result<T, Error>
-    where
-        T: for<'de> Deserialize<'de>,
-    {
-        match value.get(name) {
-            Some(inner) => {
-                T::from_value(inner).map_err(|e| Error::custom(format!("field `{name}`: {e}")))
+    /// Reads the value of the named struct field `name`.
+    pub fn field<'de, T: Deserialize<'de>>(
+        de: &mut Deserializer<'de>,
+        name: &str,
+    ) -> Result<T, Error> {
+        T::deserialize(de).map_err(|e| Error::custom(format!("field `{name}`: {e}")))
+    }
+
+    /// The value of field `name` once the whole map has been read: the
+    /// value found, or else what `T` reads from `null` (so a missing
+    /// `Option` field is `None`), or else a missing-field error.
+    pub fn required<'de, T: Deserialize<'de>>(slot: Option<T>, name: &str) -> Result<T, Error> {
+        match slot {
+            Some(value) => Ok(value),
+            None => {
+                T::deserialize(&mut Deserializer::null()).map_err(|_| Error::missing_field(name))
             }
-            // A missing field still deserializes when the target tolerates
-            // null (e.g. `Option<T>`), which doubles as light schema
-            // evolution for snapshots.
-            None => T::from_value(&Value::Null).map_err(|_| Error::missing_field(name)),
         }
     }
 
-    /// Extracts and deserializes a tuple-struct element.
-    pub fn element<T>(value: &Value, index: usize) -> Result<T, Error>
-    where
-        T: for<'de> Deserialize<'de>,
-    {
-        let items = value
-            .as_seq()
-            .ok_or_else(|| Error::invalid_type("a sequence", value))?;
-        let inner = items
-            .get(index)
-            .ok_or_else(|| Error::custom(format!("missing tuple element {index}")))?;
-        T::from_value(inner).map_err(|e| Error::custom(format!("element {index}: {e}")))
+    /// Reads tuple-struct element `index`.
+    pub fn element<'de, T: Deserialize<'de>>(
+        de: &mut Deserializer<'de>,
+        index: usize,
+    ) -> Result<T, Error> {
+        T::deserialize(de).map_err(|e| Error::custom(format!("element {index}: {e}")))
     }
 
-    /// Extracts the variant name of a unit-enum value.
-    pub fn variant(value: &Value) -> Result<&str, Error> {
-        value
-            .as_str()
-            .ok_or_else(|| Error::invalid_type("a variant string", value))
+    /// Tuple-struct element `index` once the whole sequence has been read.
+    pub fn required_element<T>(slot: Option<T>, index: usize) -> Result<T, Error> {
+        slot.ok_or_else(|| Error::custom(format!("missing tuple element {index}")))
     }
 }
-
-pub mod json;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_trip<T>(value: &T) -> T
+    where
+        T: Serialize + for<'de> Deserialize<'de>,
+    {
+        json::from_str(&json::to_string(value)).unwrap()
+    }
+
     #[test]
-    fn primitives_round_trip_through_values() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
+    fn primitives_round_trip() {
+        assert_eq!(round_trip(&42u64), 42);
+        assert_eq!(round_trip(&u64::MAX), u64::MAX);
+        assert_eq!(round_trip(&-7i64), -7);
+        assert_eq!(round_trip(&i64::MIN), i64::MIN);
+        assert!(round_trip(&true));
+        assert_eq!(round_trip(&"hi".to_string()), "hi");
+        assert_eq!(round_trip(&1.5f64), 1.5);
+        assert_eq!(round_trip(&0.25f32), 0.25);
     }
 
     #[test]
     fn options_vectors_tuples_and_arrays_round_trip() {
         let none: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_value(&none.to_value()).unwrap(), None);
-        let some = Some(3u64);
-        assert_eq!(Option::<u64>::from_value(&some.to_value()).unwrap(), some);
-        let v = vec![1u64, 2, 3];
-        assert_eq!(Vec::<u64>::from_value(&v.to_value()).unwrap(), v);
+        assert_eq!(round_trip(&none), None);
+        assert_eq!(round_trip(&Some(3u64)), Some(3));
+        assert_eq!(round_trip(&vec![1u64, 2, 3]), vec![1, 2, 3]);
         let t = (1u64, -2i64, 0.5f64);
-        assert_eq!(<(u64, i64, f64)>::from_value(&t.to_value()).unwrap(), t);
-        let a = [4u64, 5];
-        assert_eq!(<[u64; 2]>::from_value(&a.to_value()).unwrap(), a);
+        assert_eq!(round_trip(&t), t);
+        assert_eq!(round_trip(&[4u64, 5]), [4, 5]);
     }
 
     #[test]
     fn out_of_range_integers_error() {
-        assert!(u32::from_value(&Value::U64(u64::MAX)).is_err());
-        assert!(u64::from_value(&Value::I64(-1)).is_err());
+        assert!(json::from_str::<u32>("18446744073709551615").is_err());
+        assert!(json::from_str::<u64>("-1").is_err());
+        assert!(json::from_str::<i8>("-129").is_err());
     }
 
     #[test]
@@ -499,7 +360,7 @@ mod tests {
         struct Opaque;
         impl Serialize for Opaque {}
         impl<'de> Deserialize<'de> for Opaque {}
-        assert_eq!(Opaque.to_value(), Value::Null);
-        assert!(Opaque::from_value(&Value::Null).is_err());
+        assert_eq!(json::to_string(&Opaque), "null");
+        assert!(json::from_str::<Opaque>("null").is_err());
     }
 }

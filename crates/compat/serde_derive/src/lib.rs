@@ -3,10 +3,15 @@
 //! The shim's traits have defaulted methods, so a derive has two choices
 //! per type: generate a *real* field-by-field body (named-field structs,
 //! tuple structs and unit-only enums — every shape the workspace persists),
-//! or fall back to an empty marker impl whose defaulted methods serialize
-//! to `Value::Null` and refuse to deserialize (data-carrying enums, unions
-//! and anything this hand-rolled parser cannot classify). Falling back
-//! never breaks the build; it only limits what can round-trip.
+//! or fall back to an empty marker impl whose defaulted methods write
+//! `null` and refuse to read (data-carrying enums, unions and anything
+//! this hand-rolled parser cannot classify). Falling back never breaks the
+//! build; it only limits what can round-trip.
+//!
+//! The generated `serialize` writes each struct's keys and punctuation as
+//! literal byte strings around the field values; the generated
+//! `deserialize` reads map entries into one `Option` slot per field, first
+//! key wins, and resolves absent fields once the map is closed.
 //!
 //! Generic types are rejected with a clear error, as in the original no-op
 //! shim: none of the deriving types in this workspace are generic.
@@ -17,12 +22,13 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What the derive input looks like, as far as codegen cares.
 enum Shape {
-    /// `struct S { a: A, b: B }`
-    Named { name: String, fields: Vec<String> },
-    /// `struct S(A, B);`
-    Tuple { name: String, arity: usize },
-    /// `struct S;`
-    Unit { name: String },
+    /// `struct S { a: A, b: B }` (fields `a`, `b`), `struct S(A, B);`
+    /// (fields `0`, `1`, not `named`) or `struct S;` (no fields).
+    Struct {
+        name: String,
+        named: bool,
+        fields: Vec<String>,
+    },
     /// `enum E { V1, V2 }` — every variant payload-free.
     UnitEnum { name: String, variants: Vec<String> },
     /// Anything else — marker impl only.
@@ -32,11 +38,9 @@ enum Shape {
 impl Shape {
     fn name(&self) -> &str {
         match self {
-            Shape::Named { name, .. }
-            | Shape::Tuple { name, .. }
-            | Shape::Unit { name }
-            | Shape::UnitEnum { name, .. }
-            | Shape::Opaque { name } => name,
+            Shape::Struct { name, .. } | Shape::UnitEnum { name, .. } | Shape::Opaque { name } => {
+                name
+            }
         }
     }
 }
@@ -72,21 +76,22 @@ fn parse_shape(input: TokenStream) -> Shape {
         }
     }
     match (keyword.as_str(), tokens.next()) {
-        ("struct", Some(TokenTree::Group(group))) if group.delimiter() == Delimiter::Brace => {
-            match parse_named_fields(group.stream()) {
-                Some(fields) => Shape::Named { name, fields },
+        ("struct", Some(TokenTree::Group(group))) if group.delimiter() != Delimiter::Bracket => {
+            let named = group.delimiter() == Delimiter::Brace;
+            match parse_fields(group.stream(), named) {
+                Some(fields) => Shape::Struct {
+                    name,
+                    named,
+                    fields,
+                },
                 None => Shape::Opaque { name },
             }
         }
-        ("struct", Some(TokenTree::Group(group)))
-            if group.delimiter() == Delimiter::Parenthesis =>
-        {
-            Shape::Tuple {
-                name,
-                arity: count_tuple_fields(group.stream()),
-            }
-        }
-        ("struct", Some(TokenTree::Punct(p))) if p.as_char() == ';' => Shape::Unit { name },
+        ("struct", Some(TokenTree::Punct(p))) if p.as_char() == ';' => Shape::Struct {
+            name,
+            named: true,
+            fields: Vec::new(),
+        },
         ("enum", Some(TokenTree::Group(group))) if group.delimiter() == Delimiter::Brace => {
             match parse_unit_variants(group.stream()) {
                 Some(variants) => Shape::UnitEnum { name, variants },
@@ -97,80 +102,50 @@ fn parse_shape(input: TokenStream) -> Shape {
     }
 }
 
-/// Extracts the field names of a named-field struct body, or `None` when
-/// the body does not parse as `[attrs] [vis] name : type` repeated.
-fn parse_named_fields(body: TokenStream) -> Option<Vec<String>> {
+/// The field names of a struct body (`0`, `1`, ... unless `named`), or
+/// `None` when a field does not parse as `[attrs] [vis] [name :] type`.
+fn parse_fields(body: TokenStream, named: bool) -> Option<Vec<String>> {
     let mut tokens = body.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
         skip_attributes(&mut tokens);
-        let name = match tokens.next() {
-            None => return Some(fields),
-            Some(TokenTree::Ident(ident)) => {
-                let word = ident.to_string();
-                if word == "pub" {
-                    // `pub(crate)`-style restrictions carry a group.
-                    if let Some(TokenTree::Group(_)) = tokens.peek() {
-                        tokens.next();
-                    }
-                    match tokens.next() {
-                        Some(TokenTree::Ident(ident)) => ident.to_string(),
-                        _ => return None,
-                    }
-                } else {
-                    word
-                }
-            }
-            Some(_) => return None,
-        };
-        match tokens.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            _ => return None,
+        if tokens.peek().is_none() {
+            return Some(fields);
         }
-        fields.push(name);
-        // Consume the type: everything up to the next comma outside angle
+        if matches!(tokens.peek(), Some(TokenTree::Ident(ident)) if ident.to_string() == "pub") {
+            tokens.next();
+            // `pub(crate)`-style restrictions carry a group.
+            if let Some(TokenTree::Group(_)) = tokens.peek() {
+                tokens.next();
+            }
+        }
+        if named {
+            match (tokens.next(), tokens.next()) {
+                (Some(TokenTree::Ident(ident)), Some(TokenTree::Punct(p)))
+                    if p.as_char() == ':' =>
+                {
+                    fields.push(ident.to_string())
+                }
+                _ => return None,
+            }
+        } else {
+            fields.push(fields.len().to_string());
+        }
+        // Skip the type: everything up to the next comma outside angle
         // brackets (`<`/`>` arrive as plain punctuation, so commas inside
         // `Map<K, V>` would otherwise look like field separators).
         let mut angle_depth = 0i32;
-        loop {
-            match tokens.next() {
-                None => return Some(fields),
-                Some(TokenTree::Punct(p)) => match p.as_char() {
+        for token in tokens.by_ref() {
+            if let TokenTree::Punct(p) = &token {
+                match p.as_char() {
                     '<' => angle_depth += 1,
                     '>' => angle_depth -= 1,
                     ',' if angle_depth == 0 => break,
                     _ => {}
-                },
-                Some(_) => {}
-            }
-        }
-    }
-}
-
-/// Counts the fields of a tuple-struct body.
-fn count_tuple_fields(body: TokenStream) -> usize {
-    let mut arity = 0;
-    let mut saw_tokens = false;
-    let mut angle_depth = 0i32;
-    for token in body {
-        if let TokenTree::Punct(p) = &token {
-            match p.as_char() {
-                '<' => angle_depth += 1,
-                '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => {
-                    arity += 1;
-                    saw_tokens = false;
-                    continue;
                 }
-                _ => {}
             }
         }
-        saw_tokens = true;
     }
-    if saw_tokens {
-        arity += 1;
-    }
-    arity
 }
 
 /// Extracts the variant names of a unit-only enum body, or `None` when any
@@ -217,46 +192,46 @@ fn skip_attributes(tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTr
     }
 }
 
+/// A Rust string literal holding `text` (identifiers and JSON
+/// punctuation: nothing to escape but `"`).
+fn literal(text: &str) -> String {
+    format!("\"{}\"", text.replace('"', "\\\""))
+}
+
+/// `out.write(...)` of a constant piece of JSON text.
+fn write_text(text: &str) -> String {
+    format!("::serde::Output::write(out, {}.as_bytes());", literal(text))
+}
+
 /// Stand-in for `#[derive(serde::Serialize)]`.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
     let name = shape.name();
     let body = match &shape {
-        Shape::Named { fields, .. } => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            Some(format!(
-                "::serde::Value::Map(::std::vec::Vec::from([{}]))",
-                entries.join(", ")
-            ))
+        Shape::Struct { named, fields, .. } => {
+            let (open, close) = if *named { ("{", "}") } else { ("[", "]") };
+            let mut body = String::new();
+            for (i, f) in fields.iter().enumerate() {
+                let key = if *named {
+                    format!("\"{f}\":")
+                } else {
+                    String::new()
+                };
+                body += &write_text(&format!("{}{key}", if i == 0 { open } else { "," }));
+                body += &format!("::serde::Serialize::serialize(&self.{f}, out);");
+            }
+            let end = if fields.is_empty() {
+                format!("{open}{close}")
+            } else {
+                close.to_string()
+            };
+            Some(body + &write_text(&end))
         }
-        Shape::Tuple { arity, .. } => {
-            let entries: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            Some(format!(
-                "::serde::Value::Seq(::std::vec::Vec::from([{}]))",
-                entries.join(", ")
-            ))
-        }
-        Shape::Unit { .. } => Some("::serde::Value::Map(::std::vec::Vec::new())".to_string()),
         Shape::UnitEnum { variants, .. } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| {
-                    format!(
-                        "{name}::{v} => \
-                         ::serde::Value::Str(::std::string::String::from(\"{v}\"))"
-                    )
-                })
+                .map(|v| format!("{name}::{v} => {{ {} }}", write_text(&format!("\"{v}\""))))
                 .collect();
             Some(format!("match self {{ {} }}", arms.join(", ")))
         }
@@ -265,7 +240,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let output = match body {
         Some(body) => format!(
             "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize<O: ::serde::Output>(&self, out: &mut O) {{ {body} }}\n\
              }}"
         ),
         None => format!("impl ::serde::Serialize for {name} {{}}"),
@@ -279,33 +254,45 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
     let name = shape.name();
     let body = match &shape {
-        Shape::Named { fields, .. } => {
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::de::field(value, \"{f}\")?"))
-                .collect();
+        Shape::Struct { named, fields, .. } => {
+            // One slot per field, filled by the first entry that names it.
+            let (mut slots, mut arms, mut values) = (String::new(), String::new(), Vec::new());
+            for (i, f) in fields.iter().enumerate() {
+                slots += &format!("let mut slot_{i} = ::std::option::Option::None;");
+                let (key, read, resolve) = if *named {
+                    (literal(f), "field", format!("{f}: ::serde::de::required"))
+                } else {
+                    (
+                        f.clone(),
+                        "element",
+                        "::serde::de::required_element".to_string(),
+                    )
+                };
+                arms += &format!(
+                    "{key} if slot_{i}.is_none() => \
+                     slot_{i} = ::std::option::Option::Some(::serde::de::{read}(de, {key})?),"
+                );
+                values.push(format!("{resolve}(slot_{i}, {key})?"));
+            }
+            let (reader, open, close) = if *named {
+                ("map", "{", "}")
+            } else {
+                ("seq", "(", ")")
+            };
             Some(format!(
-                "::std::result::Result::Ok({name} {{ {} }})",
-                entries.join(", ")
+                "{slots} de.{reader}(|de, key| {{ match key {{ {arms} _ => de.skip()?, }} \
+                 ::std::result::Result::Ok(()) }})?; \
+                 ::std::result::Result::Ok({name} {open} {} {close})",
+                values.join(", ")
             ))
         }
-        Shape::Tuple { arity, .. } => {
-            let entries: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::de::element(value, {i}usize)?"))
-                .collect();
-            Some(format!(
-                "::std::result::Result::Ok({name}({}))",
-                entries.join(", ")
-            ))
-        }
-        Shape::Unit { .. } => Some(format!("::std::result::Result::Ok({name})")),
         Shape::UnitEnum { variants, .. } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v})"))
+                .map(|v| format!("{} => ::std::result::Result::Ok({name}::{v})", literal(v)))
                 .collect();
             Some(format!(
-                "match ::serde::de::variant(value)? {{ {}, other => \
+                "match &*de.str(\"a variant string\")? {{ {}, other => \
                  ::std::result::Result::Err(::serde::Error::unknown_variant(other)) }}",
                 arms.join(", ")
             ))
@@ -315,7 +302,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let output = match body {
         Some(body) => format!(
             "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-             fn from_value(value: &::serde::Value) \
+             fn deserialize(de: &mut ::serde::Deserializer<'de>) \
              -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
              }}"
         ),

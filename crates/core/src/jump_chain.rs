@@ -192,19 +192,19 @@ struct PersistedChain {
 }
 
 impl Serialize for LvJumpChain {
-    fn to_value(&self) -> serde::Value {
+    fn serialize<O: serde::Output>(&self, out: &mut O) {
         PersistedChain {
             model: self.model,
             state: self.state,
             steps: self.steps,
         }
-        .to_value()
+        .serialize(out);
     }
 }
 
 impl<'de> Deserialize<'de> for LvJumpChain {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let persisted = PersistedChain::from_value(value)?;
+    fn deserialize(de: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
+        let persisted = PersistedChain::deserialize(de)?;
         let mut chain = LvJumpChain::new(persisted.model, persisted.state);
         chain.steps = persisted.steps;
         Ok(chain)

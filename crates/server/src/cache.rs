@@ -9,7 +9,7 @@
 //! cells with honestly widened intervals. The whole surface serializes to
 //! a JSON snapshot for `--cache-snapshot` warm starts.
 
-use crate::spec::ScenarioSpec;
+use crate::spec::{fingerprint_hex, ScenarioSpec};
 use lv_engine::wilson;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -211,7 +211,7 @@ impl ThresholdSurface {
                 .entries
                 .iter()
                 .map(|(&fp, entry)| SnapshotEntry {
-                    fingerprint: format!("{fp:016x}"),
+                    fingerprint: fingerprint_hex(fp),
                     spec: entry.spec.clone(),
                     cells: entry
                         .cells
@@ -236,7 +236,7 @@ impl ThresholdSurface {
         let mut surface = ThresholdSurface::new();
         for entry in &snapshot.entries {
             let fingerprint = entry.spec.fingerprint();
-            if format!("{fingerprint:016x}") != entry.fingerprint {
+            if fingerprint_hex(fingerprint) != entry.fingerprint {
                 continue;
             }
             for cell in &entry.cells {

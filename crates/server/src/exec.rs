@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Test hook: a worker exits after serving this many ranges. The pool
 /// forwards it to the *first* worker only, so survivors always remain to
@@ -202,6 +202,42 @@ impl WorkerPool {
     }
 }
 
+/// The chunks of one `run_range` call not yet executed.
+struct Chunks {
+    pending: VecDeque<(u64, u64)>,
+    /// Chunks taken by a worker and not yet finished or given back.
+    in_flight: usize,
+}
+
+impl Chunks {
+    /// The next chunk to run, or `None` once none is pending or in flight.
+    /// A worker that finds the queue empty waits while others still run
+    /// chunks, because one of them may die and give its chunk back.
+    fn take(queue: &Mutex<Chunks>, returned: &Condvar) -> Option<(u64, u64)> {
+        let mut chunks = sync::lock(queue);
+        loop {
+            if let Some(chunk) = chunks.pending.pop_front() {
+                chunks.in_flight += 1;
+                return Some(chunk);
+            }
+            if chunks.in_flight == 0 {
+                return None;
+            }
+            chunks = sync::wait(returned, chunks);
+        }
+    }
+
+    /// Ends a taken chunk: finished, or given back to run elsewhere.
+    fn give_back(queue: &Mutex<Chunks>, returned: &Condvar, requeue: Option<(u64, u64)>) {
+        {
+            let mut chunks = sync::lock(queue);
+            chunks.in_flight -= 1;
+            chunks.pending.extend(requeue);
+        }
+        returned.notify_all();
+    }
+}
+
 struct WorkerConn {
     child: Child,
     stdin: std::process::ChildStdin,
@@ -239,17 +275,19 @@ impl TrialExecutor for WorkerPool {
         // Around four chunks per worker balances straggler smoothing
         // against per-message overhead; any chunking is bit-identical.
         let chunk = (total.div_ceil(self.workers as u64 * 4)).max(1);
-        let queue: Mutex<VecDeque<(u64, u64)>> = Mutex::new(
-            (0..total.div_ceil(chunk))
+        let queue = Mutex::new(Chunks {
+            pending: (0..total.div_ceil(chunk))
                 .map(|i| (lo + i * chunk, (lo + (i + 1) * chunk).min(hi)))
                 .collect(),
-        );
+            in_flight: 0,
+        });
+        let returned = Condvar::new();
         let done: Mutex<Vec<(u64, Vec<bool>)>> = Mutex::new(Vec::new());
         let failures: Mutex<Vec<ServiceError>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
             for index in 0..self.workers {
-                let (queue, done, failures) = (&queue, &done, &failures);
+                let (queue, returned, done, failures) = (&queue, &returned, &done, &failures);
                 scope.spawn(move || {
                     let mut conn = match self.spawn_worker(index) {
                         Ok(conn) => conn,
@@ -258,37 +296,35 @@ impl TrialExecutor for WorkerPool {
                             return;
                         }
                     };
-                    loop {
-                        let range = match sync::lock(queue).pop_front() {
-                            Some((chunk_lo, chunk_hi)) => RunRange {
-                                spec: spec.clone(),
-                                n,
-                                gap,
-                                seed: seed.value(),
-                                lo: chunk_lo,
-                                hi: chunk_hi,
-                            },
-                            None => return,
+                    while let Some((chunk_lo, chunk_hi)) = Chunks::take(queue, returned) {
+                        let range = RunRange {
+                            spec: spec.clone(),
+                            n,
+                            gap,
+                            seed: seed.value(),
+                            lo: chunk_lo,
+                            hi: chunk_hi,
                         };
-                        match conn.run(&range) {
+                        let failure = match conn.run(&range) {
                             Ok(outcome) => match outcome.decode() {
-                                Ok(bits) => sync::lock(done).push((range.lo, bits)),
-                                Err(e) => {
-                                    // The worker reported a semantic error;
-                                    // a retry would deterministically fail
-                                    // the same way, so surface it.
-                                    sync::lock(queue).push_front((range.lo, range.hi));
-                                    sync::lock(failures).push(e);
-                                    return;
+                                Ok(bits) => {
+                                    sync::lock(done).push((range.lo, bits));
+                                    None
                                 }
+                                // The worker reported a semantic error; a
+                                // retry would deterministically fail the
+                                // same way, so surface it.
+                                Err(e) => Some(e),
                             },
-                            Err(e) => {
-                                // The worker died mid-range: requeue the
-                                // chunk for the survivors and bow out.
-                                sync::lock(queue).push_back((range.lo, range.hi));
-                                sync::lock(failures).push(ServiceError::new("worker", e));
-                                return;
-                            }
+                            // The worker died mid-range: requeue the chunk
+                            // for the survivors and bow out.
+                            Err(e) => Some(ServiceError::new("worker", e)),
+                        };
+                        let requeue = failure.is_some().then_some((chunk_lo, chunk_hi));
+                        Chunks::give_back(queue, returned, requeue);
+                        if let Some(e) = failure {
+                            sync::lock(failures).push(e);
+                            return;
                         }
                     }
                 });

@@ -10,7 +10,7 @@
 use crate::error::ServiceError;
 use crate::spec::ScenarioSpec;
 use lv_sim::ThresholdResult;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The JSON schema version this build speaks. Bump on any incompatible
 /// message change; the `Hello` exchange rejects mismatched peers.
@@ -326,30 +326,77 @@ impl RunOutcome {
     }
 }
 
+/// Writes an adjacently tagged envelope, `{"<tag_key>":"<tag>",
+/// "<body_key>":<body>}`.
+pub(crate) fn write_tagged<O: serde::Output, T: Serialize + ?Sized>(
+    out: &mut O,
+    (tag_key, tag): (&str, &str),
+    (body_key, body): (&str, &T),
+) {
+    out.write(b"{");
+    serde::json::write_str(out, tag_key);
+    out.write(b":");
+    serde::json::write_str(out, tag);
+    out.write(b",");
+    serde::json::write_str(out, body_key);
+    out.write(b":");
+    body.serialize(out);
+    out.write(b"}");
+}
+
+/// Reads an adjacently tagged envelope with its keys in either order:
+/// `variant(tag, de)` reads the body. A body that precedes its tag is
+/// captured and read again once the tag is known; an absent body reads as
+/// `null`. As for any map, unknown keys are skipped and the first of
+/// duplicate keys wins.
+pub(crate) fn read_tagged<'de, T>(
+    de: &mut serde::Deserializer<'de>,
+    tag_key: &str,
+    body_key: &str,
+    mut variant: impl FnMut(&str, &mut serde::Deserializer<'de>) -> Result<T, serde::Error>,
+) -> Result<T, serde::Error> {
+    let (mut tag, mut body, mut early) = (None, None, None);
+    de.map(|de, key| {
+        if key == tag_key && tag.is_none() {
+            let text = de.str("a string");
+            tag = Some(text.map_err(|e| serde::Error::custom(format!("field `{key}`: {e}")))?);
+        } else if key == body_key && body.is_none() && early.is_none() {
+            match &tag {
+                Some(tag) => body = Some(variant(tag, de)?),
+                None => early = Some(de.capture()?),
+            }
+        } else {
+            de.skip()?;
+        }
+        Ok(())
+    })?;
+    let tag = tag.ok_or_else(|| serde::Error::missing_field(tag_key))?;
+    match body {
+        Some(value) => Ok(value),
+        None => variant(&tag, &mut early.unwrap_or_else(serde::Deserializer::null)),
+    }
+}
+
+/// Implements the `{"type": tag, "body": payload}` envelope (unit variants
+/// carry a `null` body).
 macro_rules! tagged_enum_serde {
     ($name:ident { $($variant:ident ($inner:ty) => $tag:literal,)* ; $($unit:ident => $unit_tag:literal,)* }) => {
         impl Serialize for $name {
-            fn to_value(&self) -> Value {
-                let (tag, body) = match self {
-                    $($name::$variant(inner) => ($tag, inner.to_value()),)*
-                    $($name::$unit => ($unit_tag, Value::Null),)*
-                };
-                Value::Map(vec![
-                    ("type".to_string(), Value::Str(tag.to_string())),
-                    ("body".to_string(), body),
-                ])
+            fn serialize<O: serde::Output>(&self, out: &mut O) {
+                match self {
+                    $($name::$variant(inner) => write_tagged(out, ("type", $tag), ("body", inner)),)*
+                    $($name::$unit => write_tagged(out, ("type", $unit_tag), ("body", &())),)*
+                }
             }
         }
 
         impl<'de> Deserialize<'de> for $name {
-            fn from_value(value: &Value) -> Result<Self, serde::Error> {
-                let tag: String = serde::de::field(value, "type")?;
-                let body = value.get("body").unwrap_or(&Value::Null);
-                match tag.as_str() {
-                    $($tag => <$inner>::from_value(body).map($name::$variant),)*
-                    $($unit_tag => Ok($name::$unit),)*
+            fn deserialize(de: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
+                read_tagged(de, "type", "body", |tag, body| match tag {
+                    $($tag => <$inner>::deserialize(body).map($name::$variant),)*
+                    $($unit_tag => body.skip().map(|()| $name::$unit),)*
                     other => Err(serde::Error::unknown_variant(other)),
-                }
+                })
             }
         }
     };

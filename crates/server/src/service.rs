@@ -28,7 +28,7 @@ use crate::proto::{
     SurfaceCell, SurfaceResponse, SweepRequest, ThresholdRequest, ThresholdResponse,
     SCHEMA_VERSION,
 };
-use crate::spec::ScenarioSpec;
+use crate::spec::{fingerprint_hex, ScenarioSpec};
 use crate::sync;
 use lv_engine::wilson;
 use lv_sim::{lattice_search, Seed, ThresholdSearch};
@@ -277,7 +277,7 @@ impl ThresholdService {
                     self.interpolated.fetch_add(1, Ordering::Relaxed);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     Ok(EstimateResponse {
-                        fingerprint: spec.fingerprint_hex(),
+                        fingerprint: fingerprint_hex(fingerprint),
                         n: request.n,
                         gap: request.gap,
                         successes: 0,
@@ -329,7 +329,7 @@ impl ThresholdService {
         let stats = refined.stats;
         let (ci_low, ci_high) = wilson::interval(stats.successes, stats.trials, self.config.z);
         Ok(EstimateResponse {
-            fingerprint: spec.fingerprint_hex(),
+            fingerprint: fingerprint_hex(fingerprint),
             n: request.n,
             gap: request.gap,
             successes: stats.successes,
@@ -383,7 +383,7 @@ impl ThresholdService {
         })?;
         self.count_request(fresh_trials);
         Ok(ThresholdResponse {
-            fingerprint: spec.fingerprint_hex(),
+            fingerprint: fingerprint_hex(fingerprint),
             result,
             fresh_trials,
         })
@@ -438,7 +438,7 @@ impl ThresholdService {
         }
         self.count_request(fresh_total);
         Ok(SurfaceResponse {
-            fingerprint: spec.fingerprint_hex(),
+            fingerprint: fingerprint_hex(fingerprint),
             cells: rows,
             fresh_trials: fresh_total,
         })

@@ -11,9 +11,10 @@
 //! [`fingerprint`]: ScenarioSpec::fingerprint
 
 use crate::error::ServiceError;
+use crate::proto::{read_tagged, write_tagged};
 use lv_lotka::{LvModel, MultiLvModel};
 use lv_sim::{GapScenario, PluralityGap, TwoSpeciesGap};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The model of a [`ScenarioSpec`]: the paper's two-species system or the
 /// general `k`-species one, kept distinct so rebuilt scenarios take the
@@ -63,30 +64,23 @@ impl ModelSpec {
     }
 }
 
+/// `{"kind": "two" | "multi", "model": ...}`.
 impl Serialize for ModelSpec {
-    fn to_value(&self) -> Value {
-        let (tag, body) = match self {
-            ModelSpec::Two(model) => ("two", model.to_value()),
-            ModelSpec::Multi(model) => ("multi", model.to_value()),
-        };
-        Value::Map(vec![
-            ("kind".to_string(), Value::Str(tag.to_string())),
-            ("model".to_string(), body),
-        ])
+    fn serialize<O: serde::Output>(&self, out: &mut O) {
+        match self {
+            ModelSpec::Two(model) => write_tagged(out, ("kind", "two"), ("model", model)),
+            ModelSpec::Multi(model) => write_tagged(out, ("kind", "multi"), ("model", model)),
+        }
     }
 }
 
 impl<'de> Deserialize<'de> for ModelSpec {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let tag: String = serde::de::field(value, "kind")?;
-        let body = value
-            .get("model")
-            .ok_or_else(|| serde::Error::missing_field("model"))?;
-        match tag.as_str() {
-            "two" => LvModel::from_value(body).map(ModelSpec::Two),
-            "multi" => MultiLvModel::from_value(body).map(ModelSpec::Multi),
+    fn deserialize(de: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
+        read_tagged(de, "kind", "model", |tag, model| match tag {
+            "two" => LvModel::deserialize(model).map(ModelSpec::Two),
+            "multi" => MultiLvModel::deserialize(model).map(ModelSpec::Multi),
             other => Err(serde::Error::unknown_variant(other)),
-        }
+        })
     }
 }
 
@@ -149,23 +143,15 @@ impl ScenarioSpec {
         Ok(self)
     }
 
-    /// The cache fingerprint: FNV-1a 64 over the canonical JSON form.
+    /// The cache fingerprint: FNV-1a 64 over the canonical JSON form,
+    /// hashed as it is written, so nothing is allocated.
     ///
     /// Only through [`ScenarioSpec::validated`]-canonicalised specs is the
     /// fingerprint alias-stable.
     pub fn fingerprint(&self) -> u64 {
-        let canonical = serde::json::to_string(self);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in canonical.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
-    /// The fingerprint rendered as the wire's fixed-width hex string.
-    pub fn fingerprint_hex(&self) -> String {
-        format!("{:016x}", self.fingerprint())
+        let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+        self.serialize(&mut hash);
+        hash.0
     }
 
     /// Builds the gap family over population `n`.
@@ -199,6 +185,23 @@ impl ScenarioSpec {
                 }
                 Ok(GapFamily::Multi(family))
             }
+        }
+    }
+}
+
+/// A fingerprint rendered as the wire's fixed-width hex string.
+pub fn fingerprint_hex(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
+}
+
+/// An FNV-1a 64 hash fed with JSON text as it is written.
+struct Fnv1a(u64);
+
+impl serde::Output for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
@@ -302,7 +305,7 @@ mod tests {
         assert_ne!(spec.fingerprint(), other_kind.fingerprint());
         let other_backend = ScenarioSpec::two_species(sd_model(), "gillespie-direct");
         assert_ne!(spec.fingerprint(), other_backend.fingerprint());
-        assert_eq!(spec.fingerprint_hex().len(), 16);
+        assert_eq!(fingerprint_hex(spec.fingerprint()).len(), 16);
     }
 
     #[test]

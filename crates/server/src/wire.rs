@@ -68,14 +68,27 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+/// Header bytes before the payload: magic plus length.
+const HEADER: usize = 8;
+
 /// Writes one frame.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(payload.len() as u32));
+    let mut frame = Vec::with_capacity(HEADER + payload.len());
+    frame.extend_from_slice(&[0; HEADER]);
+    frame.extend_from_slice(payload);
+    send(writer, frame)
+}
+
+/// Fills in the header of a frame whose payload follows `HEADER` reserved
+/// bytes, and writes it with a single call.
+fn send<W: Write>(writer: &mut W, mut frame: Vec<u8>) -> Result<(), WireError> {
+    let len = frame.len() - HEADER;
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized(len as u32));
     }
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4..HEADER].copy_from_slice(&(len as u32).to_be_bytes());
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -83,16 +96,12 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireE
 /// Reads one frame, enforcing `max_bytes` on the declared payload length.
 ///
 /// A clean close *between* frames reads as [`WireError::Eof`]; a close
-/// inside the header or payload reads as [`WireError::Truncated`].
+/// inside the header or payload reads as [`WireError::Truncated`]. The
+/// magic is checked as soon as its four bytes are in.
 pub fn read_frame<R: Read>(reader: &mut R, max_bytes: usize) -> Result<Vec<u8>, WireError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(reader, &mut magic, true)?;
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(reader, &mut len_bytes, false)?;
-    let len = u32::from_be_bytes(len_bytes);
+    let mut header = [0u8; HEADER];
+    read_exact_or(reader, &mut header, true)?;
+    let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
     if len as usize > max_bytes {
         return Err(WireError::Oversized(len));
     }
@@ -102,26 +111,30 @@ pub fn read_frame<R: Read>(reader: &mut R, max_bytes: usize) -> Result<Vec<u8>, 
 }
 
 /// `read_exact` that distinguishes a clean pre-frame close (`Eof`, when
-/// `at_boundary` and no byte has arrived yet) from a mid-frame one
-/// (`Truncated`). On streams with a read timeout, an expiry before the
-/// frame's first byte reads as `Idle` (retryable); one mid-frame keeps
-/// waiting, since aborting there would desynchronise the stream.
-fn read_exact_or<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<(), WireError> {
+/// reading a `header` and no byte has arrived yet) from a mid-frame one
+/// (`Truncated`), and rejects a header's magic once four bytes are in. On
+/// streams with a read timeout, an expiry before the frame's first byte
+/// reads as `Idle` (retryable); one mid-frame keeps waiting, since
+/// aborting there would desynchronise the stream.
+fn read_exact_or<R: Read>(reader: &mut R, buf: &mut [u8], header: bool) -> Result<(), WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
             Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
+                return Err(if header && filled == 0 {
                     WireError::Eof
                 } else {
                     WireError::Truncated
                 })
             }
-            Ok(read) => filled += read,
+            Ok(read) => {
+                filled += read;
+                if header && filled >= MAGIC.len() && buf[..MAGIC.len()] != MAGIC {
+                    let mut magic = [0u8; 4];
+                    magic.copy_from_slice(&buf[..MAGIC.len()]);
+                    return Err(WireError::BadMagic(magic));
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e)
                 if matches!(
@@ -129,7 +142,7 @@ fn read_exact_or<R: Read>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if at_boundary && filled == 0 {
+                if header && filled == 0 {
                     return Err(WireError::Idle);
                 }
             }
@@ -139,12 +152,16 @@ fn read_exact_or<R: Read>(
     Ok(())
 }
 
-/// Serializes a message and writes it as one frame.
+/// Serializes a message straight into a frame buffer and writes it as one
+/// frame, with one write call.
 pub fn write_message<W: Write, T: serde::Serialize>(
     writer: &mut W,
     message: &T,
 ) -> Result<(), WireError> {
-    write_frame(writer, serde::json::to_string(message).as_bytes())
+    let mut frame = Vec::with_capacity(512);
+    frame.extend_from_slice(&[0; HEADER]);
+    message.serialize(&mut frame);
+    send(writer, frame)
 }
 
 /// Reads one frame and deserializes the message it carries.
@@ -185,6 +202,106 @@ mod tests {
         assert!(matches!(
             read_frame(&mut Cursor::new(bytes), MAX_FRAME_BYTES),
             Err(WireError::BadMagic(_))
+        ));
+    }
+
+    /// A writer that counts its `write` calls and accepts whole buffers.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that hands out its bytes `step` at a time, then reports
+    /// either a clean close or, with `hang`, a peer that never sends again.
+    struct Trickle {
+        bytes: Vec<u8>,
+        pos: usize,
+        step: usize,
+        hang: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.bytes.len() {
+                assert!(!self.hang, "read past the last byte of a hanging peer");
+                return Ok(0);
+            }
+            let n = self.step.min(buf.len()).min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let mut writer = CountingWriter::default();
+        write_message(&mut writer, &vec![1u64, 2, 3]).unwrap();
+        assert_eq!(writer.writes, 1);
+        write_frame(&mut writer, b"hello").unwrap();
+        assert_eq!(writer.writes, 2);
+        let mut expected = Vec::new();
+        for payload in [&b"[1,2,3]"[..], b"hello"] {
+            expected.extend_from_slice(&MAGIC);
+            expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            expected.extend_from_slice(payload);
+        }
+        assert_eq!(writer.bytes, expected);
+    }
+
+    #[test]
+    fn bad_magic_is_reported_once_four_bytes_are_in() {
+        // Four wrong bytes, then a close.
+        let closed = Trickle {
+            bytes: b"XXXX".to_vec(),
+            pos: 0,
+            step: 4,
+            hang: false,
+        };
+        // Four wrong bytes one at a time, then a peer that never sends the
+        // length: the reader must not wait for it.
+        let hanging = Trickle {
+            bytes: b"GET ".to_vec(),
+            pos: 0,
+            step: 1,
+            hang: true,
+        };
+        for mut reader in [closed, hanging] {
+            assert!(matches!(
+                read_frame(&mut reader, MAX_FRAME_BYTES),
+                Err(WireError::BadMagic(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn frames_read_from_byte_at_a_time_streams() {
+        let mut bytes = Vec::new();
+        write_message(&mut bytes, &"a frame".to_string()).unwrap();
+        let mut reader = Trickle {
+            bytes,
+            pos: 0,
+            step: 1,
+            hang: false,
+        };
+        let text: String = read_message(&mut reader, MAX_FRAME_BYTES).unwrap();
+        assert_eq!(text, "a frame");
+        assert!(matches!(
+            read_frame(&mut reader, MAX_FRAME_BYTES),
+            Err(WireError::Eof)
         ));
     }
 
