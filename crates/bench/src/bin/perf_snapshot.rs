@@ -7,8 +7,9 @@
 //! kernels (`simulator_kernels_k6`, `batch_streaming`, `sampling_kernels`,
 //! `protocol_batching`, `protocol_windows`, `protocol_bridging`), an
 //! early-stopped threshold probe on the parallel stream
-//! (`stream_early_stop`) plus the threshold-surface server's cache-hit
-//! round trip (`server_roundtrip`) with a plain wall-clock timer and writes the results to `BENCH_8.json`,
+//! (`stream_early_stop`) plus the threshold-surface server's cache hit
+//! in process, through the frame codec alone and over a Unix socket
+//! (`server_roundtrip`) with a plain wall-clock timer and writes the results to `BENCH_8.json`,
 //! so the performance trajectory of the hot paths is recorded per revision
 //! instead of living only in scrollback. CI runs `--quick` mode on every
 //! push, which keeps the artifact (and the kernels behind it) from rotting.

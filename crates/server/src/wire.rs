@@ -15,6 +15,11 @@
 //! A reader rejects bad magic, oversized declarations and truncated
 //! payloads with typed errors and never panics, so a malformed peer costs
 //! one connection, not the server.
+//!
+//! A frame is assembled in one buffer — header slot, then the message
+//! serialized in place — and handed to the stream in one `write_all`, so a
+//! small frame is one system call; a reader takes the 8-byte header in one
+//! read and the payload in another.
 
 use std::io::{Read, Write};
 
