@@ -453,6 +453,28 @@ mod tests {
     }
 
     #[test]
+    fn idle_workers_wait_for_chunks_still_in_flight() {
+        // The queue is empty but one chunk is out: another worker must wait
+        // for it instead of leaving, and run it if its holder gives it back.
+        let queue = Mutex::new(Chunks {
+            pending: VecDeque::from([(0, 5)]),
+            in_flight: 0,
+        });
+        let returned = Condvar::new();
+        let held = Chunks::take(&queue, &returned);
+        assert_eq!(held, Some((0, 5)));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| Chunks::take(&queue, &returned));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "left while a chunk was in flight");
+            Chunks::give_back(&queue, &returned, held);
+            assert_eq!(waiter.join().unwrap(), Some((0, 5)));
+        });
+        Chunks::give_back(&queue, &returned, None);
+        assert_eq!(Chunks::take(&queue, &returned), None);
+    }
+
+    #[test]
     fn thread_count_does_not_change_bits() {
         let seed = Seed::new(99);
         let one = InProcessExecutor::new(1)
