@@ -31,10 +31,11 @@
 //!   are checked against the step loop's in law, and it must beat the step
 //!   loop by 5× or more.
 //! - `protocol_batching`: batched vs agent-list approximate-majority
-//!   convergence at equal `n` — the batched per-interaction-equivalent cost
-//!   *falls* with `n` (one epoch of Θ(√n) interactions costs a constant
-//!   number of draws) while the agent-list cost rises once its state array
-//!   outgrows the cache.
+//!   convergence at equal `n` (the agent list is the test oracle
+//!   `lv_protocols::ProtocolSimulation`, driven directly) — the batched
+//!   per-interaction-equivalent cost *falls* with `n` (one epoch of Θ(√n)
+//!   interactions costs a constant number of draws) while the agent-list
+//!   cost rises once its state array outgrows the cache.
 //! - `protocol_windows`: approximate majority's thinning windows vs its
 //!   batched epochs vs the backend's window-or-epoch rule, on
 //!   `protocol-sweep`'s own points (`n = 10⁴` and `10⁵`), timed interleaved
@@ -44,9 +45,9 @@
 //!   trials). The section also prints the rule's two cost constants,
 //!   nanoseconds per candidate and per epoch.
 //! - `protocol_bridging`: the conversion dynamics. First the exact
-//!   thinning-window kernel (`czyzowicz-lv`, `czyzowicz-lv-k`) against the
-//!   batched counted epoch on `protocol-sweep`'s own conversion points
-//!   (`n = 1000` and `n = 999` over three opinions), timed interleaved; the
+//!   thinning-window kernel (`czyzowicz-lv`) against the batched counted
+//!   epoch on `protocol-sweep`'s own conversion points (`n = 1000` and
+//!   `n = 999` over three opinions), timed interleaved; the
 //!   kernel must beat the epoch by 2× or more at `n = 1000`. Then
 //!   diffusion-bridged vs thinned at equal `n`: the bridged sampler runs
 //!   the Θ(n²)-interaction first passage to absorption at every `n`
@@ -105,6 +106,24 @@ fn time_interleaved_ms<const N: usize>(reps: usize, arms: [&dyn Fn(); N]) -> [f6
         arm.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         arm[arm.len() / 2]
     })
+}
+
+/// Runs the agent-list oracle [`ProtocolSimulation`] from `(a, b)` with the
+/// backends' stop order — a committed count at zero first, then the
+/// interaction budget — and returns the interactions it ran.
+///
+/// [`ProtocolSimulation`]: lv_protocols::ProtocolSimulation
+fn agent_list_interactions<P: lv_protocols::PopulationProtocol>(
+    protocol: &P,
+    (a, b): (u64, u64),
+    budget: u64,
+    rng: &mut StdRng,
+) -> u64 {
+    let mut sim = lv_protocols::ProtocolSimulation::new(protocol, a, b);
+    while !matches!(sim.opinion_counts(), (0, _) | (_, 0)) && sim.interactions() < budget {
+        sim.step(rng);
+    }
+    sim.interactions()
 }
 
 /// Asserts that two samples of events per trial agree in law: their means
@@ -313,7 +332,7 @@ fn main() {
     let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, k, 1.0, 1.0, 1.0);
     let k6_scenario = Scenario::new(model, vec![5_000u64; k])
         .with_stop(lv_crn::StopCondition::consensus().with_max_events(5_000));
-    for name in ["jump-chain", "gillespie-direct", "next-reaction"] {
+    for name in ["jump-chain", "gillespie-direct"] {
         let engine = backend(name).expect("builtin backend");
         let wall_ms = time_ms(reps, || {
             let mut rng = seed().rng_for_trial(1);
@@ -674,7 +693,6 @@ fn main() {
         &[1_000_000, 10_000_000]
     };
     let batched = backend("approx-majority").expect("builtin backend");
-    let agents = backend("approx-majority-agents").expect("builtin backend");
     for &n in sizes {
         let a = n * 55 / 100;
         let scenario = Scenario::new(LvModel::default(), (a, n - a))
@@ -697,9 +715,9 @@ fn main() {
         let mut agent_interactions = 0u64;
         let agents_ms = time_ms(agent_reps, || {
             let mut rng = seed().rng_for_trial(2);
-            let report = agents.run(&scenario, &mut rng);
-            assert!(report.consensus_reached());
-            agent_interactions = report.events;
+            let protocol = lv_protocols::ApproximateMajority::new();
+            agent_interactions =
+                agent_list_interactions(&protocol, (a, n - a), u64::MAX / 2, &mut rng);
         });
         kernels.push(Kernel {
             name: format!("protocol_batching/approx_majority_agents_n{n}"),
@@ -891,17 +909,18 @@ fn main() {
         }
     }
 
-    // ---- protocol_bridging/thinning: the conversion backends' exact
+    // ---- protocol_bridging/thinning: the conversion backend's exact
     // thinning windows vs the batched counted epoch (`CountedSimulation`,
-    // which no registered backend runs on the conversion dynamics any more)
-    // on `protocol-sweep`'s own conversion points: `czyzowicz-lv` at
-    // n = 1000 and `czyzowicz-lv-k` at n = 999 over three opinions, built
-    // as the threshold search builds them, at a gap inside the sweep's
-    // threshold band. The two arms run the same trials on their own RNG
-    // streams, timed interleaved; their interactions per trial must agree
-    // in law. Absorption times are heavy-tailed, so two streams' batches of
-    // trials hold different amounts of work: the comparison projects the
-    // epoch's per-interaction cost onto the kernel's interaction count.
+    // which the backend hands the counts to only past n ≈ 3·10⁴) on
+    // `protocol-sweep`'s own conversion points: `czyzowicz-lv` at n = 1000
+    // and at n = 999 over three opinions (the latter under its retired
+    // name `czyzowicz-lv-k` there), built as the threshold search builds
+    // them, at a gap inside the sweep's threshold band. The two arms run
+    // the same trials on their own RNG streams, timed interleaved; their
+    // interactions per trial must agree in law. Absorption times are
+    // heavy-tailed, so two streams' batches of trials hold different
+    // amounts of work: the comparison projects the epoch's per-interaction
+    // cost onto the kernel's interaction count.
     // Direction guard: at n = 1000 the kernel must beat the epoch by 2× or
     // more at equal work.
     {
@@ -920,7 +939,7 @@ fn main() {
                     .scenario(700),
             ),
             (
-                "czyzowicz-lv-k",
+                "czyzowicz-lv",
                 "k3_n999_gap699",
                 PluralityGap::new(k3, 999)
                     .with_max_events(budget(999))
@@ -1012,7 +1031,6 @@ fn main() {
         const EXACT_BUDGET: u64 = 2_000_000;
         let bridged = backend("czyzowicz-lv-bridged").expect("builtin backend");
         let thinned = backend("czyzowicz-lv").expect("builtin backend");
-        let cz_agents = backend("czyzowicz-lv-agents").expect("builtin backend");
         for &n in bridge_sizes {
             let a = n * 55 / 100;
             let to_absorption = Scenario::new(LvModel::default(), (a, n - a)).with_stop(
@@ -1058,8 +1076,13 @@ fn main() {
             let mut agent_events = 0u64;
             let cz_agents_ms = time_ms(1, || {
                 let mut rng = seed().rng_for_trial(3);
-                let report = cz_agents.run(&exact_scenario, &mut rng);
-                agent_events = report.events;
+                let protocol = lv_protocols::CzyzowiczLvProtocol::new();
+                let budget = if exact_full {
+                    u64::MAX / 2
+                } else {
+                    EXACT_BUDGET
+                };
+                agent_events = agent_list_interactions(&protocol, (a, n - a), budget, &mut rng);
             });
             kernels.push(Kernel {
                 name: format!(

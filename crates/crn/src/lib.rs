@@ -14,8 +14,7 @@
 //! * the network formalism ([`ReactionNetwork`], [`Reaction`], [`Species`],
 //!   [`State`]) with validation and mass-action [`propensity`] evaluation;
 //! * exact simulators: the Gillespie direct method
-//!   ([`simulators::GillespieDirect`]), the next-reaction method
-//!   ([`simulators::NextReaction`]) and the discrete-time jump chain
+//!   ([`simulators::GillespieDirect`]) and the discrete-time jump chain
 //!   ([`simulators::JumpChain`]);
 //! * an approximate tau-leaping simulator ([`simulators::TauLeaping`]) for
 //!   large populations;
@@ -78,9 +77,7 @@ pub use trajectory::{TimePoint, Trajectory};
 
 /// Convenience prelude importing the most commonly used items.
 pub mod prelude {
-    pub use crate::simulators::{
-        GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
-    };
+    pub use crate::simulators::{GillespieDirect, JumpChain, StochasticSimulator, TauLeaping};
     pub use crate::{
         propensity, total_propensity, Reaction, ReactionId, ReactionNetwork, Species, SpeciesId,
         State, StopCondition, Trajectory, ValidatedNetwork,

@@ -1,14 +1,10 @@
 //! Stochastic simulators for validated reaction networks.
 //!
-//! Four simulators are provided, all driving the same network formalism:
+//! Three simulators are provided, all driving the same network formalism:
 //!
 //! * [`GillespieDirect`] — the exact continuous-time stochastic simulation
 //!   algorithm (Gillespie 1977 direct method): exponential waiting times and
 //!   propensity-proportional reaction selection.
-//! * [`NextReaction`] — the exact next-reaction formulation keeping one
-//!   exponential clock per reaction; statistically equivalent to the direct
-//!   method, useful as a cross-check and faster when only a few propensities
-//!   change per event.
 //! * [`JumpChain`] — the embedded discrete-time jump chain
 //!   `P(x, y) = Q(x, y)/φ(x)`, which is the object the paper actually
 //!   analyses; it tracks the number of reactions, not continuous time.
@@ -23,12 +19,10 @@
 
 mod direct;
 mod jump_chain;
-mod next_reaction;
 mod tau_leaping;
 
 pub use direct::GillespieDirect;
 pub use jump_chain::JumpChain;
-pub use next_reaction::NextReaction;
 pub use tau_leaping::TauLeaping;
 
 use crate::reaction::ReactionId;

@@ -1,4 +1,4 @@
-//! Integration coverage for the `StopCondition` combinators across *all four*
+//! Integration coverage for the `StopCondition` combinators across *all three*
 //! stochastic simulators: `or`-composition, the `max_events`/`max_time`
 //! interaction, and predicate conditions must be honored identically no
 //! matter which simulator drives the run.
@@ -51,10 +51,6 @@ fn run_all(
         (
             "gillespie-direct",
             GillespieDirect::new(network, state(), rng(seed)).run(stop),
-        ),
-        (
-            "next-reaction",
-            NextReaction::new(network, state(), rng(seed)).run(stop),
         ),
         (
             "tau-leaping",

@@ -54,9 +54,9 @@ pub trait Backend: Send + Sync {
     /// their per-event counterparts *statistically* — equal outcome
     /// distributions — but not bit-for-bit: the RNG stream differs, steps
     /// aggregate many firings (`StepRecord::firings > 1`, `event = None`),
-    /// and absorption is detected at epoch granularity. Registries report
-    /// this flag so callers can pick bit-exact legacy execution (e.g.
-    /// `"approx-majority-agents"`) when they need it.
+    /// and absorption is detected at epoch granularity. Every built-in
+    /// protocol baseline is batched; its per-event counterpart is
+    /// `lv_protocols::ProtocolSimulation`, which tests drive directly.
     fn batched(&self) -> bool {
         false
     }

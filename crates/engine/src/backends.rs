@@ -1,14 +1,12 @@
 //! The run fns of the Lotka–Volterra backends: one exact specialised jump
-//! chain, three generic CRN simulators, and the deterministic ODE — all
+//! chain, two generic CRN simulators, and the deterministic ODE — all
 //! defined over `k`-species scenarios. Their registry rows are in
 //! `registry.rs`.
 
 use crate::backend::{event_budget, Driver};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioModel};
-use lv_crn::simulators::{
-    GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
-};
+use lv_crn::simulators::{GillespieDirect, JumpChain, StochasticSimulator, TauLeaping};
 use lv_crn::{State, StopReason};
 use lv_lotka::{CompetitionKind, LvJumpChain, LvModel, MultiLvModel, Population, PopulationEvent};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
@@ -107,18 +105,6 @@ pub(crate) fn gillespie_direct(
 ) -> RunReport {
     let crn = scenario.crn_form();
     let mut sim = GillespieDirect::new(&crn.network, initial_state(scenario), rng);
-    drive_crn(name, scenario, &mut sim, &crn.events)
-}
-
-/// `"next-reaction"`: exact continuous-time simulation keeping one
-/// exponential clock per reaction.
-pub(crate) fn next_reaction(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    let crn = scenario.crn_form();
-    let mut sim = NextReaction::new(&crn.network, initial_state(scenario), rng);
     drive_crn(name, scenario, &mut sim, &crn.events)
 }
 
@@ -367,12 +353,10 @@ mod tests {
     #[test]
     fn continuous_backends_report_physical_time() {
         let scenario = Scenario::majority(LvModel::default(), 30, 20);
-        for name in ["gillespie-direct", "next-reaction"] {
-            let report = run(name, &scenario, 2);
-            assert!(report.consensus_reached(), "{name}");
-            assert!(report.time > 0.0);
-            assert_eq!(report.events, report.steps);
-        }
+        let report = run("gillespie-direct", &scenario, 2);
+        assert!(report.consensus_reached());
+        assert!(report.time > 0.0);
+        assert_eq!(report.events, report.steps);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # lv-engine — one scenario description, six execution backends
+//! # lv-engine — one scenario description, nine execution backends
 //!
 //! Every experiment in the reproduction of *“Majority consensus thresholds
 //! in competitive Lotka–Volterra populations”* (Függer, Nowak, Rybicki; PODC
@@ -10,27 +10,25 @@
 //!   [`lv_lotka::LvModel`] or the general `k`-species
 //!   [`lv_lotka::MultiLvModel`]), an initial [`lv_lotka::Population`], a
 //!   [`lv_crn::StopCondition`] and a set of composable [`ObserverSpec`]s;
-//! * [`Backend`] — the *how*: an object-safe execution engine. Fifteen are
-//!   built in — the exact specialised jump chain (the paper's chain `S`),
-//!   the Gillespie direct method, the next-reaction method, tau-leaping,
-//!   the deterministic mean-field ODE, five count-based population-protocol
+//! * [`Backend`] — the *how*: an object-safe execution engine. Nine are
+//!   built in, one per law — the exact specialised jump chain (the paper's
+//!   chain `S`), the Gillespie direct method, tau-leaping, the
+//!   deterministic mean-field ODE, four count-based population-protocol
 //!   baselines (3-state approximate majority, 4-state exact majority and
 //!   the self-destructive annihilation dynamics in batched epochs; the
-//!   2-state Czyzowicz et al. discrete LV dynamics and its `k`-opinion
-//!   generalisation in exact thinning windows that skip inert
-//!   interactions), the two diffusion-bridged conversion backends
-//!   (`"czyzowicz-lv-bridged"` / `"czyzowicz-lv-k-bridged"`, which sample
-//!   the conversion count walk in first-passage bridge blocks at
-//!   `Õ(poly log n)` per trial), plus bit-exact agent-list legacy variants
-//!   of the first three protocol baselines ([`Backend::batched`] reports
-//!   the mode);
+//!   Czyzowicz et al. discrete LV conversion dynamics over any `k ≥ 2`
+//!   opinions in exact thinning windows that skip inert interactions) and
+//!   the diffusion-bridged conversion backend (`"czyzowicz-lv-bridged"`,
+//!   which samples the conversion count walk in first-passage bridge
+//!   blocks at `Õ(poly log n)` per trial);
 //! * [`BackendRegistry`] — string-keyed backend selection for CLIs and
-//!   benches (`"jump-chain"`, `"gillespie-direct"`, `"next-reaction"`,
-//!   `"tau-leaping"`, `"ode"`, `"approx-majority"`, `"exact-majority"`,
-//!   `"czyzowicz-lv"`, `"annihilation-lv"`, `"czyzowicz-lv-k"`, the
-//!   `-bridged` first-passage variants, the `-agents` legacy variants,
-//!   plus aliases): a read-only view of one static table with a row per
-//!   built-in backend;
+//!   benches (`"jump-chain"`, `"gillespie-direct"`, `"tau-leaping"`,
+//!   `"ode"`, `"approx-majority"`, `"exact-majority"`, `"czyzowicz-lv"`,
+//!   `"annihilation-lv"`, `"czyzowicz-lv-bridged"`, plus aliases — among
+//!   them the retired names `"next-reaction"`, `"czyzowicz-lv-k"`,
+//!   `"czyzowicz-lv-k-bridged"` and the `-agents` names, each resolving to
+//!   the row with the same law): a read-only view of one static table with
+//!   a row per built-in backend;
 //! * [`presets`] — named multi-species scenario presets (3-species cyclic
 //!   competition, planted `k`-species plurality, two-vs-many coalition);
 //! * [`RunReport`] — the uniform result: summary fields plus one

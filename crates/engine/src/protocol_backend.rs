@@ -14,7 +14,7 @@
 //! semantics of the stop conditions carry over: the survivor is the
 //! protocol's decision.
 //!
-//! # Batched vs agent-list execution
+//! # Count-space execution
 //!
 //! The two-opinion protocol backends (`approx-majority`, `exact-majority`,
 //! `annihilation-lv`) execute **in count space**
@@ -33,32 +33,30 @@
 //! interaction — one deterministic rule, calibrated by `perf-snapshot` — so
 //! small populations and near-consensus states run windows, and the
 //! near-tie phase of large populations runs epochs. Both are equal *in
-//! distribution* to the same number of per-interaction steps but consume a
-//! different RNG stream and report aggregated [`StepRecord`]s (`event =
-//! None`, `firings` = their interactions — the same vocabulary as
+//! distribution* to the same number of per-interaction steps of an agent
+//! list ([`lv_protocols::ProtocolSimulation`], kept as the test oracle) but
+//! consume a different RNG stream and report aggregated [`StepRecord`]s
+//! (`event = None`, `firings` = their interactions — the same vocabulary as
 //! tau-leaping), so agreement with the agent-list stepper is statistical,
 //! not bit-exact; with observers attached, a window is replayed as one
 //! classified record per productive interaction. Absorption — no
 //! schedulable pair can change any state — is detected by an
-//! `O(#states²)` count check between steps, which subsumes the
-//! per-protocol monitors (committed consensus, exhausted strong tokens) of
-//! the agent-list path, and a window ends on the interaction that empties a
-//! state, so a committed opinion's extinction stops a run exactly there.
+//! `O(#states²)` count check between steps, and a window ends on the
+//! interaction that empties a state, so a committed opinion's extinction
+//! stops a run exactly there.
 //!
-//! The Czyzowicz conversion dynamics (`czyzowicz-lv`, `czyzowicz-lv-k` and
-//! the two bridged rows) run on [`lv_protocols::BridgedConversionWalk`]
-//! instead: only a cross-opinion pair changes state there, so the walk's
-//! own thinning windows skip the inert interactions, the exact rows hand
-//! the counts to a counted epoch wherever the same rule picks one, and the
-//! bridged rows add diffusion-bridged blocks away from the boundaries (see
-//! [`run_conversion`]). They report aggregated records too and count as
-//! batched.
+//! The Czyzowicz conversion dynamics (`czyzowicz-lv` and
+//! `czyzowicz-lv-bridged`, both over any `k ≥ 2` opinions) run on
+//! [`lv_protocols::BridgedConversionWalk`] instead: only a cross-opinion
+//! pair changes state there, so the walk's own thinning windows skip the
+//! inert interactions, the exact row hands the counts to a counted epoch
+//! wherever the same rule picks one, and the bridged row adds
+//! diffusion-bridged blocks away from the boundaries (see
+//! [`run_conversion`]). They report aggregated records too.
 //!
-//! The legacy agent-list steppers of the first three two-opinion baselines
-//! are registered under `-agents` names for bit-exact runs against
-//! hand-driven [`ProtocolSimulation`] loops;
-//! [`Backend::batched`](crate::Backend::batched) reports which execution
-//! mode a backend uses.
+//! Every protocol row is batched
+//! ([`Backend::batched`](crate::Backend::batched)); the retired agent-list
+//! names (`-agents`) are aliases of the batched rows.
 //!
 //! [`StepRecord`]: crate::StepRecord
 
@@ -70,8 +68,7 @@ use lv_lotka::PopulationEvent;
 use lv_protocols::sampling::BatchLengthSampler;
 use lv_protocols::{
     ApproximateMajority, BridgedConversionWalk, CountedDynamics, CountedSimulation,
-    CzyzowiczLvProtocol, ExactMajority4State, FourState, Interaction, Opinion, PopulationProtocol,
-    ProtocolSimulation, SelfDestructiveLvProtocol,
+    ExactMajority4State, SelfDestructiveLvProtocol,
 };
 use rand::rngs::StdRng;
 
@@ -95,124 +92,6 @@ const EPOCH_COST_IN_CANDIDATES: f64 = 110.0;
 /// only the configuration and the population size, never a clock.
 fn window_pays(candidate_rate: f64, epoch_interactions: f64) -> bool {
     candidate_rate * epoch_interactions < EPOCH_COST_IN_CANDIDATES
-}
-
-/// Protocol-specific absorption bookkeeping for the generic agent-list
-/// stepper: decides when the configuration is *absorbed* (no future
-/// interaction can change any agent's state), optionally maintaining
-/// incremental state from the observed interactions.
-///
-/// Without this exit, an unsatisfiable stop condition with no budget would
-/// spin forever on inert interactions — the LV backends escape the same
-/// situation through their zero-propensity absorption check. (The counted
-/// path needs no monitors: it checks pair inertness over the counts in
-/// `O(#states²)`.)
-trait ProtocolMonitor<P: PopulationProtocol> {
-    /// Whether the current configuration is absorbed.
-    fn absorbed(&self, sim: &ProtocolSimulation<P>) -> bool;
-
-    /// Observes one applied interaction (for incremental bookkeeping).
-    fn observe(&mut self, _interaction: &Interaction<P::State>) {}
-}
-
-/// Absorption by committed consensus: every agent outputs the same opinion.
-/// Correct for protocols where any mixed-output configuration can still
-/// react (approximate majority, the two-state Czyzowicz dynamics). O(1) via
-/// the incrementally maintained committed counts.
-struct CommittedConsensus;
-
-impl<P: PopulationProtocol> ProtocolMonitor<P> for CommittedConsensus {
-    fn absorbed(&self, sim: &ProtocolSimulation<P>) -> bool {
-        let (a, b) = sim.opinion_counts();
-        a + b == sim.population() && (a == 0 || b == 0)
-    }
-}
-
-/// Absorption for the 4-state exact-majority protocol: every transition
-/// needs a strong (token-carrying) agent, so the chain is absorbed once the
-/// strong tokens are exhausted (possible only from a tied start, since the
-/// strong-A/strong-B difference is invariant) or once one opinion has died
-/// out. The strong count is maintained in O(1) from the interactions —
-/// cancellation `(StrongA, StrongB) → (WeakA, WeakB)` is the only
-/// strong-consuming transition.
-struct StrongTokens {
-    strongs: u64,
-}
-
-impl ProtocolMonitor<ExactMajority4State> for StrongTokens {
-    fn absorbed(&self, sim: &ProtocolSimulation<ExactMajority4State>) -> bool {
-        let (a, b) = sim.opinion_counts();
-        self.strongs == 0 || a == 0 || b == 0
-    }
-
-    fn observe(&mut self, interaction: &Interaction<FourState>) {
-        if matches!(
-            (interaction.initiator_before, interaction.responder_before),
-            (FourState::StrongA, FourState::StrongB) | (FourState::StrongB, FourState::StrongA)
-        ) {
-            self.strongs -= 2;
-        }
-    }
-}
-
-/// Runs any two-opinion [`PopulationProtocol`] with the legacy *agent-list*
-/// stepper: the initial configuration `(a, b)` seeds `a` agents with
-/// opinion A and `b` with opinion B, and the committed counts are read
-/// through `PopulationProtocol::output`.
-fn run_two_opinion_protocol<P, M>(
-    protocol: &P,
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-    mut monitor: M,
-) -> RunReport
-where
-    P: PopulationProtocol,
-    M: ProtocolMonitor<P>,
-{
-    assert_eq!(
-        scenario.species_count(),
-        2,
-        "the {name} backend runs two-species scenarios only"
-    );
-    let initial = scenario.initial();
-    let (a, b) = (initial.count(0), initial.count(1));
-    let mut driver = Driver::new(scenario);
-    // Degenerate starts must stop before the first interaction, like every
-    // other backend.
-    if let Some(reason) = driver.check_stop() {
-        return driver.finish(name, reason);
-    }
-    // The pairwise scheduler cannot run on fewer than two agents: no
-    // interaction can ever fire, which is an absorbed state in every
-    // backend's vocabulary.
-    if a + b < 2 {
-        return driver.finish(name, StopReason::Absorbed);
-    }
-    let mut sim = ProtocolSimulation::new(protocol, a, b);
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
-        }
-        if monitor.absorbed(&sim) {
-            return driver.finish(name, StopReason::Absorbed);
-        }
-        let interaction = sim.step(rng);
-        monitor.observe(&interaction);
-        let (after_a, after_b) = sim.opinion_counts();
-        // Classify the interaction for the observers by the agents' output
-        // transitions. Protocol rules may change either agent — the
-        // exact-majority strong-recruits-weak rule flips the *initiator*
-        // when the weak agent is scheduled first — so both sides are
-        // considered (at most one output changes in the built-in protocols).
-        let event = classify(
-            protocol.output(interaction.initiator_before).map(species),
-            protocol.output(interaction.initiator_after).map(species),
-            protocol.output(interaction.responder_before).map(species),
-            protocol.output(interaction.responder_after).map(species),
-        );
-        driver.record(event, &[after_a, after_b], sim.interactions() as f64, 1);
-    }
 }
 
 /// Runs compiled [`CountedDynamics`] as an execution backend on count-based
@@ -308,8 +187,7 @@ fn run_counted(
 
 /// The Czyzowicz conversion dynamics (`(i, j) → (i, i)` for `i ≠ j`) over
 /// any `k ≥ 2` species, on [`BridgedConversionWalk`]: the run fn of
-/// `"czyzowicz-lv"`, `"czyzowicz-lv-k"` and, with `bridged`, of the two
-/// diffusion-bridged rows.
+/// `"czyzowicz-lv"` and, with `bridged`, of `"czyzowicz-lv-bridged"`.
 ///
 /// The rows step by exact **thinning windows**
 /// ([`BridgedConversionWalk::step_window`]): the inert interactions — 70–80%
@@ -323,7 +201,7 @@ fn run_counted(
 /// stops are checked exactly; other count conditions are checked at window
 /// ends, as at epoch boundaries.
 ///
-/// The exact rows apply [`window_pays`] before every step and hand the
+/// The exact row applies [`window_pays`] before every step and hands the
 /// counts to a batched epoch of [`CountedDynamics::k_opinion_czyzowicz`]
 /// where it picks one: a window draws a candidate for about half of the
 /// interactions near a tie, so past `n ≈ 10⁵` an epoch's `Θ(√n)`
@@ -331,8 +209,8 @@ fn run_counted(
 /// `n ≈ 3·10⁴`, where even a window drawing every interaction is cheaper
 /// than an epoch, the rule is not evaluated and the stream is the windows'.
 ///
-/// The bridged rows instead first try a diffusion-bridged block
-/// ([`BridgedConversionWalk::try_block`]) and fall back to a window inside
+/// The bridged row instead first tries a diffusion-bridged block
+/// ([`BridgedConversionWalk::try_block`]) and falls back to a window inside
 /// the boundary-proximity band. Blocks bridge the displacement exactly but
 /// reconstruct the interaction clock from its CLT limit, so their cost per
 /// trial is `Õ(poly log n)` instead of the windows' `Θ(n²)` conversions,
@@ -423,13 +301,6 @@ fn run_conversion(
     }
 }
 
-fn species(opinion: Opinion) -> usize {
-    match opinion {
-        Opinion::A => 0,
-        Opinion::B => 1,
-    }
-}
-
 /// Maps one interaction onto the LV event vocabulary by output transitions
 /// (species indices): cancellation and direct conversion are competitive
 /// attacks, recruitment of an undecided agent is a birth, death of a
@@ -491,19 +362,6 @@ pub(crate) fn approx_majority(
     run_counted(&dynamics, name, scenario, rng)
 }
 
-/// `"approx-majority-agents"`: the agent-list stepper behind
-/// `"approx-majority"`, bit-identical to a hand-driven
-/// [`ProtocolSimulation`] loop on the same RNG stream — the reference the
-/// batched backend is cross-validated against.
-pub(crate) fn approx_majority_agents(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    let protocol = ApproximateMajority::new();
-    run_two_opinion_protocol(&protocol, name, scenario, rng, CommittedConsensus)
-}
-
 /// `"exact-majority"`: the 4-state exact-majority protocol of
 /// Draief–Vojnović / Mertzios et al., batched.
 ///
@@ -522,42 +380,20 @@ pub(crate) fn exact_majority(
     run_counted(&dynamics, name, scenario, rng)
 }
 
-/// `"exact-majority-agents"`: the agent-list stepper behind
-/// `"exact-majority"` (bit-exact, strong-token absorption monitor).
-pub(crate) fn exact_majority_agents(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    let initial = scenario.initial();
-    let strongs = initial.count(0) + initial.count(1);
-    let protocol = ExactMajority4State::new();
-    run_two_opinion_protocol(&protocol, name, scenario, rng, StrongTokens { strongs })
-}
-
-/// `"czyzowicz-lv"`: the two-state discrete Lotka–Volterra dynamics of
-/// Czyzowicz et al. (`(A, B) → (A, A)`, `(B, A) → (B, B)`) in exact
-/// thinning windows ([`run_conversion`]).
+/// `"czyzowicz-lv"`: the discrete Lotka–Volterra conversion dynamics of
+/// Czyzowicz et al. over **any** `k ≥ 2` opinions, in exact thinning
+/// windows ([`run_conversion`]).
 ///
-/// On a static population these conversions are an unbiased random walk in
-/// the count of A, so the majority wins with probability exactly `a/n` —
-/// the proportional law — and high-probability majority consensus needs a
-/// gap *linear* in `n`, the baseline E15/E16's threshold sweeps contrast
-/// with the paper's polylogarithmic self-destructive threshold.
+/// One state per opinion; an initiator of a different opinion converts the
+/// responder (`(A, B) → (A, A)`, `(B, A) → (B, B)` for two). Each pairwise
+/// conversion between species `i` and `j` is an unbiased step in their
+/// counts, so species `i` wins with probability exactly `cᵢ/n` — the
+/// proportional law, `a/n` for two species — and high-probability majority
+/// (or plurality) consensus needs a gap *linear* in `n`: the baseline
+/// E15/E16's threshold sweeps contrast with the paper's polylogarithmic
+/// self-destructive threshold.
 pub(crate) fn czyzowicz_lv(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-    assert_two_species(name, scenario);
     run_conversion(name, scenario, rng, false)
-}
-
-/// `"czyzowicz-lv-agents"`: the agent-list stepper behind `"czyzowicz-lv"`
-/// (bit-exact).
-pub(crate) fn czyzowicz_lv_agents(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    let protocol = CzyzowiczLvProtocol::new();
-    run_two_opinion_protocol(&protocol, name, scenario, rng, CommittedConsensus)
 }
 
 /// `"annihilation-lv"`: the *self-destructive* discrete Lotka–Volterra
@@ -582,54 +418,17 @@ pub(crate) fn annihilation_lv(
     run_counted(&dynamics, name, scenario, rng)
 }
 
-/// `"czyzowicz-lv-k"`: the `k`-opinion Czyzowicz conversion dynamics over
-/// **any** `k ≥ 2` species, in exact thinning windows ([`run_conversion`]).
-///
-/// One state per opinion; an initiator of a different opinion converts the
-/// responder. Each pairwise conversion between species `i` and `j` is an
-/// unbiased step in their counts, so species `i` wins the plurality contest
-/// with probability exactly `cᵢ/n` — the `k`-species proportional law — and
-/// plurality-margin thresholds scale *linearly*, the `k`-species contrast
-/// to the paper's self-destructive amplification (E15's plurality sweeps).
-pub(crate) fn czyzowicz_lv_k(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    run_conversion(name, scenario, rng, false)
-}
-
-/// `"czyzowicz-lv-bridged"`: [`run_conversion`] with bridged blocks, on
-/// two-species scenarios only.
+/// `"czyzowicz-lv-bridged"`: [`run_conversion`] with bridged blocks over
+/// any `k ≥ 2` species. For `k > 2` the `(k−1)`-dimensional count walk is
+/// bridged per unordered species pair (a multinomial split of each block's
+/// conversions at the block-start pair intensities, then a fair-coin
+/// binomial bridge per pair) under a per-species boundary band.
 pub(crate) fn czyzowicz_lv_bridged(
     name: &'static str,
     scenario: &Scenario,
     rng: &mut StdRng,
 ) -> RunReport {
-    assert_two_species(name, scenario);
     run_conversion(name, scenario, rng, true)
-}
-
-/// `"czyzowicz-lv-k-bridged"`: [`run_conversion`] with bridged blocks: the
-/// `(k−1)`-dimensional count walk bridged per unordered species pair
-/// (a multinomial split of each block's conversions at the block-start pair
-/// intensities, then a fair-coin binomial bridge per pair) under a
-/// per-species boundary band.
-pub(crate) fn czyzowicz_lv_k_bridged(
-    name: &'static str,
-    scenario: &Scenario,
-    rng: &mut StdRng,
-) -> RunReport {
-    run_conversion(name, scenario, rng, true)
-}
-
-fn assert_two_species(name: &str, scenario: &Scenario) {
-    assert_eq!(
-        scenario.species_count(),
-        2,
-        "the {name} backend cannot run {}-species scenarios",
-        scenario.species_count()
-    );
 }
 
 #[cfg(test)]
@@ -638,6 +437,7 @@ mod tests {
     use crate::Backend;
     use lv_crn::StopCondition;
     use lv_lotka::LvModel;
+    use lv_protocols::{CzyzowiczLvProtocol, PopulationProtocol, ProtocolSimulation};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
@@ -659,29 +459,15 @@ mod tests {
     #[test]
     fn clear_majority_wins_and_reports_interactions() {
         let scenario = Scenario::majority(LvModel::default(), 400, 100);
-        for backend in [
-            backend("approx-majority"),
-            backend("approx-majority-agents"),
-        ] {
-            let report = backend.run(&scenario, &mut rng(1));
-            assert_eq!(report.backend, backend.name());
-            assert!(report.consensus_reached(), "{}", backend.name());
-            assert!(report.majority_won(), "{}", backend.name());
-            assert!(report.events > 0, "{}", backend.name());
-            let outcome = report.to_majority_outcome();
-            assert!(outcome.majority_won());
-        }
-        // The agent-list path resolves every event: one step per event and
-        // classified births/attacks for the derived view.
-        let report = backend("approx-majority-agents").run(&scenario, &mut rng(1));
-        assert_eq!(report.events, report.steps);
-        let outcome = report.to_majority_outcome();
-        assert!(outcome.individual_events > 0, "recruitments happened");
-        assert!(outcome.competitive_events > 0, "cancellations happened");
+        let report = backend("approx-majority").run(&scenario, &mut rng(1));
+        assert_eq!(report.backend, "approx-majority");
+        assert!(report.consensus_reached());
+        assert!(report.majority_won());
+        assert!(report.events > 0);
+        assert!(report.to_majority_outcome().majority_won());
         // The counted path replays its windows for observers: one
         // classified record per productive interaction and one aggregated
         // record per window for the inert ones.
-        let report = backend("approx-majority").run(&scenario, &mut rng(1));
         let counts = report.event_counts().unwrap();
         assert!(counts.individual > 0, "recruitments happened");
         assert!(counts.competitive > 0, "cancellations happened");
@@ -738,13 +524,10 @@ mod tests {
         let observed = scenario.clone().observe(crate::ObserverSpec::EventCounts);
         for (backend, scenario) in [
             (backend("approx-majority"), &scenario),
-            (backend("approx-majority-agents"), &scenario),
             (backend("czyzowicz-lv"), &scenario),
-            (backend("czyzowicz-lv-k"), &scenario),
             (backend("czyzowicz-lv-bridged"), &scenario),
-            (backend("czyzowicz-lv-k-bridged"), &scenario),
             (backend("czyzowicz-lv"), &observed),
-            (backend("czyzowicz-lv-k-bridged"), &observed),
+            (backend("czyzowicz-lv-bridged"), &observed),
         ] {
             let report = backend.run(scenario, &mut rng(3));
             assert_eq!(
@@ -768,7 +551,7 @@ mod tests {
         // of the A-count (at least 40 of them when A wins, and the same
         // parity as the net change).
         let scenario = Scenario::majority(LvModel::default(), 60, 40);
-        for name in ["czyzowicz-lv", "czyzowicz-lv-k", "czyzowicz-lv-bridged"] {
+        for name in ["czyzowicz-lv", "czyzowicz-lv-bridged"] {
             let report = backend(name).run(&scenario, &mut rng(16));
             assert!(report.consensus_reached(), "{name}");
             let counts = report.event_counts().unwrap();
@@ -801,15 +584,10 @@ mod tests {
         // and the run must end as absorbed rather than spinning forever.
         let scenario = Scenario::new(LvModel::default(), (60, 40))
             .with_stop(StopCondition::total_at_least(1_000));
-        for backend in [
-            backend("approx-majority"),
-            backend("approx-majority-agents"),
-        ] {
-            let report = backend.run(&scenario, &mut rng(7));
-            assert_eq!(report.reason, StopReason::Absorbed, "{}", backend.name());
-            assert!(report.final_state.is_consensus(), "{}", backend.name());
-            assert_eq!(report.final_state.total(), 100, "everyone committed");
-        }
+        let report = backend("approx-majority").run(&scenario, &mut rng(7));
+        assert_eq!(report.reason, StopReason::Absorbed);
+        assert!(report.final_state.is_consensus());
+        assert_eq!(report.final_state.total(), 100, "everyone committed");
     }
 
     #[test]
@@ -834,26 +612,19 @@ mod tests {
             assert!(!backend.models_kinetics(), "{}", backend.name());
             assert!(!backend.deterministic(), "{}", backend.name());
         }
-        // Two-opinion protocols are two-species only; the k-opinion
+        // Two-opinion protocols are two-species only; the conversion
         // dynamics run any k.
         assert!(!backend("approx-majority").supports_species(3));
-        assert!(!backend("czyzowicz-lv").supports_species(3));
-        assert!(!backend("czyzowicz-lv-bridged").supports_species(3));
-        assert!(backend("czyzowicz-lv-k").supports_species(3));
-        assert!(backend("czyzowicz-lv-k").supports_species(6));
-        assert!(backend("czyzowicz-lv-k-bridged").supports_species(3));
-        assert!(backend("czyzowicz-lv-k-bridged").supports_species(6));
-        // Batched vs agent-list execution is reported.
-        assert!(backend("approx-majority").batched());
-        assert!(backend("exact-majority").batched());
-        assert!(backend("czyzowicz-lv").batched());
-        assert!(backend("annihilation-lv").batched());
-        assert!(backend("czyzowicz-lv-k").batched());
-        assert!(backend("czyzowicz-lv-bridged").batched());
-        assert!(backend("czyzowicz-lv-k-bridged").batched());
-        assert!(!backend("approx-majority-agents").batched());
-        assert!(!backend("exact-majority-agents").batched());
-        assert!(!backend("czyzowicz-lv-agents").batched());
+        assert!(!backend("exact-majority").supports_species(3));
+        assert!(!backend("annihilation-lv").supports_species(3));
+        for name in ["czyzowicz-lv", "czyzowicz-lv-bridged"] {
+            assert!(backend(name).supports_species(3), "{name}");
+            assert!(backend(name).supports_species(6), "{name}");
+        }
+        // Every protocol row runs in count space.
+        for backend in all_protocol_backends() {
+            assert!(backend.batched(), "{}", backend.name());
+        }
     }
 
     #[test]
@@ -934,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_majority_agents_counts_conversions_from_both_scheduling_orders() {
+    fn exact_majority_counts_conversions_from_both_scheduling_orders() {
         // Statistical regression for the initiator-side classification: to
         // reach consensus from (a, b), every one of the b minority agents
         // (and the majority agents weakened by cancellation) must be
@@ -942,10 +713,12 @@ mod tests {
         // schedule the weak agent as initiator. Consensus from (40, 20)
         // needs at least 20 + 2·(cancellations) conversions; with only
         // responder-side events classified the count halves, so requiring
-        // the full minimum catches the regression deterministically.
+        // the full minimum catches the regression deterministically. The
+        // scenario has observers, so the counted path replays every
+        // productive interaction of its windows through `classify`.
         let scenario = Scenario::majority(LvModel::default(), 40, 20);
         for seed in 0..5 {
-            let report = backend("exact-majority-agents").run(&scenario, &mut rng(seed));
+            let report = backend("exact-majority").run(&scenario, &mut rng(seed));
             assert!(report.consensus_reached(), "seed {seed}");
             let outcome = report.to_majority_outcome();
             assert!(
@@ -958,9 +731,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_majority_agents_classifies_conversions_as_competitive() {
+    fn exact_majority_classifies_conversions_as_competitive() {
         let scenario = Scenario::majority(LvModel::default(), 40, 20);
-        let report = backend("exact-majority-agents").run(&scenario, &mut rng(9));
+        let report = backend("exact-majority").run(&scenario, &mut rng(9));
         let outcome = report.to_majority_outcome();
         // Cancellations leave both outputs unchanged (strong → weak of the
         // same opinion), so the competitive events are the conversions.
@@ -976,16 +749,13 @@ mod tests {
     fn tied_exact_majority_runs_absorb_when_the_tokens_run_out() {
         // From a tie the strong difference is 0: cancellations can exhaust
         // every token and freeze a mixed weak configuration. Without the
-        // absorption check (strong-token monitor on the agent-list path,
-        // pair-inertness count check on the counted path) this would spin
-        // forever on the unsatisfiable stop condition below.
+        // pair-inertness count check this would spin forever on the
+        // unsatisfiable stop condition below.
         let scenario = Scenario::new(LvModel::default(), (20, 20))
             .with_stop(StopCondition::total_at_least(1_000));
-        for backend in [backend("exact-majority"), backend("exact-majority-agents")] {
-            let report = backend.run(&scenario, &mut rng(10));
-            assert_eq!(report.reason, StopReason::Absorbed, "{}", backend.name());
-            assert_eq!(report.final_state.total(), 40, "agents never disappear");
-        }
+        let report = backend("exact-majority").run(&scenario, &mut rng(10));
+        assert_eq!(report.reason, StopReason::Absorbed);
+        assert_eq!(report.final_state.total(), 40, "agents never disappear");
     }
 
     #[test]
@@ -1022,8 +792,8 @@ mod tests {
         use lv_lotka::{CompetitionKind, MultiLvModel};
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![120, 40, 40]);
-        let report = backend("czyzowicz-lv-k").run(&scenario, &mut rng(12));
-        assert_eq!(report.backend, "czyzowicz-lv-k");
+        let report = backend("czyzowicz-lv").run(&scenario, &mut rng(12));
+        assert_eq!(report.backend, "czyzowicz-lv");
         assert!(report.consensus_reached());
         assert_eq!(
             report.final_state.total(),
@@ -1043,7 +813,7 @@ mod tests {
         let trials = 300u64;
         let wins = (0..trials)
             .filter(|&seed| {
-                let report = backend("czyzowicz-lv-k").run(&scenario, &mut rng(300 + seed));
+                let report = backend("czyzowicz-lv").run(&scenario, &mut rng(300 + seed));
                 assert!(report.consensus_reached(), "seed {seed} truncated");
                 report.final_state.winner() == Some(0)
             })
@@ -1055,40 +825,57 @@ mod tests {
         );
     }
 
+    /// The fraction of `trials` hand-driven runs of the agent-list oracle
+    /// [`ProtocolSimulation`] from `(a, b)`, on seeds `offset..`, that opinion
+    /// A wins (a run stops once a committed count hits zero).
+    fn agent_list_win_rate<P: PopulationProtocol>(
+        protocol: &P,
+        (a, b): (u64, u64),
+        trials: u64,
+        offset: u64,
+    ) -> f64 {
+        let wins = (0..trials)
+            .filter(|&seed| {
+                let mut sim = ProtocolSimulation::new(protocol, a, b);
+                let mut r = rng(offset + seed);
+                loop {
+                    match sim.opinion_counts() {
+                        (_, 0) => return true,
+                        (0, _) => return false,
+                        _ => sim.step(&mut r),
+                    };
+                }
+            })
+            .count();
+        wins as f64 / trials as f64
+    }
+
     #[test]
     fn batched_runs_match_agent_list_runs_statistically() {
-        // The engine-level distributional cross-validation: batched and
-        // agent-list backends must estimate the same win probability. Three
-        // two-sample z tests at z = 3.59 (two-sided 3.3·10⁻⁴ each, so the
-        // test fails a correct sampler at most once in 10³ streams). At 650
-        // trials per arm the z bound is at most 3.59·√(2·¼/650) = 0.0996,
-        // inside the |Δp| < 0.1 this test held before, so it detects every
-        // deviation it did.
+        // The engine-level distributional cross-validation: batched
+        // backends and the agent-list oracle must estimate the same win
+        // probability. Three two-sample z tests at z = 3.59 (two-sided
+        // 3.3·10⁻⁴ each, so the test fails a correct sampler at most once in
+        // 10³ streams). At 650 trials per arm the z bound is at most
+        // 3.59·√(2·¼/650) = 0.0996, inside the |Δp| < 0.1 this test held
+        // before, so it detects every deviation it did.
         let scenario = Scenario::new(LvModel::default(), (90, 70))
             .with_stop(StopCondition::any_species_extinct().with_max_events(10_000_000));
         let trials = 650u64;
-        let measure = |backend: &dyn Backend, offset: u64| {
-            (0..trials)
+        let p_approx = agent_list_win_rate(&ApproximateMajority::new(), (90, 70), trials, 2_000);
+        let p_czyzowicz = agent_list_win_rate(&CzyzowiczLvProtocol::new(), (90, 70), trials, 2_000);
+        for (batched, p_agents) in [
+            (backend("approx-majority"), p_approx),
+            (backend("czyzowicz-lv"), p_czyzowicz),
+            (backend("czyzowicz-lv-bridged"), p_czyzowicz),
+        ] {
+            let p_batched = (0..trials)
                 .filter(|&seed| {
-                    let report = backend.run(&scenario, &mut rng(offset + seed));
+                    let report = batched.run(&scenario, &mut rng(1_000 + seed));
                     report.final_state.winner() == Some(0)
                 })
                 .count() as f64
-                / trials as f64
-        };
-        for (batched, agents) in [
-            (
-                backend("approx-majority"),
-                backend("approx-majority-agents"),
-            ),
-            (backend("czyzowicz-lv"), backend("czyzowicz-lv-agents")),
-            (
-                backend("czyzowicz-lv-bridged"),
-                backend("czyzowicz-lv-agents"),
-            ),
-        ] {
-            let p_batched = measure(batched, 1_000);
-            let p_agents = measure(agents, 2_000);
+                / trials as f64;
             let pooled = (p_batched + p_agents) / 2.0;
             let bound = 3.59 * (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt();
             assert!(
@@ -1153,7 +940,6 @@ mod tests {
             "exact-majority",
             "annihilation-lv",
             "czyzowicz-lv",
-            "czyzowicz-lv-k",
         ] {
             let report = backend(name).run(&scenario, &mut rng(17));
             assert_eq!(report.reason, StopReason::MaxEventsReached, "{name}");
@@ -1210,19 +996,9 @@ mod tests {
         // clipped or overshot.
         let scenario = Scenario::new(LvModel::default(), (500_000, 480_000))
             .with_stop(StopCondition::any_species_extinct().with_max_events(123_456));
-        for backend in [
-            backend("czyzowicz-lv-bridged"),
-            backend("czyzowicz-lv-k-bridged"),
-        ] {
-            let report = backend.run(&scenario, &mut rng(14));
-            assert_eq!(
-                report.reason,
-                StopReason::MaxEventsReached,
-                "{}",
-                backend.name()
-            );
-            assert_eq!(report.events, 123_456, "{}", backend.name());
-        }
+        let report = backend("czyzowicz-lv-bridged").run(&scenario, &mut rng(14));
+        assert_eq!(report.reason, StopReason::MaxEventsReached);
+        assert_eq!(report.events, 123_456);
     }
 
     #[test]
@@ -1256,7 +1032,7 @@ mod tests {
         let trials = 300u64;
         let wins = (0..trials)
             .filter(|&seed| {
-                let report = backend("czyzowicz-lv-k-bridged").run(&scenario, &mut rng(700 + seed));
+                let report = backend("czyzowicz-lv-bridged").run(&scenario, &mut rng(700 + seed));
                 assert!(report.consensus_reached(), "seed {seed} truncated");
                 report.final_state.winner() == Some(0)
             })

@@ -2,11 +2,9 @@
 //! static table with a row per built-in backend.
 
 use crate::backend::Backend;
-use crate::backends::{gillespie_direct, jump_chain, next_reaction, ode, tau_leaping};
+use crate::backends::{gillespie_direct, jump_chain, ode, tau_leaping};
 use crate::protocol_backend::{
-    annihilation_lv, approx_majority, approx_majority_agents, czyzowicz_lv, czyzowicz_lv_agents,
-    czyzowicz_lv_bridged, czyzowicz_lv_k, czyzowicz_lv_k_bridged, exact_majority,
-    exact_majority_agents,
+    annihilation_lv, approx_majority, czyzowicz_lv, czyzowicz_lv_bridged, exact_majority,
 };
 use crate::report::RunReport;
 use crate::scenario::Scenario;
@@ -22,13 +20,12 @@ enum Family {
     /// A protocol baseline on counts, many interactions per step (batched
     /// epochs, thinning windows or bridged blocks): ignores the model.
     BatchedProtocol,
-    /// A protocol baseline on an agent list, one event at a time: ignores
-    /// the model.
-    AgentProtocol,
 }
 
 /// One built-in backend: its registry metadata and the fn that runs it,
-/// called with the row's name.
+/// called with the row's name. One row per law: a name that once had a row
+/// of its own but runs the same law as another (an agent-list stepper, a
+/// `k`-species twin, a second exact clock) is an alias of that row.
 struct BackendRow {
     name: &'static str,
     aliases: &'static [&'static str],
@@ -77,10 +74,10 @@ impl Backend for BackendRow {
     }
 }
 
-/// The built-in backends, in registry order: the five Lotka–Volterra
-/// kernels, the count-based protocol baselines, the diffusion-bridged
-/// conversion backends and the bit-exact agent-list legacy variants.
-static BACKENDS: [BackendRow; 15] = [
+/// The built-in backends, in registry order: the four Lotka–Volterra
+/// kernels, the count-based protocol baselines and the diffusion-bridged
+/// conversion backend.
+static BACKENDS: [BackendRow; 9] = [
     BackendRow {
         name: "jump-chain",
         aliases: &["jump", "exact"],
@@ -91,19 +88,11 @@ static BACKENDS: [BackendRow; 15] = [
     },
     BackendRow {
         name: "gillespie-direct",
-        aliases: &["direct", "gillespie", "ssa"],
+        aliases: &["direct", "gillespie", "ssa", "next-reaction", "nrm"],
         description: "exact continuous-time Gillespie direct method on the generic CRN",
         k_species: true,
         family: Family::Kinetics,
         run: gillespie_direct,
-    },
-    BackendRow {
-        name: "next-reaction",
-        aliases: &["nrm"],
-        description: "exact continuous-time next-reaction method (independent exponential clocks)",
-        k_species: true,
-        family: Family::Kinetics,
-        run: next_reaction,
     },
     BackendRow {
         name: "tau-leaping",
@@ -123,7 +112,7 @@ static BACKENDS: [BackendRow; 15] = [
     },
     BackendRow {
         name: "approx-majority",
-        aliases: &["am", "3-state"],
+        aliases: &["am", "3-state", "approx-majority-agents", "am-agents"],
         description: "3-state approximate-majority protocol baseline (two-species, batched counts)",
         k_species: false,
         family: Family::BatchedProtocol,
@@ -131,7 +120,7 @@ static BACKENDS: [BackendRow; 15] = [
     },
     BackendRow {
         name: "exact-majority",
-        aliases: &["em", "4-state"],
+        aliases: &["em", "4-state", "exact-majority-agents", "em-agents"],
         description: "4-state exact-majority protocol baseline (always correct, ~n^2 interactions, batched)",
         k_species: false,
         family: Family::BatchedProtocol,
@@ -139,9 +128,17 @@ static BACKENDS: [BackendRow; 15] = [
     },
     BackendRow {
         name: "czyzowicz-lv",
-        aliases: &["cz", "2-state-lv"],
-        description: "2-state Czyzowicz et al. discrete LV baseline (proportional law, linear gap, exact thinning windows)",
-        k_species: false,
+        aliases: &[
+            "cz",
+            "2-state-lv",
+            "czyzowicz-lv-k",
+            "cz-k",
+            "k-opinion-lv",
+            "czyzowicz-lv-agents",
+            "cz-agents",
+        ],
+        description: "Czyzowicz et al. discrete LV conversion dynamics over k >= 2 opinions (proportional law, linear gap, exact thinning windows)",
+        k_species: true,
         family: Family::BatchedProtocol,
         run: czyzowicz_lv,
     },
@@ -154,80 +151,43 @@ static BACKENDS: [BackendRow; 15] = [
         run: annihilation_lv,
     },
     BackendRow {
-        name: "czyzowicz-lv-k",
-        aliases: &["cz-k", "k-opinion-lv"],
-        description: "k-opinion Czyzowicz conversion dynamics (k-species proportional law, exact thinning windows)",
-        k_species: true,
-        family: Family::BatchedProtocol,
-        run: czyzowicz_lv_k,
-    },
-    BackendRow {
         name: "czyzowicz-lv-bridged",
-        aliases: &["cz-bridged"],
-        description: "2-state Czyzowicz baseline via diffusion-bridged first-passage sampling (polylog/trial)",
-        k_species: false,
+        aliases: &["cz-bridged", "czyzowicz-lv-k-bridged", "cz-k-bridged"],
+        description: "Czyzowicz conversion dynamics over k >= 2 opinions via diffusion-bridged first-passage sampling (polylog/trial)",
+        k_species: true,
         family: Family::BatchedProtocol,
         run: czyzowicz_lv_bridged,
-    },
-    BackendRow {
-        name: "czyzowicz-lv-k-bridged",
-        aliases: &["cz-k-bridged"],
-        description: "k-opinion Czyzowicz dynamics via per-pair diffusion bridging (polylog/trial)",
-        k_species: true,
-        family: Family::BatchedProtocol,
-        run: czyzowicz_lv_k_bridged,
-    },
-    BackendRow {
-        name: "approx-majority-agents",
-        aliases: &["am-agents"],
-        description: "3-state approximate-majority baseline, per-interaction agent list (bit-exact legacy)",
-        k_species: false,
-        family: Family::AgentProtocol,
-        run: approx_majority_agents,
-    },
-    BackendRow {
-        name: "exact-majority-agents",
-        aliases: &["em-agents"],
-        description: "4-state exact-majority baseline, per-interaction agent list (bit-exact legacy)",
-        k_species: false,
-        family: Family::AgentProtocol,
-        run: exact_majority_agents,
-    },
-    BackendRow {
-        name: "czyzowicz-lv-agents",
-        aliases: &["cz-agents"],
-        description: "2-state Czyzowicz et al. baseline, per-interaction agent list (bit-exact legacy)",
-        k_species: false,
-        family: Family::AgentProtocol,
-        run: czyzowicz_lv_agents,
     },
 ];
 
 /// The built-in [`Backend`]s, addressable by name or alias.
 ///
-/// The process-wide [`BackendRegistry::global`] holds the fifteen built-ins:
-/// five Lotka–Volterra kernels, five count-based protocol baselines (three
-/// in batched epochs, the conversion dynamics `"czyzowicz-lv"` and
-/// `"czyzowicz-lv-k"` in exact thinning windows), the
-/// two diffusion-bridged conversion backends (`"czyzowicz-lv-bridged"` and
-/// `"czyzowicz-lv-k-bridged"`), and the bit-exact agent-list legacy variants
-/// of the original three protocol baselines (`-agents` names —
-/// [`Backend::batched`] reports which mode a backend uses).
+/// The process-wide [`BackendRegistry::global`] holds nine built-ins, one
+/// per law: four Lotka–Volterra kernels, four count-based protocol
+/// baselines (three in batched epochs, the conversion dynamics
+/// `"czyzowicz-lv"` over any `k ≥ 2` opinions in exact thinning windows)
+/// and the diffusion-bridged conversion backend `"czyzowicz-lv-bridged"`.
+/// Names retired by a merge stay aliases of the row with the same law, so
+/// `"next-reaction"` runs `"gillespie-direct"`, `"czyzowicz-lv-k"` runs
+/// `"czyzowicz-lv"` and the `-agents` names run the batched rows.
 ///
 /// ```
 /// use lv_engine::BackendRegistry;
 ///
 /// let registry = BackendRegistry::global();
-/// assert_eq!(registry.names().len(), 15);
+/// assert_eq!(registry.names().len(), 9);
 /// assert!(registry.get("gillespie-direct").is_some());
 /// // Aliases resolve to the same backend.
 /// assert_eq!(
 ///     registry.get("ssa").unwrap().name(),
 ///     "gillespie-direct"
 /// );
-/// // Batched vs agent-list protocol execution is a reported capability.
-/// assert!(registry.get("approx-majority").unwrap().batched());
-/// assert!(!registry.get("approx-majority-agents").unwrap().batched());
+/// // Retired names resolve to the row with the same law.
+/// assert_eq!(
+///     registry.get("czyzowicz-lv-k").unwrap().name(),
+///     "czyzowicz-lv"
+/// );
+/// assert!(registry.get("approx-majority-agents").unwrap().batched());
 /// ```
 pub struct BackendRegistry {
     rows: &'static [BackendRow],
@@ -290,19 +250,13 @@ mod tests {
             vec![
                 "jump-chain",
                 "gillespie-direct",
-                "next-reaction",
                 "tau-leaping",
                 "ode",
                 "approx-majority",
                 "exact-majority",
                 "czyzowicz-lv",
                 "annihilation-lv",
-                "czyzowicz-lv-k",
-                "czyzowicz-lv-bridged",
-                "czyzowicz-lv-k-bridged",
-                "approx-majority-agents",
-                "exact-majority-agents",
-                "czyzowicz-lv-agents"
+                "czyzowicz-lv-bridged"
             ]
         );
         for name in names {
@@ -321,26 +275,47 @@ mod tests {
         assert_eq!(backend("cz").unwrap().name(), "czyzowicz-lv");
         assert_eq!(backend("2-state-lv").unwrap().name(), "czyzowicz-lv");
         assert_eq!(backend("sd-lv").unwrap().name(), "annihilation-lv");
-        assert_eq!(backend("cz-k").unwrap().name(), "czyzowicz-lv-k");
-        assert_eq!(backend("k-opinion-lv").unwrap().name(), "czyzowicz-lv-k");
+        assert_eq!(backend("cz-k").unwrap().name(), "czyzowicz-lv");
+        assert_eq!(backend("k-opinion-lv").unwrap().name(), "czyzowicz-lv");
         assert_eq!(
             backend("cz-bridged").unwrap().name(),
             "czyzowicz-lv-bridged"
         );
         assert_eq!(
             backend("cz-k-bridged").unwrap().name(),
-            "czyzowicz-lv-k-bridged"
+            "czyzowicz-lv-bridged"
         );
-        assert_eq!(
-            backend("am-agents").unwrap().name(),
-            "approx-majority-agents"
-        );
-        assert_eq!(
-            backend("em-agents").unwrap().name(),
-            "exact-majority-agents"
-        );
-        assert_eq!(backend("cz-agents").unwrap().name(), "czyzowicz-lv-agents");
+        assert_eq!(backend("am-agents").unwrap().name(), "approx-majority");
+        assert_eq!(backend("em-agents").unwrap().name(), "exact-majority");
+        assert_eq!(backend("cz-agents").unwrap().name(), "czyzowicz-lv");
+        assert_eq!(backend("nrm").unwrap().name(), "gillespie-direct");
         assert!(backend("does-not-exist").is_none());
+    }
+
+    /// Every canonical name the registry had before the rows were merged
+    /// still resolves, to the row that runs the same law.
+    #[test]
+    fn retired_canonical_names_resolve_to_their_same_law_rows() {
+        let retired = [
+            ("jump-chain", "jump-chain"),
+            ("gillespie-direct", "gillespie-direct"),
+            ("next-reaction", "gillespie-direct"),
+            ("tau-leaping", "tau-leaping"),
+            ("ode", "ode"),
+            ("approx-majority", "approx-majority"),
+            ("exact-majority", "exact-majority"),
+            ("czyzowicz-lv", "czyzowicz-lv"),
+            ("annihilation-lv", "annihilation-lv"),
+            ("czyzowicz-lv-k", "czyzowicz-lv"),
+            ("czyzowicz-lv-bridged", "czyzowicz-lv-bridged"),
+            ("czyzowicz-lv-k-bridged", "czyzowicz-lv-bridged"),
+            ("approx-majority-agents", "approx-majority"),
+            ("exact-majority-agents", "exact-majority"),
+            ("czyzowicz-lv-agents", "czyzowicz-lv"),
+        ];
+        for (old, row) in retired {
+            assert_eq!(backend(old).map(|b| b.name()), Some(row), "{old}");
+        }
     }
 
     #[test]
@@ -357,22 +332,16 @@ mod tests {
         #[rustfmt::skip]
         type Row = (&'static str, &'static [&'static str], bool, bool, bool, bool, bool);
         #[rustfmt::skip]
-        let expected: [Row; 15] = [
+        let expected: [Row; 9] = [
             ("jump-chain", &["jump", "exact"], false, true, false, true, true),
-            ("gillespie-direct", &["direct", "gillespie", "ssa"], false, true, false, true, true),
-            ("next-reaction", &["nrm"], false, true, false, true, true),
+            ("gillespie-direct", &["direct", "gillespie", "ssa", "next-reaction", "nrm"], false, true, false, true, true),
             ("tau-leaping", &["tau"], false, true, false, true, true),
             ("ode", &["deterministic", "mean-field"], true, true, false, true, true),
-            ("approx-majority", &["am", "3-state"], false, false, true, true, false),
-            ("exact-majority", &["em", "4-state"], false, false, true, true, false),
-            ("czyzowicz-lv", &["cz", "2-state-lv"], false, false, true, true, false),
+            ("approx-majority", &["am", "3-state", "approx-majority-agents", "am-agents"], false, false, true, true, false),
+            ("exact-majority", &["em", "4-state", "exact-majority-agents", "em-agents"], false, false, true, true, false),
+            ("czyzowicz-lv", &["cz", "2-state-lv", "czyzowicz-lv-k", "cz-k", "k-opinion-lv", "czyzowicz-lv-agents", "cz-agents"], false, false, true, true, true),
             ("annihilation-lv", &["sd-lv", "annihilation"], false, false, true, true, false),
-            ("czyzowicz-lv-k", &["cz-k", "k-opinion-lv"], false, false, true, true, true),
-            ("czyzowicz-lv-bridged", &["cz-bridged"], false, false, true, true, false),
-            ("czyzowicz-lv-k-bridged", &["cz-k-bridged"], false, false, true, true, true),
-            ("approx-majority-agents", &["am-agents"], false, false, false, true, false),
-            ("exact-majority-agents", &["em-agents"], false, false, false, true, false),
-            ("czyzowicz-lv-agents", &["cz-agents"], false, false, false, true, false),
+            ("czyzowicz-lv-bridged", &["cz-bridged", "czyzowicz-lv-k-bridged", "cz-k-bridged"], false, false, true, true, true),
         ];
         let actual: Vec<Row> = BackendRegistry::global()
             .iter()
@@ -395,18 +364,17 @@ mod tests {
     fn iter_supporting_filters_by_species_count() {
         let registry = BackendRegistry::global();
         let all: Vec<_> = registry.iter_supporting(2).map(|b| b.name()).collect();
-        assert_eq!(all.len(), 15);
+        assert_eq!(all.len(), 9);
         let k3: Vec<_> = registry.iter_supporting(3).map(|b| b.name()).collect();
         assert_eq!(
             k3,
             vec![
                 "jump-chain",
                 "gillespie-direct",
-                "next-reaction",
                 "tau-leaping",
                 "ode",
-                "czyzowicz-lv-k",
-                "czyzowicz-lv-k-bridged"
+                "czyzowicz-lv",
+                "czyzowicz-lv-bridged"
             ]
         );
     }
@@ -426,18 +394,14 @@ mod tests {
                 "exact-majority",
                 "czyzowicz-lv",
                 "annihilation-lv",
-                "czyzowicz-lv-k",
-                "czyzowicz-lv-bridged",
-                "czyzowicz-lv-k-bridged"
+                "czyzowicz-lv-bridged"
             ]
         );
-        // The LV kernels and the legacy agent-list baselines resolve every
-        // event individually.
-        for name in ["jump-chain", "ode", "approx-majority-agents"] {
+        // The LV kernels resolve every event individually.
+        for name in ["jump-chain", "gillespie-direct", "ode"] {
             assert!(!registry.get(name).unwrap().batched(), "{name}");
         }
     }
-
     /// The table is static, so a duplicate name is rejected here rather
     /// than at run time: `get` would silently resolve the first row.
     #[test]

@@ -83,7 +83,7 @@ pub(crate) struct CrnForm {
 ///
 /// The same `Scenario` value runs unmodified on every registered
 /// [`Backend`](crate::Backend) — the exact jump chain, the Gillespie direct
-/// method, the next-reaction method, tau-leaping and the deterministic ODE —
+/// method, tau-leaping, the deterministic ODE and the protocol baselines —
 /// which is what lets the Monte-Carlo layer, the experiment suite and the
 /// benchmarks share one execution path.
 ///

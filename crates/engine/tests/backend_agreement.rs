@@ -14,26 +14,20 @@ fn rng(seed: u64) -> StdRng {
 }
 
 /// The acceptance criterion of the redesign: the same scenario value runs on
-/// every backend through the registry — the five LV kernels plus the
-/// protocol baselines (batched and agent-list) — and every model-faithful
+/// every backend through the registry — the four LV kernels plus the
+/// protocol baselines — and every model-faithful
 /// backend agrees on the qualitative outcome (a 4:1 majority wins).
 #[test]
 fn one_scenario_runs_on_every_backend() {
     let model = LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0);
     let scenario = Scenario::majority(model, 400, 100).observe(ObserverSpec::GapTrajectory);
     let registry = BackendRegistry::global();
-    assert_eq!(registry.names().len(), 15);
+    assert_eq!(registry.names().len(), 9);
     // The Czyzowicz conversion baselines follow the proportional law (a 4:1
     // majority wins only 80% of runs) and need ~n² interactions, so neither
     // a win nor consensus within the default budget is guaranteed for them —
     // for every other backend both are.
-    let proportional = [
-        "czyzowicz-lv",
-        "czyzowicz-lv-agents",
-        "czyzowicz-lv-k",
-        "czyzowicz-lv-bridged",
-        "czyzowicz-lv-k-bridged",
-    ];
+    let proportional = ["czyzowicz-lv", "czyzowicz-lv-bridged"];
     for backend in registry.iter() {
         let report = backend.run(&scenario, &mut rng(11));
         assert_eq!(report.backend, backend.name());
@@ -336,7 +330,6 @@ fn all_backends_honor_the_event_budget() {
     for name in [
         "jump-chain",
         "gillespie-direct",
-        "next-reaction",
         "approx-majority",
         "exact-majority",
         "czyzowicz-lv",
@@ -363,7 +356,7 @@ fn continuous_backends_honor_the_time_budget() {
         .with_max_events(1_000_000)
         .with_max_time(1e-7);
     let scenario = Scenario::new(model, (2_000, 1_990)).with_stop(tight_time);
-    for name in ["gillespie-direct", "next-reaction", "tau-leaping", "ode"] {
+    for name in ["gillespie-direct", "tau-leaping", "ode"] {
         let report = backend(name).unwrap().run(&scenario, &mut rng(8));
         assert_eq!(report.reason, StopReason::MaxTimeReached, "{name}");
         assert!(report.truncated(), "{name}");
@@ -380,10 +373,7 @@ fn continuous_backends_honor_the_time_budget() {
         "exact-majority",
         "czyzowicz-lv",
         "annihilation-lv",
-        "czyzowicz-lv-k",
         "czyzowicz-lv-bridged",
-        "czyzowicz-lv-k-bridged",
-        "approx-majority-agents",
     ] {
         let report = backend(name).unwrap().run(&scenario, &mut rng(8));
         assert_eq!(report.reason, StopReason::MaxTimeReached, "{name}");
@@ -429,15 +419,15 @@ fn seeded_runs_are_reproducible_on_every_backend() {
 
 /// The exact backends agree with each other *in distribution*: the majority
 /// win rate over a batch of seeds differs by at most a few percentage
-/// points between the jump chain, the direct method and the next-reaction
-/// method (they simulate the same chain with different clocks).
+/// points between the jump chain and the direct method (they simulate the
+/// same chain with different clocks).
 #[test]
 fn exact_backends_agree_in_distribution() {
     let model = LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0);
     let scenario = Scenario::majority(model, 33, 27);
     let trials = 300u64;
     let mut rates = Vec::new();
-    for name in ["jump-chain", "gillespie-direct", "next-reaction"] {
+    for name in ["jump-chain", "gillespie-direct"] {
         let backend = backend(name).unwrap();
         let wins = (0..trials)
             .filter(|&seed| backend.run(&scenario, &mut rng(seed)).majority_won())

@@ -13,22 +13,22 @@ fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Acceptance criterion: a k = 3 scenario runs end-to-end on all five LV
-/// backends via `Scenario` and yields a `PluralityOutcome`.
+/// Acceptance criterion: a k = 3 scenario runs end-to-end on every LV
+/// backend via `Scenario` and yields a `PluralityOutcome`.
 #[test]
-fn k3_scenario_runs_end_to_end_on_all_five_lv_backends() {
+fn k3_scenario_runs_end_to_end_on_every_lv_backend() {
     let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
     let scenario =
         Scenario::plurality(model, vec![120, 40, 40]).observe(ObserverSpec::GapTrajectory);
     let k3_backends: Vec<_> = BackendRegistry::global().iter_supporting(3).collect();
-    // Five LV kernels plus the k-opinion Czyzowicz protocol baseline, in
-    // both counted and diffusion-bridged execution modes.
-    assert_eq!(k3_backends.len(), 7);
+    // Four LV kernels plus the Czyzowicz conversion baseline, in both
+    // thinned and diffusion-bridged execution.
+    assert_eq!(k3_backends.len(), 6);
     let lv_backends: Vec<_> = k3_backends
         .into_iter()
         .filter(|b| b.models_kinetics())
         .collect();
-    assert_eq!(lv_backends.len(), 5);
+    assert_eq!(lv_backends.len(), 4);
     for backend in lv_backends {
         let report = backend.run(&scenario, &mut rng(2));
         assert_eq!(report.backend, backend.name());
@@ -61,7 +61,7 @@ fn k3_scenario_runs_end_to_end_on_all_five_lv_backends() {
 fn cyclic_competition_collapses_to_one_survivor() {
     let model = MultiLvModel::cyclic(CompetitionKind::NonSelfDestructive, 3, 1.0, 1.0, 1.0);
     let scenario = Scenario::plurality(model, vec![40, 30, 30]);
-    for name in ["jump-chain", "gillespie-direct", "next-reaction"] {
+    for name in ["jump-chain", "gillespie-direct"] {
         let report = backend(name).unwrap().run(&scenario, &mut rng(4));
         let outcome = report.to_plurality_outcome();
         assert!(

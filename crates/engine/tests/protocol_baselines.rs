@@ -1,17 +1,14 @@
 //! Protocol-baseline backends vs the raw `lv_protocols` steppers: the
-//! `-agents` legacy backends must be thin drivers around
-//! `ProtocolSimulation` — bit-identical to a hand-written stepper loop on
-//! the same RNG stream — while the batched default backends must agree with
-//! them *statistically* (same outcome distributions; the RNG stream differs
-//! by design). The Czyzowicz backends must reproduce the proportional law
-//! `P(A wins) = a/n` in both modes.
+//! batched backends must agree *statistically* (same outcome distributions;
+//! the RNG stream differs by design) with hand-driven `ProtocolSimulation`
+//! loops, the agent-list test oracle. The Czyzowicz backend and the raw
+//! stepper must both reproduce the proportional law `P(A wins) = a/n`.
 
 use lv_crn::StopCondition;
 use lv_engine::{backend, Scenario};
 use lv_lotka::LvModel;
 use lv_protocols::{
-    ApproximateMajority, CzyzowiczLvProtocol, ExactMajority4State, PopulationProtocol,
-    ProtocolSimulation,
+    ApproximateMajority, CzyzowiczLvProtocol, PopulationProtocol, ProtocolSimulation,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,88 +36,77 @@ fn reference_run<P: PopulationProtocol>(
     }
 }
 
-fn backend_run(name: &str, a: u64, b: u64, seed: u64, max_interactions: u64) -> ([u64; 2], u64) {
+/// The fraction of `trials` runs of backend `name` from `(a, b)`, on seeds
+/// `offset..`, that opinion A wins; every run must reach consensus.
+fn backend_win_rate(name: &str, (a, b): (u64, u64), trials: u64, offset: u64) -> f64 {
+    let backend = backend(name).unwrap();
     let scenario = Scenario::new(LvModel::default(), (a, b))
-        .with_stop(StopCondition::any_species_extinct().with_max_events(max_interactions));
-    let report = backend(name)
-        .unwrap()
-        .run(&scenario, &mut StdRng::seed_from_u64(seed));
-    (
-        [report.final_state.count(0), report.final_state.count(1)],
-        report.events,
-    )
+        .with_stop(StopCondition::any_species_extinct().with_max_events(BUDGET));
+    let wins = (0..trials)
+        .filter(|&seed| {
+            let report = backend.run(&scenario, &mut StdRng::seed_from_u64(offset + seed));
+            assert!(report.consensus_reached(), "{name}: seed {seed} truncated");
+            report.final_state.winner() == Some(0)
+        })
+        .count();
+    wins as f64 / trials as f64
 }
 
-/// The `-agents` backends consume randomness only through
-/// `ProtocolSimulation::step`, so on the same seed they must reproduce a
-/// hand-driven stepper loop bit for bit — final committed counts and
-/// interaction counts alike. (The batched defaults deliberately do not:
-/// their RNG stream is a different object; see the statistical tests below.)
-#[test]
-fn agent_list_backends_match_a_direct_stepper_loop_bit_for_bit() {
-    for seed in 0..8u64 {
-        for (a, b) in [(30u64, 20u64), (25, 25), (40, 8)] {
-            let budget = 500_000;
-            assert_eq!(
-                backend_run("approx-majority-agents", a, b, seed, budget),
-                reference_run(&ApproximateMajority::new(), a, b, seed, budget),
-                "approx-majority-agents diverged at seed {seed}, ({a}, {b})"
-            );
-            assert_eq!(
-                backend_run("czyzowicz-lv-agents", a, b, seed, budget),
-                reference_run(&CzyzowiczLvProtocol::new(), a, b, seed, budget),
-                "czyzowicz-lv-agents diverged at seed {seed}, ({a}, {b})"
-            );
-            if a != b {
-                // Ties can absorb all-weak without any count reaching zero;
-                // the reference loop does not model that, so pin the
-                // non-degenerate starts only.
-                assert_eq!(
-                    backend_run("exact-majority-agents", a, b, seed, budget),
-                    reference_run(&ExactMajority4State::new(), a, b, seed, budget),
-                    "exact-majority-agents diverged at seed {seed}, ({a}, {b})"
-                );
-            }
-        }
-    }
+/// [`backend_win_rate`] for hand-driven [`reference_run`]s of the
+/// agent-list oracle.
+fn agent_list_win_rate<P: PopulationProtocol>(
+    protocol: &P,
+    (a, b): (u64, u64),
+    trials: u64,
+    offset: u64,
+) -> f64 {
+    let wins = (0..trials)
+        .filter(|&seed| {
+            let ([x, y], _) = reference_run(protocol, a, b, offset + seed, BUDGET);
+            assert!(x == 0 || y == 0, "oracle: seed {seed} truncated");
+            x > 0 && y == 0
+        })
+        .count();
+    wins as f64 / trials as f64
 }
+
+/// The interaction budget of every run here: far above what consensus
+/// needs at these populations.
+const BUDGET: u64 = 10_000_000;
 
 /// The Czyzowicz dynamics are a fair gambler's ruin in the count of A, so
 /// the majority wins with probability *exactly* `a/n` — the statistical
-/// check behind the backend's linear-gap threshold scaling. Both execution
-/// modes must reproduce it.
+/// check behind the backend's linear-gap threshold scaling. The batched
+/// backend and the raw agent-list stepper must both reproduce it.
 #[test]
 fn czyzowicz_backends_follow_the_proportional_law() {
-    for name in ["czyzowicz-lv", "czyzowicz-lv-agents"] {
-        let czyzowicz = backend(name).unwrap();
-        for (a, b) in [(30u64, 10u64), (10, 30)] {
-            let n = a + b;
-            let scenario = Scenario::new(LvModel::default(), (a, b))
-                .with_stop(StopCondition::any_species_extinct().with_max_events(10_000_000));
-            let trials = 400u64;
-            let wins = (0..trials)
-                .filter(|&seed| {
-                    let report = czyzowicz.run(&scenario, &mut StdRng::seed_from_u64(seed));
-                    assert!(report.consensus_reached(), "{name}: seed {seed} truncated");
-                    report.final_state.winner() == Some(0)
-                })
-                .count();
-            let fraction = wins as f64 / trials as f64;
-            let expected = a as f64 / n as f64;
+    for (a, b) in [(30u64, 10u64), (10, 30)] {
+        let expected = a as f64 / (a + b) as f64;
+        let trials = 400;
+        for (mode, fraction) in [
+            (
+                "czyzowicz-lv",
+                backend_win_rate("czyzowicz-lv", (a, b), trials, 0),
+            ),
+            (
+                "CzyzowiczLvProtocol",
+                agent_list_win_rate(&CzyzowiczLvProtocol::new(), (a, b), trials, 0),
+            ),
+        ] {
             assert!(
                 (fraction - expected).abs() < 0.07,
-                "{name}: A won {fraction} of runs from ({a}, {b}); the proportional law \
+                "{mode}: A won {fraction} of runs from ({a}, {b}); the proportional law \
                  says {expected}"
             );
         }
     }
 }
 
-/// Batched and agent-list execution of the same protocol agree on the
-/// outcome distribution at equal configurations — the registry-level view
-/// of the distributional cross-validation (the stepper-level TVD tests live
-/// in `lv-protocols`). At this population the count-space backends step by
-/// thinning windows throughout.
+/// Batched execution and the agent-list oracle of the same protocol agree
+/// on the outcome distribution at equal configurations — the registry-level
+/// view of the distributional cross-validation (the stepper-level TVD tests
+/// live in `lv-protocols`). At this population the count-space backends
+/// step by thinning windows throughout.
 ///
 /// Two two-sample z tests at z = 3.48 (two-sided 5·10⁻⁴ each, so the test
 /// fails a correct sampler at most once in 10³ streams). At 510 trials per
@@ -128,32 +114,24 @@ fn czyzowicz_backends_follow_the_proportional_law() {
 /// |Δp| < 0.11 this test held before, so it detects every deviation it did.
 #[test]
 fn batched_backends_match_agent_list_win_rates() {
-    let trials = 510u64;
-    let scenario = Scenario::new(LvModel::default(), (110, 90))
-        .with_stop(StopCondition::any_species_extinct().with_max_events(10_000_000));
-    for (batched, agents) in [
-        ("approx-majority", "approx-majority-agents"),
-        ("czyzowicz-lv", "czyzowicz-lv-agents"),
+    let trials = 510;
+    let start = (110, 90);
+    for (batched, p_agents) in [
+        (
+            "approx-majority",
+            agent_list_win_rate(&ApproximateMajority::new(), start, trials, 20_000),
+        ),
+        (
+            "czyzowicz-lv",
+            agent_list_win_rate(&CzyzowiczLvProtocol::new(), start, trials, 20_000),
+        ),
     ] {
-        let rate = |name: &str, offset: u64| {
-            let b = backend(name).unwrap();
-            (0..trials)
-                .filter(|&seed| {
-                    b.run(&scenario, &mut StdRng::seed_from_u64(offset + seed))
-                        .final_state
-                        .winner()
-                        == Some(0)
-                })
-                .count() as f64
-                / trials as f64
-        };
-        let p_batched = rate(batched, 10_000);
-        let p_agents = rate(agents, 20_000);
+        let p_batched = backend_win_rate(batched, start, trials, 10_000);
         let pooled = (p_batched + p_agents) / 2.0;
         let bound = 3.48 * (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt();
         assert!(
             (p_batched - p_agents).abs() <= bound,
-            "{batched} won {p_batched} vs {agents} {p_agents} (bound {bound:.4})"
+            "{batched} won {p_batched} vs the agent-list oracle {p_agents} (bound {bound:.4})"
         );
     }
 }

@@ -231,10 +231,16 @@ impl ThresholdSurface {
     /// Rebuilds a surface from a snapshot, recomputing fingerprints from
     /// the stored specs and dropping records whose stored fingerprint
     /// disagrees (a stale or tampered file warms nothing, silently breaking
-    /// nothing).
+    /// nothing). Entries the service could never hit are dropped the same
+    /// way: those whose spec [`ScenarioSpec::validated`] rejects or rewrites
+    /// (an unknown or retired backend name, an invalid model), which would
+    /// otherwise be saved again with every snapshot.
     pub fn restore(snapshot: &SurfaceSnapshot) -> Self {
         let mut surface = ThresholdSurface::new();
         for entry in &snapshot.entries {
+            if entry.spec.clone().validated().as_ref() != Ok(&entry.spec) {
+                continue;
+            }
             let fingerprint = entry.spec.fingerprint();
             if fingerprint_hex(fingerprint) != entry.fingerprint {
                 continue;
@@ -396,6 +402,34 @@ mod tests {
         assert!(restored.cell(fp, 50, 2).is_none(), "corrupt cell kept");
         snapshot.entries[0].fingerprint = "feedfeedfeedfeed".to_string();
         assert_eq!(ThresholdSurface::restore(&snapshot).entry_count(), 0);
+    }
+
+    #[test]
+    fn restore_drops_entries_whose_spec_validation_rejects_or_rewrites() {
+        let retired = ScenarioSpec {
+            backend: "czyzowicz-lv-k".to_string(),
+            ..spec()
+        };
+        let unknown = ScenarioSpec {
+            backend: "no-such-backend".to_string(),
+            ..spec()
+        };
+        let text = serde::json::to_string(&spec()).replace("1.0", "-1.0");
+        let invalid: ScenarioSpec = serde::json::from_str(&text).unwrap();
+        assert!(invalid.clone().validated().is_err());
+        let mut surface = ThresholdSurface::new();
+        for stale in [&retired, &unknown, &invalid] {
+            // Each entry carries the fingerprint of its own stored spec, so
+            // only the validation check can drop it.
+            surface.record(stale.fingerprint(), stale, 100, 4, 10, 16);
+        }
+        surface.record(spec().fingerprint(), &spec(), 100, 4, 10, 16);
+        let restored = ThresholdSurface::restore(&surface.snapshot(1));
+        assert_eq!(restored.entry_count(), 1);
+        assert!(restored.cell(spec().fingerprint(), 100, 4).is_some());
+        for stale in [&retired, &unknown, &invalid] {
+            assert!(restored.cell(stale.fingerprint(), 100, 4).is_none());
+        }
     }
 
     #[test]

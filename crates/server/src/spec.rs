@@ -327,6 +327,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_backend_names_share_the_same_law_rows_fingerprint() {
+        let canonical = ScenarioSpec::two_species(sd_model(), "czyzowicz-lv")
+            .validated()
+            .unwrap();
+        let retired = ScenarioSpec::two_species(sd_model(), "czyzowicz-lv-k")
+            .validated()
+            .unwrap();
+        assert_eq!(retired.backend, "czyzowicz-lv");
+        assert_eq!(retired.fingerprint(), canonical.fingerprint());
+    }
+
+    #[test]
+    fn three_species_specs_validate_on_the_conversion_rows() {
+        let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
+        for backend in ["czyzowicz-lv", "czyzowicz-lv-bridged"] {
+            let spec = ScenarioSpec::multi_species(model.clone(), backend);
+            assert_eq!(spec.clone().validated(), Ok(spec), "{backend}");
+        }
+        let two_opinion = ScenarioSpec::multi_species(model, "approx-majority");
+        assert!(two_opinion.validated().is_err());
+    }
+
+    #[test]
     fn family_feasibility_and_snapping() {
         let spec = ScenarioSpec::two_species(sd_model(), "jump-chain");
         let family = spec.family(100).unwrap();

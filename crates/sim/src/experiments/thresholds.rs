@@ -222,7 +222,7 @@ struct LargeSweep {
     sizes: Vec<u64>,
     trials: u64,
     budget: fn(u64) -> u64,
-    /// `k` for plurality sweeps on the `k`-opinion backend, 2 otherwise.
+    /// `k` for plurality sweeps of the conversion dynamics, 2 otherwise.
     species: usize,
 }
 
@@ -296,7 +296,7 @@ fn large_sweeps(config: ExperimentConfig) -> Vec<LargeSweep> {
         LargeSweep {
             key: "czyzowicz-lv-k3",
             label: "3-opinion Czyzowicz dynamics, plurality margin (thinning windows)",
-            backend: "czyzowicz-lv-k",
+            backend: "czyzowicz-lv",
             sizes: plurality_sizes,
             trials: conversion_trials,
             budget: conversion_budget,

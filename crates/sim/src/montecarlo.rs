@@ -399,8 +399,8 @@ impl fmt::Display for PluralityStats {
 /// Every trial executes through the engine [`Backend`](lv_engine::Backend)
 /// selected with [`MonteCarlo::with_backend`] (default: the exact
 /// `"jump-chain"` backend, the paper's chain `S`), so the same estimator runs
-/// unmodified on Gillespie direct, next-reaction, tau-leaping or the
-/// deterministic ODE.
+/// unmodified on Gillespie direct, tau-leaping, the deterministic ODE or a
+/// protocol baseline.
 // No `Deserialize`: `backend` is a `&'static str` registry key, which real
 // serde cannot deserialize into (the compat shims must stay swappable for
 // the real crates without code changes).
@@ -725,21 +725,7 @@ mod tests {
 
     #[test]
     fn estimates_are_reproducible_across_thread_counts_on_every_backend() {
-        for name in [
-            "jump-chain",
-            "gillespie-direct",
-            "next-reaction",
-            "tau-leaping",
-            "ode",
-            "approx-majority",
-            "exact-majority",
-            "czyzowicz-lv",
-            "annihilation-lv",
-            "czyzowicz-lv-k",
-            "approx-majority-agents",
-            "exact-majority-agents",
-            "czyzowicz-lv-agents",
-        ] {
+        for name in lv_engine::BackendRegistry::global().names() {
             let mc1 = MonteCarlo::new(64, Seed::from(5))
                 .with_threads(1)
                 .with_backend(name);
@@ -869,6 +855,8 @@ mod tests {
         use lv_lotka::MultiLvModel;
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![60, 20, 20]).with_tau(0.01);
+        // `next-reaction` is an alias of `gillespie-direct` (one row per
+        // law); it stays listed so the retired name keeps running.
         for name in [
             "jump-chain",
             "gillespie-direct",

@@ -1,7 +1,8 @@
 //! Tour of the unified `Scenario`/`Backend` API: describe one majority-
 //! consensus run, then execute it on every backend in the registry — the
-//! exact jump chain, both exact continuous-time methods, tau-leaping and the
-//! deterministic mean-field ODE — and compare what each one reports.
+//! exact jump chain, the Gillespie direct method, tau-leaping, the
+//! deterministic mean-field ODE and the protocol baselines — and compare
+//! what each one reports.
 //!
 //! ```sh
 //! cargo run --release --example backend_tour

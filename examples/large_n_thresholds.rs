@@ -23,9 +23,9 @@
 //!    decide correctly at `n = 10⁶` (gap invariance: no threshold exists).
 //!
 //! Batched and bridged backends agree with the agent-list stepper
-//! statistically — same outcome distributions — but not bit-for-bit (the
-//! RNG stream differs); see `BackendRegistry` and the `-agents` backends
-//! for bit-exact runs.
+//! (`lv_protocols::ProtocolSimulation`, the test oracle) statistically —
+//! same outcome distributions — but not bit-for-bit (the RNG stream
+//! differs).
 
 use lv_consensus::engine::stream::EarlyStop;
 use lv_consensus::lotka::LvModel;

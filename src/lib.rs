@@ -7,7 +7,7 @@
 //! downstream user can depend on a single crate:
 //!
 //! * [`crn`] — chemical reaction networks with mass-action stochastic kinetics
-//!   (Gillespie direct method, next-reaction method, tau-leaping, jump chain).
+//!   (Gillespie direct method, jump chain, tau-leaping).
 //! * [`chains`] — single-species birth–death chains, the “nice chain”
 //!   abstraction, the dominating chain of §5.2 and the asynchronous
 //!   pseudo-coupling of §5.1.
@@ -22,13 +22,13 @@
 //! * [`engine`] — the unified simulation API: a `k`-species
 //!   [`engine::Scenario`] description (model + initial population + stop
 //!   condition + observers) executed by any [`engine::Backend`] from the
-//!   string-keyed registry (`"jump-chain"`, `"gillespie-direct"`,
-//!   `"next-reaction"`, `"tau-leaping"`, `"ode"`, the count-based protocol
-//!   baselines `"approx-majority"`, `"exact-majority"`, `"czyzowicz-lv"`,
-//!   `"annihilation-lv"`, `"czyzowicz-lv-k"`, the diffusion-bridged
-//!   conversion backends `"czyzowicz-lv-bridged"` /
-//!   `"czyzowicz-lv-k-bridged"` and the bit-exact `-agents` legacy
-//!   variants), plus named multi-species scenario presets
+//!   string-keyed registry of nine rows, one per law (`"jump-chain"`,
+//!   `"gillespie-direct"`, `"tau-leaping"`, `"ode"`, the count-based
+//!   protocol baselines `"approx-majority"`, `"exact-majority"`,
+//!   `"czyzowicz-lv"` — any `k ≥ 2` opinions — and `"annihilation-lv"`, and
+//!   the diffusion-bridged conversion backend `"czyzowicz-lv-bridged"`;
+//!   retired names such as `"next-reaction"` or `"czyzowicz-lv-k"` stay
+//!   aliases), plus named multi-species scenario presets
 //!   ([`engine::presets`]).
 //! * [`protocols`] — baseline protocols from related work (3-state approximate
 //!   majority, 4-state exact majority, Czyzowicz et al. LV population

@@ -91,16 +91,17 @@ fn protocols_layer_exposes_the_counted_batch_engine() {
     }
     let opinions = sim.opinion_counts();
     assert!(opinions[0] == 10_000 || opinions[1] == 10_000);
-    // The batched backends resolve through the facade registry too.
-    for name in [
-        "annihilation-lv",
-        "czyzowicz-lv-k",
-        "czyzowicz-lv-bridged",
-        "czyzowicz-lv-k-bridged",
-        "approx-majority-agents",
+    // The batched backends resolve through the facade registry too, and
+    // retired names resolve to the row with the same law.
+    for (name, row) in [
+        ("annihilation-lv", "annihilation-lv"),
+        ("czyzowicz-lv-k", "czyzowicz-lv"),
+        ("czyzowicz-lv-bridged", "czyzowicz-lv-bridged"),
+        ("czyzowicz-lv-k-bridged", "czyzowicz-lv-bridged"),
+        ("approx-majority-agents", "approx-majority"),
     ] {
         let backend = lv_consensus::engine::backend(name).unwrap();
-        assert_eq!(backend.name(), name);
+        assert_eq!(backend.name(), row);
     }
     assert!(lv_consensus::engine::backend("approx-majority")
         .unwrap()
