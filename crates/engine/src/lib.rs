@@ -37,8 +37,9 @@
 //!   view and [`RunReport::to_majority_outcome`] as its two-species
 //!   projection;
 //! * [`stream`] — streaming batch execution: a lock-free [`ShardQueue`]
-//!   handing out one trial per claim, a [`ReportStream`] yielding reports
-//!   in trial order as trials finish, [`OnlineAccumulator`]s folded
+//!   handing out one trial per claim, a [`ReportStream`] running trials on
+//!   its consumer and a process-wide helper pool and yielding reports in
+//!   trial order as trials finish, [`OnlineAccumulator`]s folded
 //!   incrementally (no batch is ever materialised) and [`EarlyStop`], a
 //!   sequential stopping rule on the success-probability confidence width.
 //!

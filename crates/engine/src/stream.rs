@@ -3,19 +3,16 @@
 //!
 //! The pieces compose bottom-up:
 //!
-//! * [`ShardQueue`] — a lock-free dispenser of trial indices: idle workers
+//! * [`ShardQueue`] — a lock-free dispenser of trial indices: runners
 //!   claim the next trial, one per claim and in index order, instead of
 //!   being pinned to a static range, so stragglers (trials that run long)
 //!   never leave cores idle, and an early stop wastes at most the trials
 //!   already running;
 //! * [`ReportStream`] — an iterator over `(trial, RunReport)` pairs in
-//!   strict trial order. Workers run trials out of order and send them,
-//!   batched by work (up to [`FLUSH_TRIALS`] trials, fewer when they are
-//!   long), through a bounded channel; a small reorder buffer on the
-//!   consuming side restores trial order, which is what makes every
-//!   downstream fold bit-identical at every thread count (trial `i` always
-//!   uses the RNG the factory returns for `i`, and results are always
-//!   folded `0, 1, 2, …`);
+//!   strict trial order, whatever order trials finish in (see *Parallel
+//!   execution* below). Trial `i` always uses the RNG the factory returns
+//!   for `i`, and results are always folded `0, 1, 2, …`, so every
+//!   downstream fold is bit-identical at every thread count;
 //! * [`OnlineAccumulator`] — a statistic folded one report at a time:
 //!   [`SuccessTally`] (win counts), [`RunMoments`] (Welford mean/variance
 //!   of consensus event counts and extinction times), [`PluralityTally`]
@@ -29,6 +26,21 @@
 //!   avoid spending the full budget far from the threshold);
 //! * [`ReportStream::fold_with`] — the driver tying them together, with a
 //!   [`Progress`] callback per folded trial.
+//!
+//! # Parallel execution
+//!
+//! A stream with `t` [effective workers](StreamConfig::effective_workers)
+//! runs trials on its consuming thread and on `t − 1` helpers invited from
+//! one process-wide pool: spawned lazily, parked while idle, and at most
+//! `available_parallelism − 1` of them. The consumer runs the next unclaimed
+//! trial itself whenever its next in-order report is not ready, and parks
+//! only when nothing is left to claim, so a stream always progresses on its
+//! own caller, even while every helper serves another stream. Each report
+//! goes into a slot indexed by its trial as it finishes, so delivery needs
+//! no batching threshold (nor a guess at a trial's cost); claims stay
+//! within a fixed window of the consumer's next trial, which bounds the
+//! slots, and a helper wakes the consumer only when it is parked on that
+//! very trial.
 //!
 //! ```
 //! use lv_engine::stream::{ReportStream, StreamConfig, SuccessTally};
@@ -55,11 +67,9 @@ use crate::backend::Backend;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Derives the per-trial random number generator. Trial `i` must always
 /// receive the same stream regardless of scheduling — this is the whole
@@ -82,13 +92,14 @@ impl StreamConfig {
     /// Panics if `trials == 0`.
     pub fn new(trials: u64) -> Self {
         assert!(trials > 0, "at least one trial is required");
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        StreamConfig { trials, threads }
+        StreamConfig {
+            trials,
+            threads: cores(),
+        }
     }
 
-    /// Restricts execution to a fixed number of worker threads.
+    /// Restricts execution to `threads` threads running trials, the
+    /// consuming thread included.
     ///
     /// # Panics
     ///
@@ -104,64 +115,38 @@ impl StreamConfig {
         self.trials
     }
 
-    /// The configured worker thread count.
+    /// The configured thread count, the consuming thread included.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The number of worker threads actually spawned for `scheduled` trials:
-    /// the configured count, clamped so no worker exists without enough work
-    /// to amortise its channel traffic.
-    ///
-    /// Two clamps beyond the obvious `min(scheduled)`:
-    ///
-    /// * **Physical cores** — threads beyond the machine's available
-    ///   parallelism time-slice the same cores; they add channel and queue
-    ///   traffic without adding throughput (BENCH_7 measured the 512-trial
-    ///   success-probability batch *slower* at 4 threads than at 1 on a
-    ///   single-core host for exactly this reason).
-    /// * **Flush batches** — cheap trials travel in batches of
-    ///   [`FLUSH_TRIALS`], so a batch of `scheduled` trials contains only
-    ///   `⌈scheduled / FLUSH_TRIALS⌉` messages' worth of per-worker work
-    ///   worth parallelising; more workers than that just fragments delivery
-    ///   into smaller messages.
-    ///
-    /// When the clamp leaves a single worker the stream runs sequentially on
-    /// the consuming thread, with no queue or channel at all.
+    /// The threads that run trials for `scheduled` trials, the consuming
+    /// thread included: the configured count, clamped to the machine's
+    /// cores and to `scheduled`. With one, the stream runs sequentially on
+    /// the consumer; with `t > 1` it asks the pool for `t − 1` helpers.
     pub fn effective_workers(&self, scheduled: u64) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunks = scheduled.div_ceil(FLUSH_TRIALS).max(1);
         self.threads
-            .min(cores)
-            .min(chunks.min(usize::MAX as u64) as usize)
+            .min(cores())
             .min(scheduled.min(usize::MAX as u64) as usize)
             .max(1)
     }
 }
 
-/// The most completed trials a parallel worker holds before sending them to
-/// the consumer in a single channel message.
-///
-/// Delivery is sized by work, not by trial count alone: a worker also sends
-/// as soon as its held trials add up to 2¹⁴ [`RunReport::events`], so a long
-/// trial goes out the moment it finishes. Per-trial sends cost more than a
-/// cheap (microsecond) trial itself, so those still travel sixteen to a
-/// message; holding a long trial back would only delay the consumer's
-/// stopping rule, which sees a trial once every earlier one has arrived.
-pub const FLUSH_TRIALS: u64 = 16;
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
-/// The summed [`RunReport::events`] at which a worker sends its held trials
-/// before holding [`FLUSH_TRIALS`] of them. The event count stands in for
-/// the time a trial took: the engine reads no clock.
-const FLUSH_EVENTS: u64 = 1 << 14;
+/// How far past the consumer's next trial a parallel stream may claim: the
+/// bound on the finished reports it holds, whatever its consumer's speed.
+const WINDOW: u64 = 128;
 
 /// A lock-free dispenser of trial indices.
 ///
-/// Workers repeatedly [`claim`](ShardQueue::claim) the next trial index, one
-/// per claim and in increasing order, until the queue is exhausted or
-/// [`halt`](ShardQueue::halt)ed. A worker that finishes early simply claims
+/// Runners repeatedly [`claim`](ShardQueue::claim) the next trial index,
+/// one per claim and in increasing order, until the queue is exhausted or
+/// [`halt`](ShardQueue::halt)ed. A runner that finishes early simply claims
 /// more work, and a halt leaves only the trials already claimed to run: by
 /// the time trial `i` is claimed, every trial before it has been claimed.
 #[derive(Debug)]
@@ -184,11 +169,24 @@ impl ShardQueue {
     /// Claims the next trial index, or `None` when the queue is exhausted or
     /// halted.
     pub fn claim(&self) -> Option<u64> {
+        self.claim_below(self.trials)
+    }
+
+    /// Claims the next trial index if it is below `bound`.
+    fn claim_below(&self, bound: u64) -> Option<u64> {
+        let bound = bound.min(self.trials);
+        let step = |next: u64| (next < bound).then_some(next + 1);
         if self.is_halted() {
             return None;
         }
-        let trial = self.next.fetch_add(1, Ordering::AcqRel);
-        (trial < self.trials).then_some(trial)
+        self.next
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, step)
+            .ok()
+    }
+
+    /// Whether no trial is left to claim, at any bound.
+    fn drained(&self) -> bool {
+        self.is_halted() || self.next.load(Ordering::Acquire) >= self.trials
     }
 
     /// Stops the queue: every subsequent [`claim`](ShardQueue::claim)
@@ -633,54 +631,192 @@ pub struct Progress {
     pub successes: Option<u64>,
 }
 
+type Payload = Box<dyn std::any::Any + Send>;
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What running one trial needs.
+struct Trials {
+    scenario: Scenario,
+    backend: &'static dyn Backend,
+    rng_for_trial: TrialRngFactory,
+}
+
+impl Trials {
+    /// Runs `trial`, catching a panic so the stream re-raises it there.
+    fn run(&self, trial: u64) -> Result<RunReport, Payload> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut rng = (self.rng_for_trial)(trial);
+            self.backend.run(&self.scenario, &mut rng)
+        }))
+    }
+}
+
+/// A parallel stream's state, shared by its consumer and its helpers.
+struct Shared {
+    trials: Trials,
+    queue: ShardQueue,
+    state: Mutex<State>,
+    /// Wakes whoever is parked: the consumer (on its next trial, or on the
+    /// last helper leaving) and helpers (on room in the window).
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    /// Finished trials not yet taken, at `trial % reports.len()`; claims
+    /// stay below `next + reports.len()`, the consumer's next trial plus
+    /// the window, so outstanding trials never share a slot.
+    reports: Vec<Option<Result<RunReport, Payload>>>,
+    next: u64,
+    /// Helpers inside [`Shared::help`], and threads parked on `changed`.
+    helpers: usize,
+    parked: usize,
+}
+
+impl Shared {
+    /// Claims the next trial within the window of the consumer's.
+    fn claim(&self, state: &State) -> Option<u64> {
+        let window = state.reports.len() as u64;
+        self.queue.claim_below(state.next + window)
+    }
+
+    fn park<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        state.parked += 1;
+        state = wait(&self.changed, state);
+        state.parked -= 1;
+        state
+    }
+
+    fn wake(&self, state: &State) {
+        if state.parked > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Runs `trial` without holding the lock, then hands it to the consumer.
+    fn run<'a>(&'a self, state: MutexGuard<'a, State>, trial: u64) -> MutexGuard<'a, State> {
+        drop(state);
+        let result = self.trials.run(trial);
+        if result.is_err() {
+            // Stop new claims at once; every trial before this one was
+            // claimed earlier, so it still runs and is folded first.
+            self.queue.halt();
+        }
+        let mut state = lock(&self.state);
+        let slot = (trial % state.reports.len() as u64) as usize;
+        state.reports[slot] = Some(result);
+        if trial == state.next {
+            self.wake(&state);
+        }
+        state
+    }
+
+    /// The consumer's side: the report of its next trial, `trial`, running
+    /// trials itself while that report is not ready.
+    fn take(&self, trial: u64) -> Result<RunReport, Payload> {
+        let mut state = lock(&self.state);
+        let slot = (trial % state.reports.len() as u64) as usize;
+        let result = loop {
+            if let Some(result) = state.reports[slot].take() {
+                break result;
+            }
+            state = match self.claim(&state) {
+                Some(own) => self.run(state, own),
+                None => self.park(state),
+            };
+        };
+        state.next = trial + 1;
+        self.wake(&state);
+        result
+    }
+
+    /// A helper's side: runs this stream's trials until none is left to
+    /// claim, parking while the window is full.
+    fn help(&self) {
+        let mut state = lock(&self.state);
+        state.helpers += 1;
+        while !self.queue.drained() {
+            state = match self.claim(&state) {
+                Some(trial) => self.run(state, trial),
+                None => self.park(state),
+            };
+        }
+        state.helpers -= 1;
+        self.wake(&state);
+    }
+}
+
+const HELPER_NAME: &str = "lv-stream-helper";
+
+/// The process-wide helper pool: one invitation per helper a stream asked
+/// for, and the number of helpers spawned; helpers park on `INVITED`.
+static POOL: Mutex<(VecDeque<Arc<Shared>>, usize)> = Mutex::new((VecDeque::new(), 0));
+static INVITED: Condvar = Condvar::new();
+
+/// Asks for `count` helpers on `shared`, first growing the pool to `count`
+/// helpers (never beyond `cores() − 1`).
+fn invite(shared: &Arc<Shared>, count: usize) {
+    let mut pool = lock(&POOL);
+    let (invitations, helpers) = &mut *pool;
+    invitations.extend(std::iter::repeat_with(|| Arc::clone(shared)).take(count));
+    // A helper that fails to spawn leaves the stream to its consumer.
+    let builder = || std::thread::Builder::new().name(HELPER_NAME.into());
+    while *helpers < count.min(cores() - 1) && builder().spawn(serve).is_ok() {
+        *helpers += 1;
+    }
+    (0..count).for_each(|_| INVITED.notify_one());
+}
+
+/// A helper thread's body: take an invitation and help; park while there
+/// is none.
+fn serve() {
+    let mut pool = lock(&POOL);
+    loop {
+        pool = match pool.0.pop_front() {
+            Some(shared) => {
+                drop(pool);
+                shared.help();
+                lock(&POOL)
+            }
+            None => wait(&INVITED, pool),
+        };
+    }
+}
+
 enum StreamInner {
     /// Single-threaded: trials run lazily, one per `next()` call.
-    Sequential {
-        scenario: Arc<Scenario>,
-        backend: &'static dyn Backend,
-        rng_for_trial: TrialRngFactory,
-    },
+    Sequential(Trials),
     /// A deterministic backend yields the same report every trial: run it
     /// once, replicate the report (matching the batch runner's behaviour of
     /// executing deterministic backends a single time).
     Deterministic { report: RunReport },
-    /// Multi-threaded execution feeding a reorder buffer. Each channel
-    /// message is one worker's batch of completed trials with their indices
-    /// (a worker's trials need not be contiguous).
-    Parallel {
-        receiver: Receiver<Vec<(u64, RunReport)>>,
-        pending: BTreeMap<u64, RunReport>,
-        queue: Arc<ShardQueue>,
-        workers: Vec<JoinHandle<()>>,
-        /// The first worker panic, caught on the worker so the queue halts
-        /// *immediately* (instead of the surviving workers burning through
-        /// every remaining trial) and re-raised on the consuming thread.
-        panic: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>>,
-    },
+    /// Trials run on the consuming thread and on pool helpers.
+    Parallel(Arc<Shared>),
 }
 
 /// An iterator over `(trial, RunReport)` pairs of a streamed batch, in
 /// strict trial order.
 ///
-/// Trials execute on worker threads claiming them one at a time, in index
-/// order, from a [`ShardQueue`] and may *finish* in any order; a reorder
-/// buffer on the consuming side restores index order before yielding.
-/// Combined with the per-trial RNG contract of [`TrialRngFactory`], every
-/// fold over the stream is bit-identical regardless of thread count or
-/// scheduling. No batch is ever materialised, no matter how slow the
-/// consumer: a worker sends its completed trials once it holds
-/// [`FLUSH_TRIALS`] of them or once they add up to a fixed number of events
-/// (so cheap trials share a message while a long one goes out as soon as it
-/// finishes), through a *bounded* channel, so workers block on a full
-/// channel instead of racing ahead, and the reorder buffer only ever holds
-/// the few messages in flight.
+/// Trials are claimed one at a time, in index order, from a [`ShardQueue`]
+/// by the consuming thread and by pool helpers (see the [module
+/// docs](self)); with the per-trial RNG contract of [`TrialRngFactory`],
+/// every fold over the stream is bit-identical at any thread count. No
+/// batch is ever materialised: claims stay within a fixed window of the
+/// consumer's next trial, however slow the consumer.
 ///
 /// Halting the stream (an early stop, or dropping it) stops new claims;
-/// trials already claimed finish and are discarded. A panic on a worker
-/// thread halts the queue too, and is re-raised on the consuming thread once
-/// the stream reaches the panicked trial: every trial before it was claimed
-/// earlier, so it runs and is delivered, and the consumer folds exactly the
-/// trials before the panicked one.
+/// trials already claimed finish and are discarded, and `drop` returns only
+/// once they have. A panic in a trial, on a helper or on the consumer,
+/// halts the queue too, and is re-raised on the consuming thread at the
+/// panicked trial, after exactly the trials before it (all claimed
+/// earlier) are folded.
 pub struct ReportStream {
     inner: StreamInner,
     /// Next trial index to yield.
@@ -716,105 +852,36 @@ impl ReportStream {
         rng_for_trial: TrialRngFactory,
     ) -> Self {
         let scheduled = config.trials();
-        if backend.deterministic() {
+        let inner = if backend.deterministic() {
             let mut rng = rng_for_trial(0);
-            let report = backend.run(scenario, &mut rng);
-            return ReportStream {
-                inner: StreamInner::Deterministic { report },
-                next: 0,
-                scheduled,
-                halted: false,
+            StreamInner::Deterministic {
+                report: backend.run(scenario, &mut rng),
+            }
+        } else {
+            let trials = Trials {
+                scenario: scenario.clone(),
+                backend,
+                rng_for_trial,
             };
-        }
-        let threads = config.effective_workers(scheduled);
-        if threads == 1 {
-            return ReportStream {
-                inner: StreamInner::Sequential {
-                    scenario: Arc::new(scenario.clone()),
-                    backend,
-                    rng_for_trial,
-                },
-                next: 0,
-                scheduled,
-                halted: false,
-            };
-        }
-        let queue = Arc::new(ShardQueue::new(scheduled));
-        // Bounded channel = backpressure: a consumer slower than the worker
-        // pool makes the workers block on `send` instead of racing ahead and
-        // buffering the whole batch. Messages hold at most FLUSH_TRIALS
-        // reports, so two slots per worker cap in-flight reports at a few
-        // messages per worker.
-        let (sender, receiver) = sync_channel(threads * 2);
-        // Build the scenario's CRN form once, before the workers clone the
-        // Arc, so the reaction network is shared instead of rebuilt per
-        // thread (protocol backends have no CRN form; skip for them).
-        let scenario = Arc::new(scenario.clone());
-        if backend.models_kinetics() {
-            let _ = scenario.crn_form();
-        }
-        let panic: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> = Arc::new(Mutex::new(None));
-        let workers = (0..threads)
-            .map(|_| {
-                let scenario = Arc::clone(&scenario);
-                let queue = Arc::clone(&queue);
-                let rng_for_trial = Arc::clone(&rng_for_trial);
-                let sender = sender.clone();
-                let panic = Arc::clone(&panic);
-                std::thread::spawn(move || {
-                    let mut held: Vec<(u64, RunReport)> = Vec::new();
-                    let mut held_events = 0u64;
-                    // A halt only stops new claims: a claimed trial always
-                    // runs, and completed reports are always sent (after a
-                    // halt the consumer either still folds up to a panicked
-                    // trial, or drops the stream and drains the channel, so
-                    // the send cannot block forever).
-                    while let Some(trial) = queue.claim() {
-                        // Catch backend panics here rather than letting the
-                        // thread die: the queue halts at once (so the
-                        // surviving workers stop claiming trials instead of
-                        // running — and buffering — the whole rest of the
-                        // batch) and the payload is re-raised on the
-                        // consuming thread.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut rng = rng_for_trial(trial);
-                            backend.run(&scenario, &mut rng)
-                        }));
-                        match result {
-                            Ok(report) => {
-                                held_events = held_events.saturating_add(report.events);
-                                held.push((trial, report));
-                            }
-                            Err(payload) => {
-                                queue.halt();
-                                let mut slot =
-                                    panic.lock().unwrap_or_else(|poison| poison.into_inner());
-                                slot.get_or_insert(payload);
-                                break;
-                            }
-                        }
-                        if held.len() as u64 >= FLUSH_TRIALS || held_events >= FLUSH_EVENTS {
-                            if sender.send(std::mem::take(&mut held)).is_err() {
-                                // Receiver gone: the stream was dropped.
-                                return;
-                            }
-                            held_events = 0;
-                        }
-                    }
-                    if !held.is_empty() {
-                        let _ = sender.send(held);
-                    }
-                })
-            })
-            .collect();
+            match config.effective_workers(scheduled) {
+                1 => StreamInner::Sequential(trials),
+                workers => {
+                    let shared = Arc::new(Shared {
+                        trials,
+                        queue: ShardQueue::new(scheduled),
+                        state: Mutex::new(State {
+                            reports: (0..WINDOW.min(scheduled)).map(|_| None).collect(),
+                            ..State::default()
+                        }),
+                        changed: Condvar::new(),
+                    });
+                    invite(&shared, workers - 1);
+                    StreamInner::Parallel(shared)
+                }
+            }
+        };
         ReportStream {
-            inner: StreamInner::Parallel {
-                receiver,
-                pending: BTreeMap::new(),
-                queue,
-                workers,
-                panic,
-            },
+            inner,
             next: 0,
             scheduled,
             halted: false,
@@ -835,28 +902,8 @@ impl ReportStream {
     /// the iterator ends. Used by early stopping; idempotent.
     pub fn halt(&mut self) {
         self.halted = true;
-        if let StreamInner::Parallel { queue, .. } = &self.inner {
-            queue.halt();
-        }
-    }
-
-    /// Joins the parallel workers, re-raising the first worker panic
-    /// (whether caught into the panic slot or propagated through a handle).
-    fn join_workers(&mut self) {
-        if let StreamInner::Parallel { workers, panic, .. } = &mut self.inner {
-            let mut first = None;
-            for worker in workers.drain(..) {
-                if let Err(payload) = worker.join() {
-                    first.get_or_insert(payload);
-                }
-            }
-            let caught = panic
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .take();
-            if let Some(payload) = caught.or(first) {
-                std::panic::resume_unwind(payload);
-            }
+        if let StreamInner::Parallel(shared) = &self.inner {
+            shared.queue.halt();
         }
     }
 
@@ -911,84 +958,37 @@ impl Iterator for ReportStream {
             return None;
         }
         let trial = self.next;
-        // A panic caught on the sequential path, re-raised below once the
-        // borrow of `inner` ends and the stream is marked halted (so a
-        // caller that catches the panic sees an ended stream, exactly like
-        // the parallel path).
-        let mut sequential_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let report = match &mut self.inner {
-            StreamInner::Sequential {
-                scenario,
-                backend,
-                rng_for_trial,
-            } => {
-                let mut rng = rng_for_trial(trial);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    backend.run(scenario, &mut rng)
-                })) {
-                    Ok(report) => Some(report),
-                    Err(payload) => {
-                        sequential_panic = Some(payload);
-                        None
-                    }
-                }
+        let result = match &self.inner {
+            StreamInner::Sequential(trials) => trials.run(trial),
+            StreamInner::Deterministic { report } => Ok(report.clone()),
+            StreamInner::Parallel(shared) => shared.take(trial),
+        };
+        match result {
+            Ok(report) => {
+                self.next += 1;
+                Some((trial, report))
             }
-            StreamInner::Deterministic { report } => Some(report.clone()),
-            StreamInner::Parallel {
-                receiver, pending, ..
-            } => loop {
-                if let Some(report) = pending.remove(&trial) {
-                    break Some(report);
-                }
-                match receiver.recv() {
-                    Ok(reports) => {
-                        for (index, report) in reports {
-                            debug_assert!(index >= trial, "trial {index} delivered twice");
-                            pending.insert(index, report);
-                        }
-                    }
-                    // Every sender hung up with trials still owed: a worker
-                    // must have panicked — re-raise it below, outside this
-                    // borrow of `inner`.
-                    Err(_) => break None,
-                }
-            },
-        };
-        if let Some(payload) = sequential_panic {
-            self.halted = true;
-            std::panic::resume_unwind(payload);
+            Err(payload) => {
+                // A caller that catches the panic sees an ended stream.
+                self.halted = true;
+                std::panic::resume_unwind(payload)
+            }
         }
-        let Some(report) = report else {
-            // Every sender hung up with trials still owed: a worker panicked
-            // and halted the queue. `join_workers` re-raises the payload; if
-            // it was already consumed by an earlier call, the stream is
-            // simply over.
-            self.join_workers();
-            self.halted = true;
-            return None;
-        };
-        self.next += 1;
-        Some((trial, report))
     }
 }
 
 impl Drop for ReportStream {
+    /// Stops new claims; returns once no helper runs this stream's trials.
     fn drop(&mut self) {
-        self.halt();
-        if let StreamInner::Parallel {
-            receiver, workers, ..
-        } = &mut self.inner
-        {
-            // Drain the channel first: a worker blocked on a full bounded
-            // channel must be released before it can observe the halt and
-            // exit (each worker finishes the trial it holds, sends what it
-            // has completed, then drops its sender, ending this loop).
-            while receiver.recv().is_ok() {}
-            // Reap the workers, swallowing panics (they were either already
-            // re-raised by `next`, or the stream was deliberately
-            // abandoned).
-            for worker in workers.drain(..) {
-                let _ = worker.join();
+        if let StreamInner::Parallel(shared) = &self.inner {
+            shared.queue.halt();
+            lock(&POOL)
+                .0
+                .retain(|invited| !Arc::ptr_eq(invited, shared));
+            let mut state = lock(&shared.state);
+            shared.wake(&state);
+            while state.helpers > 0 {
+                state = shared.park(state);
             }
         }
     }
@@ -1000,6 +1000,7 @@ mod tests {
     use crate::registry::backend;
     use lv_lotka::{CompetitionKind, LvModel};
     use rand::SeedableRng;
+    use std::sync::atomic::AtomicUsize;
 
     fn factory(root: u64) -> TrialRngFactory {
         Arc::new(move |trial| StdRng::seed_from_u64(root ^ (trial.wrapping_mul(0x9E37_79B9))))
@@ -1208,6 +1209,29 @@ mod tests {
         let _ = StreamConfig::new(0);
     }
 
+    /// Whether the current thread is a pool helper.
+    fn on_helper() -> bool {
+        std::thread::current().name() == Some(HELPER_NAME)
+    }
+
+    /// Folds `stream` until a panic, returning the trials folded before it
+    /// and the panic message.
+    fn fold_until_panic(stream: ReportStream) -> (u64, String) {
+        let mut folded = 0u64;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in stream {
+                folded += 1;
+            }
+        }));
+        let payload = result.expect_err("the panic must reach the consumer");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default();
+        (folded, message)
+    }
+
     #[test]
     fn worker_panics_halt_the_queue_and_reach_the_consumer() {
         struct Exploding;
@@ -1222,10 +1246,10 @@ mod tests {
                 panic!("backend exploded")
             }
         }
-        let backend: &'static dyn Backend = Box::leak(Box::new(Exploding));
+        let exploding: &'static dyn Backend = Box::leak(Box::new(Exploding));
         let mut stream = ReportStream::new(
             &scenario(),
-            backend,
+            exploding,
             StreamConfig::new(10_000).with_threads(4),
             factory(9),
         );
@@ -1236,9 +1260,188 @@ mod tests {
             Some(&"backend exploded"),
             "unexpected panic payload"
         );
-        // The queue was halted by the panicking worker, so the surviving
-        // workers did not burn through (and buffer) the remaining trials.
+        // The queue was halted by the panicking runner, so the others did
+        // not burn through (and buffer) the remaining trials.
         assert!(stream.next().is_none());
+
+        // A panic on a helper, then one on the consumer: each is raised at
+        // the lowest trial that panicked, after exactly the trials before it.
+        let scenario = Scenario::majority(
+            LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0),
+            300,
+            200,
+        );
+        let jump_chain = backend("jump-chain").unwrap();
+        let config = StreamConfig::new(64).with_threads(2);
+        for on_the_helper in [true, false] {
+            if on_the_helper && config.effective_workers(64) == 1 {
+                continue;
+            }
+            for p in [1u64, 9, 20] {
+                let panicked = Arc::new(AtomicU64::new(u64::MAX));
+                let seen = Arc::clone(&panicked);
+                let inner = factory(p);
+                let rng_for_trial: TrialRngFactory = Arc::new(move |trial| {
+                    if trial >= p && on_helper() == on_the_helper {
+                        seen.fetch_min(trial, Ordering::SeqCst);
+                        panic!("refused trial {trial}");
+                    }
+                    if trial >= p {
+                        // Hold this side back so the other side claims a
+                        // trial at or after `p` (bounded: a helper busy
+                        // elsewhere still fails the test rather than hang).
+                        for _ in 0..10_000 {
+                            if seen.load(Ordering::SeqCst) != u64::MAX {
+                                break;
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    }
+                    inner(trial)
+                });
+                let stream = ReportStream::new(&scenario, jump_chain, config, rng_for_trial);
+                let (folded, message) = fold_until_panic(stream);
+                let at = panicked.load(Ordering::SeqCst);
+                assert_eq!(message, format!("refused trial {at}"));
+                assert_eq!(
+                    folded,
+                    at,
+                    "panic on the {}: folded {folded} trials before the panic at {at}",
+                    if on_the_helper { "helper" } else { "consumer" }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_streams_each_fold_their_own_bits() {
+        let scenario = scenario();
+        let backend = backend("jump-chain").unwrap();
+        let collect = |root: u64, threads: usize| -> Vec<(u64, RunReport)> {
+            ReportStream::new(
+                &scenario,
+                backend,
+                StreamConfig::new(300).with_threads(threads),
+                factory(root),
+            )
+            .collect()
+        };
+        let alone = [collect(21, 1), collect(22, 1)];
+        let together = std::thread::scope(|scope| {
+            let other = scope.spawn(|| collect(22, 4));
+            [collect(21, 4), other.join().unwrap()]
+        });
+        assert_eq!(together, alone);
+    }
+
+    /// A backend whose runs block until the gate opens.
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+        inside: AtomicUsize,
+    }
+
+    impl Backend for Gate {
+        fn name(&self) -> &'static str {
+            "gate-test"
+        }
+        fn description(&self) -> &'static str {
+            "blocks every run until opened"
+        }
+        fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+            self.inside.fetch_add(1, Ordering::SeqCst);
+            let mut open = lock(&self.open);
+            while !*open {
+                open = wait(&self.opened, open);
+            }
+            drop(open);
+            backend("jump-chain").unwrap().run(scenario, rng)
+        }
+    }
+
+    #[test]
+    fn a_stream_completes_while_another_holds_every_helper() {
+        let gate: &'static Gate = Box::leak(Box::new(Gate {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            inside: AtomicUsize::new(0),
+        }));
+        let scenario = scenario();
+        let config = StreamConfig::new(64).with_threads(cores());
+        let runners = config.effective_workers(64);
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                ReportStream::new(&scenario, gate, config, factory(23)).fold(SuccessTally::new())
+            });
+            // Every helper the pool has, and the blocked stream's own
+            // consumer, sit inside a gated run.
+            while gate.inside.load(Ordering::SeqCst) < runners {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let jump_chain = backend("jump-chain").unwrap();
+            let run = |threads| {
+                ReportStream::new(
+                    &scenario,
+                    jump_chain,
+                    StreamConfig::new(200).with_threads(threads),
+                    factory(24),
+                )
+                .fold(RunMoments::new())
+            };
+            assert_eq!(run(4), run(1));
+            *lock(&gate.open) = true;
+            gate.opened.notify_all();
+            assert_eq!(blocked.join().unwrap().trials(), 64);
+        });
+    }
+
+    #[test]
+    fn dropping_a_half_folded_stream_waits_for_its_trials() {
+        struct Counting {
+            started: AtomicU64,
+            running: AtomicU64,
+        }
+        impl Backend for Counting {
+            fn name(&self) -> &'static str {
+                "counting-test"
+            }
+            fn description(&self) -> &'static str {
+                "counts runs started and running"
+            }
+            fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+                self.started.fetch_add(1, Ordering::SeqCst);
+                self.running.fetch_add(1, Ordering::SeqCst);
+                let report = backend("jump-chain").unwrap().run(scenario, rng);
+                self.running.fetch_sub(1, Ordering::SeqCst);
+                report
+            }
+        }
+        let counting: &'static Counting = Box::leak(Box::new(Counting {
+            started: AtomicU64::new(0),
+            running: AtomicU64::new(0),
+        }));
+        let scenario = Scenario::majority(
+            LvModel::neutral(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0),
+            300,
+            200,
+        );
+        for folded in [0, 1, 40] {
+            let mut stream = ReportStream::new(
+                &scenario,
+                counting,
+                StreamConfig::new(100_000).with_threads(4),
+                factory(25),
+            );
+            for _ in 0..folded {
+                assert!(stream.next().is_some());
+            }
+            drop(stream);
+            assert_eq!(counting.running.load(Ordering::SeqCst), 0);
+            let started = counting.started.load(Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(counting.started.load(Ordering::SeqCst), started);
+            assert!(started < 100_000, "the dropped stream ran to the end");
+        }
     }
 
     #[test]
@@ -1265,16 +1468,9 @@ mod tests {
                         StreamConfig::new(64).with_threads(threads),
                         rng_for_trial,
                     );
-                    let mut folded = 0u64;
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for _ in stream {
-                            folded += 1;
-                        }
-                    }));
-                    let payload = result.expect_err("the worker panic must reach the consumer");
-                    let message = payload.downcast_ref::<String>().map(String::as_str);
+                    let (folded, message) = fold_until_panic(stream);
                     assert!(
-                        message.is_some_and(|m| m.contains("refused trial")),
+                        message.contains("refused trial"),
                         "unexpected panic payload {message:?}"
                     );
                     assert_eq!(

@@ -20,10 +20,11 @@ use crate::service::ThresholdService;
 use crate::wire::{read_message, write_message, WireError, MAX_FRAME_BYTES};
 use std::fs::File;
 use std::io::{Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -54,18 +55,12 @@ impl Server {
     /// first).
     pub fn bind(service: ThresholdService, addr: &BindAddr) -> Result<Self, ServiceError> {
         let listener = match addr {
-            BindAddr::Tcp(spec) => {
-                let listener = TcpListener::bind(spec)?;
-                listener.set_nonblocking(true)?;
-                Listener::Tcp(listener)
-            }
+            BindAddr::Tcp(spec) => Listener::Tcp(TcpListener::bind(spec)?),
             BindAddr::Unix(path) => {
                 if path.exists() {
                     let _ = std::fs::remove_file(path);
                 }
-                let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                Listener::Unix(listener, path.clone())
+                Listener::Unix(UnixListener::bind(path)?, path.clone())
             }
         };
         Ok(Server {
@@ -106,50 +101,29 @@ impl Server {
 
     /// Serves until a `Shutdown` request (or the stop handle) flips the
     /// stop flag, then drains in-flight connections and snapshots.
+    ///
+    /// The acceptor blocks in `accept`; a watcher thread checks the stop
+    /// flag every `STOP_POLL` (10 ms) and, once it flips, connects to the
+    /// listener itself so the blocked `accept` returns.
     pub fn serve(self) -> Result<(), ServiceError> {
         let workers: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            // Connection reads poll the stop flag between frames, so an
-            // idle keep-alive client cannot stall a graceful drain.
-            let accepted: Option<Box<dyn Conn>> = match &self.listener {
-                Listener::Tcp(listener) => match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_read_timeout(Some(IDLE_POLL));
-                        Some(Box::new(stream))
+        let (serving, ended) = mpsc::channel::<()>();
+        let watcher = {
+            let stop = Arc::clone(&self.stop);
+            let wake = self.wake_addr();
+            std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = ended.recv_timeout(STOP_POLL) {
+                    // Retried every poll until the acceptor sees the flag.
+                    if stop.load(Ordering::SeqCst) && wake.connect() {
+                        return;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(e) if is_transient_accept_error(&e) => None,
-                    Err(e) => return Err(e.into()),
-                },
-                Listener::Unix(listener, _) => match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_read_timeout(Some(IDLE_POLL));
-                        Some(Box::new(stream))
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(e) if is_transient_accept_error(&e) => None,
-                    Err(e) => return Err(e.into()),
-                },
-            };
-            match accepted {
-                Some(conn) => {
-                    let service = Arc::clone(&self.service);
-                    let stop = Arc::clone(&self.stop);
-                    let handle = std::thread::spawn(move || {
-                        serve_connection(conn, &service, &stop);
-                    });
-                    let mut workers = crate::sync::lock(&workers);
-                    workers.push(handle);
-                    workers.retain(|h| !h.is_finished());
                 }
-                None => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
+            })
+        };
+        let served = self.accept_until_stopped(&workers);
+        drop(serving);
+        let _ = watcher.join();
+        served?;
         // Drain: every accepted connection finishes its in-flight work.
         for handle in crate::sync::into_inner(workers) {
             let _ = handle.join();
@@ -162,6 +136,85 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+
+    /// Accepts connections, one thread each, until the stop flag is set.
+    fn accept_until_stopped(
+        &self,
+        workers: &Mutex<Vec<std::thread::JoinHandle<()>>>,
+    ) -> Result<(), ServiceError> {
+        loop {
+            // Connection reads poll the stop flag between frames, so an
+            // idle keep-alive client cannot stall a graceful drain.
+            let accepted: std::io::Result<Box<dyn Conn>> = match &self.listener {
+                Listener::Tcp(listener) => listener.accept().map(|(stream, _)| {
+                    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+                    Box::new(stream) as Box<dyn Conn>
+                }),
+                Listener::Unix(listener, _) => listener.accept().map(|(stream, _)| {
+                    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+                    Box::new(stream) as Box<dyn Conn>
+                }),
+            };
+            // Checked after `accept` returns: the watcher's wake-up
+            // connection, or any connection racing the stop, is dropped.
+            if self.stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            match accepted {
+                Ok(conn) => {
+                    let service = Arc::clone(&self.service);
+                    let stop = Arc::clone(&self.stop);
+                    let handle = std::thread::spawn(move || {
+                        serve_connection(conn, &service, &stop);
+                    });
+                    let mut workers = crate::sync::lock(workers);
+                    workers.push(handle);
+                    workers.retain(|h| !h.is_finished());
+                }
+                Err(e) if is_transient_accept_error(&e) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Where the stop watcher connects to wake the acceptor.
+    fn wake_addr(&self) -> WakeAddr {
+        match &self.listener {
+            Listener::Tcp(listener) => match listener.local_addr() {
+                Ok(mut addr) => {
+                    if addr.ip().is_unspecified() {
+                        addr.set_ip(match addr {
+                            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                        });
+                    }
+                    WakeAddr::Tcp(Some(addr))
+                }
+                Err(_) => WakeAddr::Tcp(None),
+            },
+            Listener::Unix(_, path) => WakeAddr::Unix(path.clone()),
+        }
+    }
+}
+
+/// How often the stop watcher checks the stop flag.
+const STOP_POLL: Duration = Duration::from_millis(10);
+
+/// The listener's own address, as the stop watcher dials it.
+enum WakeAddr {
+    Tcp(Option<SocketAddr>),
+    Unix(PathBuf),
+}
+
+impl WakeAddr {
+    /// Opens (and drops) one connection to the listener; `false` when the
+    /// listener cannot be reached.
+    fn connect(&self) -> bool {
+        match self {
+            WakeAddr::Tcp(addr) => addr.is_some_and(|addr| TcpStream::connect(addr).is_ok()),
+            WakeAddr::Unix(path) => UnixStream::connect(path).is_ok(),
+        }
     }
 }
 
