@@ -3,13 +3,26 @@
 //! state by state, and statistically indistinguishable outcomes.
 
 use lv_crn::simulators::{JumpChain, StochasticSimulator};
-use lv_crn::{State, StopCondition};
+use lv_crn::State;
 use lv_lotka::{run_majority, CompetitionKind, LvConfiguration, LvJumpChain, LvModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// Steps the generic jump chain from `(a, b)` until a species is extinct,
+/// `max_events` events have fired, or it is absorbed.
+fn generic_run(
+    net: &lv_crn::ValidatedNetwork,
+    (a, b): (u64, u64),
+    max_events: u64,
+    seed: u64,
+) -> JumpChain<'_, StdRng> {
+    let mut sim = JumpChain::new(net, State::from(vec![a, b]), rng(seed));
+    while !sim.state().any_extinct() && sim.events() < max_events && sim.step().is_some() {}
+    sim
 }
 
 #[test]
@@ -55,11 +68,9 @@ fn majority_probability_agrees_between_fast_and_generic_simulators() {
     let p_fast = wins_fast as f64 / trials as f64;
 
     let mut wins_generic = 0u64;
-    let stop = StopCondition::any_species_extinct().with_max_events(1_000_000);
     for t in 0..trials {
-        let mut sim = JumpChain::new(&net, State::from(vec![a, b]), rng(10_000 + t));
-        let outcome = sim.run(&stop);
-        let counts = outcome.final_state.counts();
+        let sim = generic_run(&net, (a, b), 1_000_000, 10_000 + t);
+        let counts = sim.state().counts();
         if counts[0] > 0 && counts[1] == 0 {
             wins_generic += 1;
         }
@@ -85,12 +96,8 @@ fn consensus_time_distribution_agrees_between_simulators() {
         .sum::<f64>()
         / trials as f64;
 
-    let stop = StopCondition::any_species_extinct().with_max_events(10_000_000);
     let mean_generic: f64 = (0..trials)
-        .map(|t| {
-            let mut sim = JumpChain::new(&net, State::from(vec![a, b]), rng(20_000 + t));
-            sim.run(&stop).events as f64
-        })
+        .map(|t| generic_run(&net, (a, b), 10_000_000, 20_000 + t).events() as f64)
         .sum::<f64>()
         / trials as f64;
 

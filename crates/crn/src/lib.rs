@@ -18,14 +18,18 @@
 //!   ([`simulators::JumpChain`]);
 //! * an approximate tau-leaping simulator ([`simulators::TauLeaping`]) for
 //!   large populations;
-//! * stop conditions ([`StopCondition`]), trajectory recording
-//!   ([`Trajectory`]) and the small sampling utilities the simulators need
-//!   ([`distributions`]).
+//! * stop conditions ([`StopCondition`]) and the small sampling utilities
+//!   the simulators need ([`distributions`]).
+//!
+//! The simulators are steppers: each
+//! [`step`](simulators::StochasticSimulator::step) fires one event (or one
+//! leap) and reports it. They hold no run loop; `lv-engine`'s backends drive
+//! them, evaluating the [`StopCondition`] and its budgets between steps.
 //!
 //! # Example
 //!
 //! Build the self-destructive Lotka–Volterra network of Eq. (1) in the paper
-//! and simulate its jump chain until one species goes extinct:
+//! and step its jump chain until one species goes extinct:
 //!
 //! ```
 //! use lv_crn::{ReactionNetwork, Reaction, State, StopCondition};
@@ -45,8 +49,8 @@
 //!
 //! let rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let mut sim = JumpChain::new(&net, State::from(vec![60, 40]), rng);
-//! let outcome = sim.run(&StopCondition::any_species_extinct());
-//! assert!(outcome.stopped_by_condition());
+//! let stop = StopCondition::any_species_extinct();
+//! while !stop.is_met(sim.state()) && sim.step().is_some() {}
 //! assert!(sim.state().count(x0) == 0 || sim.state().count(x1) == 0);
 //! ```
 
@@ -64,7 +68,6 @@ pub mod simulators;
 mod species;
 mod state;
 mod stop;
-mod trajectory;
 
 pub use error::{CrnError, Result};
 pub use network::{ReactionNetwork, ValidatedNetwork};
@@ -72,14 +75,13 @@ pub use propensity::{propensity, total_propensity, PropensityCache, ReactionDepe
 pub use reaction::{Reaction, ReactionId, Stoichiometry};
 pub use species::{Species, SpeciesId};
 pub use state::State;
-pub use stop::{RunOutcome, StopCondition, StopReason};
-pub use trajectory::{TimePoint, Trajectory};
+pub use stop::{StopCondition, StopReason};
 
 /// Convenience prelude importing the most commonly used items.
 pub mod prelude {
     pub use crate::simulators::{GillespieDirect, JumpChain, StochasticSimulator, TauLeaping};
     pub use crate::{
         propensity, total_propensity, Reaction, ReactionId, ReactionNetwork, Species, SpeciesId,
-        State, StopCondition, Trajectory, ValidatedNetwork,
+        State, StopCondition, ValidatedNetwork,
     };
 }

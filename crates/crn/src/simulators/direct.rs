@@ -30,8 +30,9 @@ use std::fmt;
 /// let net = net.validate()?;
 /// let mut sim = GillespieDirect::new(&net, State::from(vec![10]),
 ///     rand::rngs::StdRng::seed_from_u64(1));
-/// let outcome = sim.run(&StopCondition::any_species_extinct());
-/// assert_eq!(outcome.events, 10);
+/// let stop = StopCondition::any_species_extinct();
+/// while !stop.is_met(sim.state()) && sim.step().is_some() {}
+/// assert_eq!(sim.events(), 10);
 /// # Ok::<(), lv_crn::CrnError>(())
 /// ```
 pub struct GillespieDirect<'a, R> {
@@ -133,7 +134,6 @@ mod tests {
     use crate::network::ReactionNetwork;
     use crate::reaction::Reaction;
     use crate::species::SpeciesId;
-    use crate::stop::StopCondition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -158,10 +158,10 @@ mod tests {
         net.add_reaction(Reaction::new(2.0).reactant(a, 1));
         let net = net.validate().unwrap();
         let mut sim = GillespieDirect::new(&net, State::from(vec![25]), rng(1));
-        let outcome = sim.run(&StopCondition::any_species_extinct());
-        assert_eq!(outcome.events, 25);
-        assert_eq!(outcome.final_state.counts(), &[0]);
-        assert!(outcome.time > 0.0);
+        while sim.step().is_some() {}
+        assert_eq!(sim.events(), 25);
+        assert_eq!(sim.state().counts(), &[0]);
+        assert!(sim.time() > 0.0);
     }
 
     #[test]
@@ -219,8 +219,8 @@ mod tests {
         let (net, _) = immigration_death(2.0, 1.0);
         let run = |seed| {
             let mut sim = GillespieDirect::new(&net, State::from(vec![5]), rng(seed));
-            let outcome = sim.run(&StopCondition::never().with_max_events(500));
-            (outcome.events, outcome.final_state, outcome.time)
+            while sim.events() < 500 && sim.step().is_some() {}
+            (sim.events(), sim.state().clone(), sim.time())
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99).2, run(100).2);

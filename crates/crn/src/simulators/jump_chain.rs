@@ -129,7 +129,6 @@ mod tests {
     use super::*;
     use crate::network::ReactionNetwork;
     use crate::reaction::Reaction;
-    use crate::stop::StopCondition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -205,10 +204,10 @@ mod tests {
     fn reaches_consensus_from_unbalanced_start() {
         let net = lv_network();
         let mut sim = JumpChain::new(&net, State::from(vec![200, 2]), rng(5));
-        let outcome = sim.run(&StopCondition::any_species_extinct());
-        assert!(outcome.stopped_by_condition());
-        assert!(outcome.final_state.any_extinct());
-        assert!(outcome.events > 0);
+        while !sim.state().any_extinct() {
+            sim.step().expect("a living LV population is not absorbed");
+        }
+        assert!(sim.events() > 0);
     }
 
     #[test]
@@ -216,8 +215,8 @@ mod tests {
         let net = lv_network();
         let run = |seed| {
             let mut sim = JumpChain::new(&net, State::from(vec![40, 30]), rng(seed));
-            let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(100_000));
-            (outcome.events, outcome.final_state)
+            while !sim.state().any_extinct() && sim.events() < 100_000 && sim.step().is_some() {}
+            (sim.events(), sim.state().clone())
         };
         assert_eq!(run(7), run(7));
     }

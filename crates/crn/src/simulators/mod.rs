@@ -12,10 +12,10 @@
 //!   numbers of reactions per fixed leap; useful for very large populations
 //!   where exact methods are too slow.
 //!
-//! All simulators implement [`StochasticSimulator`], which supplies the
-//! high-level [`run`](StochasticSimulator::run) /
-//! [`run_recording`](StochasticSimulator::run_recording) drivers on top of the
-//! single-step primitive.
+//! All simulators implement [`StochasticSimulator`]: they are steppers that
+//! fire one event (or one leap) per [`step`](StochasticSimulator::step).
+//! Stop conditions, budgets and observers live with the caller; the
+//! `lv-engine` backends drive every simulator through one loop.
 
 mod direct;
 mod jump_chain;
@@ -27,8 +27,6 @@ pub use tau_leaping::TauLeaping;
 
 use crate::reaction::ReactionId;
 use crate::state::State;
-use crate::stop::{RunOutcome, StopCondition, StopReason};
-use crate::trajectory::Trajectory;
 
 /// A single simulated event: which reaction fired and at what time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,70 +81,6 @@ pub trait StochasticSimulator {
     /// (every reaction has zero propensity), in which case the state is left
     /// unchanged.
     fn step(&mut self) -> Option<Event>;
-
-    /// Runs the simulation until the stop condition triggers, the process is
-    /// absorbed, or an event/time budget is exhausted.
-    fn run(&mut self, stop: &StopCondition) -> RunOutcome
-    where
-        Self: Sized,
-    {
-        self.run_with_observer(stop, |_, _| {})
-    }
-
-    /// Like [`run`](StochasticSimulator::run), but also records the full
-    /// trajectory (initial state plus the state after every event).
-    fn run_recording(&mut self, stop: &StopCondition) -> (RunOutcome, Trajectory)
-    where
-        Self: Sized,
-    {
-        let mut trajectory = Trajectory::new();
-        trajectory.push(self.time(), self.state().clone());
-        let outcome = self.run_with_observer(stop, |time, state| {
-            trajectory.push(time, state.clone());
-        });
-        (outcome, trajectory)
-    }
-
-    /// Like [`run`](StochasticSimulator::run), invoking `observe(time, state)`
-    /// after every event. This is the allocation-free way to compute custom
-    /// statistics along a run.
-    fn run_with_observer<F>(&mut self, stop: &StopCondition, mut observe: F) -> RunOutcome
-    where
-        F: FnMut(f64, &State),
-        Self: Sized,
-    {
-        let start_events = self.events();
-        loop {
-            if stop.is_met(self.state()) {
-                return self.outcome(StopReason::ConditionMet, start_events);
-            }
-            if let Some(max_events) = stop.max_events() {
-                if self.events() - start_events >= max_events {
-                    return self.outcome(StopReason::MaxEventsReached, start_events);
-                }
-            }
-            if let Some(max_time) = stop.max_time() {
-                if self.time() >= max_time {
-                    return self.outcome(StopReason::MaxTimeReached, start_events);
-                }
-            }
-            match self.step() {
-                Some(event) => observe(event.time, self.state()),
-                None => return self.outcome(StopReason::Absorbed, start_events),
-            }
-        }
-    }
-
-    /// Builds the outcome summary for the current simulator state.
-    #[doc(hidden)]
-    fn outcome(&self, reason: StopReason, start_events: u64) -> RunOutcome {
-        RunOutcome {
-            reason,
-            events: self.events() - start_events,
-            time: self.time(),
-            final_state: self.state().clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,12 +88,11 @@ mod tests {
     use super::*;
     use crate::network::{ReactionNetwork, ValidatedNetwork};
     use crate::reaction::Reaction;
-    use crate::species::SpeciesId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Pure-death network: a single species that only dies. Every simulator
-    /// must drive it to extinction in exactly `n` events.
+    /// Pure-death network: a single species that only dies, so every run
+    /// from `n` fires exactly `n` events and is then absorbed.
     fn pure_death() -> ValidatedNetwork {
         let mut net = ReactionNetwork::new();
         let a = net.add_species("A");
@@ -171,68 +104,69 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
-    #[test]
-    fn run_stops_immediately_if_condition_already_met() {
-        let net = pure_death();
-        let mut sim = GillespieDirect::new(&net, State::from(vec![0]), rng(1));
-        let outcome = sim.run(&StopCondition::any_species_extinct());
-        assert_eq!(outcome.reason, StopReason::ConditionMet);
-        assert_eq!(outcome.events, 0);
+    /// Runs `body` on each simulator over `net` from `initial`, labelled
+    /// and flagged exact (one firing per step) or not.
+    fn each_simulator(
+        net: &ValidatedNetwork,
+        initial: u64,
+        seed: u64,
+        mut body: impl FnMut(&str, bool, &mut dyn StochasticSimulator),
+    ) {
+        let state = || State::from(vec![initial]);
+        body(
+            "gillespie-direct",
+            true,
+            &mut GillespieDirect::new(net, state(), rng(seed)),
+        );
+        body(
+            "jump-chain",
+            true,
+            &mut JumpChain::new(net, state(), rng(seed)),
+        );
+        body(
+            "tau-leaping",
+            false,
+            &mut TauLeaping::new(net, state(), 0.1, rng(seed)),
+        );
     }
 
+    /// A run of pure death ends in absorption: exact simulators count down
+    /// one death per step, tau-leaping in leaps, and once the population is
+    /// gone `step` returns `None` and leaves the state alone.
     #[test]
     fn run_reports_absorption_when_no_reaction_can_fire() {
-        let net = pure_death();
-        // Condition never met, but the chain is absorbed at zero.
-        let mut sim = GillespieDirect::new(&net, State::from(vec![3]), rng(2));
-        let outcome = sim.run(&StopCondition::total_at_least(100));
-        assert_eq!(outcome.reason, StopReason::Absorbed);
-        assert_eq!(outcome.events, 3);
-        assert_eq!(outcome.final_state.counts(), &[0]);
-    }
-
-    #[test]
-    fn run_respects_event_budget() {
-        let net = pure_death();
-        let mut sim = GillespieDirect::new(&net, State::from(vec![100]), rng(3));
-        let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(10));
-        assert_eq!(outcome.reason, StopReason::MaxEventsReached);
-        assert_eq!(outcome.events, 10);
-        assert_eq!(outcome.final_state.counts(), &[90]);
-    }
-
-    #[test]
-    fn run_respects_time_budget() {
-        let net = pure_death();
-        let mut sim = GillespieDirect::new(&net, State::from(vec![1_000]), rng(4));
-        let outcome = sim.run(&StopCondition::any_species_extinct().with_max_time(1e-6));
-        assert_eq!(outcome.reason, StopReason::MaxTimeReached);
-        assert!(outcome.events < 1_000);
-    }
-
-    #[test]
-    fn run_recording_captures_every_event() {
-        let net = pure_death();
-        let mut sim = JumpChain::new(&net, State::from(vec![5]), rng(5));
-        let (outcome, trajectory) = sim.run_recording(&StopCondition::any_species_extinct());
-        assert_eq!(outcome.events, 5);
-        // Initial state plus one point per event.
-        assert_eq!(trajectory.len(), 6);
-        let series = trajectory.species_series(SpeciesId::new(0));
-        let counts: Vec<u64> = series.iter().map(|&(_, c)| c).collect();
-        assert_eq!(counts, vec![5, 4, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn observer_sees_monotone_event_times() {
-        let net = pure_death();
-        let mut sim = GillespieDirect::new(&net, State::from(vec![50]), rng(6));
-        let mut last = 0.0;
-        let outcome = sim.run_with_observer(&StopCondition::any_species_extinct(), |t, _| {
-            assert!(t >= last);
-            last = t;
+        each_simulator(&pure_death(), 5, 2, |name, exact, sim| {
+            let mut counts = vec![sim.state().counts()[0]];
+            while sim.step().is_some() {
+                counts.push(sim.state().counts()[0]);
+            }
+            assert_eq!(counts.last(), Some(&0), "{name}");
+            assert_eq!(sim.events(), 5, "{name}");
+            if exact {
+                assert_eq!(counts, [5, 4, 3, 2, 1, 0], "{name}");
+            } else {
+                assert!(counts.windows(2).all(|w| w[1] <= w[0]), "{name}");
+            }
+            let time = sim.time();
+            assert!(sim.step().is_none(), "{name}");
+            assert_eq!(sim.state().counts(), &[0], "{name}");
+            assert_eq!((sim.events(), sim.time()), (5, time), "{name}");
         });
-        assert!(outcome.stopped_by_condition());
-        assert!(last > 0.0);
+    }
+
+    /// Every event reports the clock after it, and the clock never runs
+    /// backwards.
+    #[test]
+    fn event_times_never_decrease() {
+        each_simulator(&pure_death(), 50, 6, |name, _, sim| {
+            let mut last = sim.time();
+            assert_eq!(last, 0.0, "{name}");
+            while let Some(event) = sim.step() {
+                assert!(event.time >= last, "{name}: {} after {last}", event.time);
+                assert_eq!(event.time, sim.time(), "{name}");
+                last = event.time;
+            }
+            assert!(last > 0.0, "{name}");
+        });
     }
 }

@@ -229,7 +229,6 @@ mod tests {
     use super::*;
     use crate::network::ReactionNetwork;
     use crate::reaction::Reaction;
-    use crate::stop::StopCondition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -256,8 +255,9 @@ mod tests {
     fn counts_never_go_negative() {
         let net = birth_death(0.2, 2.0);
         let mut sim = TauLeaping::new(&net, State::from(vec![50]), 0.5, rng(2));
-        let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(100_000));
-        assert!(outcome.final_state.counts()[0] == 0 || outcome.truncated());
+        // A negative count would panic inside `step`; the run must reach 0.
+        while sim.events() < 100_000 && sim.step().is_some() {}
+        assert_eq!(sim.state().counts(), &[0]);
     }
 
     #[test]
@@ -276,9 +276,10 @@ mod tests {
         let mut total = 0.0;
         for t in 0..trials {
             let mut sim = TauLeaping::new(&net, State::from(vec![200]), 0.01, rng(100 + t));
-            let outcome = sim.run(&StopCondition::never().with_max_time(2.0));
-            assert!(outcome.reason == crate::StopReason::MaxTimeReached);
-            total += outcome.final_state.counts()[0] as f64;
+            while sim.time() < 2.0 {
+                sim.step().expect("pure birth is never absorbed");
+            }
+            total += sim.state().counts()[0] as f64;
         }
         let mean = total / trials as f64;
         let expected = 200.0 * (2.0f64).exp();
@@ -292,8 +293,8 @@ mod tests {
         // Pure death from 100: exactly 100 firings must be recorded in total
         // regardless of how they are grouped into leaps.
         let mut sim = TauLeaping::new(&net, State::from(vec![100]), 0.05, rng(4));
-        let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(10_000));
-        assert_eq!(outcome.final_state.counts(), &[0]);
+        while sim.step().is_some() {}
+        assert_eq!(sim.state().counts(), &[0]);
         assert_eq!(sim.events(), 100);
     }
 
@@ -331,10 +332,11 @@ mod tests {
         let mut saw_sub_min_tau = false;
         for t in 0..trials {
             let mut sim = TauLeaping::new(&net, State::from(vec![1, 1_000]), 0.64, rng(7_000 + t));
-            let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(1_000));
-            assert_eq!(outcome.final_state.counts()[0], 0);
-            total_time += outcome.time;
-            saw_sub_min_tau |= outcome.time < 0.64 / 64.0;
+            while !sim.state().any_extinct() {
+                sim.step().expect("A + B → B fires while A lives");
+            }
+            total_time += sim.time();
+            saw_sub_min_tau |= sim.time() < 0.64 / 64.0;
         }
         let mean = total_time / trials as f64;
         // Exp(1000) mean is 1e-3; the old biased clock reported 1e-2 exactly.
@@ -362,11 +364,13 @@ mod tests {
         assert_eq!(sim.state().counts(), &[1]);
         assert!((sim.time() - 0.1).abs() < 1e-12);
 
-        // Empty leaps must not break `with_max_time`: the run stops on the
-        // time budget instead of spinning or mislabeling the stop reason.
+        // Empty leaps keep advancing the clock, so a loop that stops on a
+        // time budget terminates instead of spinning.
         let mut sim = TauLeaping::new(&net, State::from(vec![1]), 0.1, rng(8));
-        let outcome = sim.run(&StopCondition::never().with_max_time(1.0));
-        assert_eq!(outcome.reason, crate::StopReason::MaxTimeReached);
-        assert!(outcome.time >= 1.0);
+        while sim.time() < 1.0 {
+            sim.step().expect("positive propensity cannot absorb");
+        }
+        assert!(sim.time() >= 1.0);
+        assert!(sim.events() < 5, "{} firings at rate 1e-6", sim.events());
     }
 }

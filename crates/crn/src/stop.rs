@@ -26,7 +26,6 @@ enum StopKind {
     AnySpeciesExtinct,
     SpeciesExtinct(SpeciesId),
     TotalAtLeast(u64),
-    TotalIsZero,
     AtMostOneAlive,
     Predicate(Arc<dyn Fn(&State) -> bool + Send + Sync>),
 }
@@ -64,11 +63,6 @@ impl StopCondition {
     /// Stop as soon as the total population reaches at least `threshold`.
     pub fn total_at_least(threshold: u64) -> Self {
         StopCondition::from_kind(StopKind::TotalAtLeast(threshold))
-    }
-
-    /// Stop when every species is extinct (the whole population has died out).
-    pub fn total_extinction() -> Self {
-        StopCondition::from_kind(StopKind::TotalIsZero)
     }
 
     /// Stop as soon as at most one species is still alive — *plurality
@@ -129,7 +123,6 @@ impl StopCondition {
             StopKind::AnySpeciesExtinct => state.any_extinct(),
             StopKind::SpeciesExtinct(s) => state.is_extinct(*s),
             StopKind::TotalAtLeast(t) => state.total() >= *t,
-            StopKind::TotalIsZero => state.total() == 0,
             StopKind::AtMostOneAlive => {
                 state.counts().iter().filter(|&&count| count > 0).count() <= 1
             }
@@ -176,42 +169,6 @@ pub enum StopReason {
     Absorbed,
 }
 
-/// Summary of a completed simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// Why the run stopped.
-    pub reason: StopReason,
-    /// Number of events (reactions fired) during the run.
-    pub events: u64,
-    /// Continuous simulation time at the end of the run (0 for pure
-    /// discrete-time simulators).
-    pub time: f64,
-    /// Final state of the run.
-    pub final_state: State,
-}
-
-impl RunOutcome {
-    /// Whether the run stopped because the stop condition was met.
-    pub fn stopped_by_condition(&self) -> bool {
-        self.reason == StopReason::ConditionMet
-    }
-
-    /// Whether the run stopped because the process was absorbed (no reaction
-    /// can fire), e.g. the whole population went extinct.
-    pub fn absorbed(&self) -> bool {
-        self.reason == StopReason::Absorbed
-    }
-
-    /// Whether the run exhausted an event or time budget without meeting the
-    /// condition.
-    pub fn truncated(&self) -> bool {
-        matches!(
-            self.reason,
-            StopReason::MaxEventsReached | StopReason::MaxTimeReached
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,8 +191,9 @@ mod tests {
     fn total_at_least_and_total_extinction() {
         assert!(StopCondition::total_at_least(10).is_met(&State::from(vec![6, 4])));
         assert!(!StopCondition::total_at_least(11).is_met(&State::from(vec![6, 4])));
-        assert!(StopCondition::total_extinction().is_met(&State::from(vec![0, 0])));
-        assert!(!StopCondition::total_extinction().is_met(&State::from(vec![0, 1])));
+        // Total extinction is the complement of `total_at_least(1)`.
+        assert!(!StopCondition::total_at_least(1).is_met(&State::from(vec![0, 0])));
+        assert!(StopCondition::total_at_least(1).is_met(&State::from(vec![0, 1])));
     }
 
     #[test]
@@ -295,28 +253,6 @@ mod tests {
         assert!(!StopCondition::any_species_extinct()
             .or(StopCondition::total_at_least(10))
             .is_first_extinction(2));
-    }
-
-    #[test]
-    fn outcome_classification() {
-        let base = RunOutcome {
-            reason: StopReason::ConditionMet,
-            events: 5,
-            time: 1.0,
-            final_state: State::from(vec![0, 1]),
-        };
-        assert!(base.stopped_by_condition());
-        assert!(!base.truncated());
-        let truncated = RunOutcome {
-            reason: StopReason::MaxEventsReached,
-            ..base.clone()
-        };
-        assert!(truncated.truncated());
-        let absorbed = RunOutcome {
-            reason: StopReason::Absorbed,
-            ..base
-        };
-        assert!(absorbed.absorbed());
     }
 
     #[test]

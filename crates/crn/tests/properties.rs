@@ -93,19 +93,19 @@ proptest! {
         }
     }
 
-    /// A jump-chain run with an event budget never exceeds the budget and
-    /// never produces negative counts.
+    /// A jump-chain step loop with an event budget never exceeds the budget
+    /// and never produces negative counts.
     #[test]
     fn jump_chain_respects_budget_and_positivity(seed in 0u64..1000,
                                                  a in 1u64..100, b in 1u64..100) {
         let net = build_lv(1.0, 1.0, 1.0, 0.0);
         let mut sim = JumpChain::new(&net, State::from(vec![a, b]), StdRng::seed_from_u64(seed));
-        let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(500));
-        prop_assert!(outcome.events <= 500);
-        prop_assert!(outcome.final_state.counts().iter().all(|&c| c < u64::MAX / 2));
-        if outcome.stopped_by_condition() {
-            prop_assert!(outcome.final_state.any_extinct());
+        while !sim.state().any_extinct() && sim.events() < 500 {
+            prop_assert!(sim.step().is_some(), "a living LV population was absorbed");
         }
+        prop_assert!(sim.events() <= 500);
+        prop_assert!(sim.state().counts().iter().all(|&c| c < u64::MAX / 2));
+        prop_assert!(sim.state().any_extinct() || sim.events() == 500);
     }
 
     /// Exponential samples are non-negative; Poisson samples have the right

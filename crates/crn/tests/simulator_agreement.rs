@@ -2,7 +2,6 @@
 //! distribution, and the approximate one must agree on coarse statistics.
 
 use lv_crn::prelude::*;
-use lv_crn::StopCondition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +23,12 @@ fn lv_self_destructive() -> (ValidatedNetwork, SpeciesId, SpeciesId) {
     (net.validate().unwrap(), x0, x1)
 }
 
+/// Steps `sim` until a species is extinct, `max_events` events have fired,
+/// or the process is absorbed.
+fn run_to_extinction(sim: &mut impl StochasticSimulator, max_events: u64) {
+    while !sim.state().any_extinct() && sim.events() < max_events && sim.step().is_some() {}
+}
+
 /// Estimates the probability that species `x0` wins majority consensus from
 /// the initial state `(a, b)` under the given simulator constructor.
 fn majority_probability<F>(trials: u64, a: u64, b: u64, mut run: F) -> f64
@@ -43,16 +48,17 @@ where
 #[test]
 fn direct_and_jump_chain_agree_on_majority_probability() {
     let (net, _, _) = lv_self_destructive();
-    let stop = StopCondition::any_species_extinct().with_max_events(1_000_000);
     let trials = 300;
 
     let p_direct = majority_probability(trials, 30, 20, |initial, r| {
         let mut sim = GillespieDirect::new(&net, initial, r);
-        sim.run(&stop).final_state
+        run_to_extinction(&mut sim, 1_000_000);
+        sim.state().clone()
     });
     let p_jump = majority_probability(trials, 30, 20, |initial, r| {
         let mut sim = JumpChain::new(&net, initial, r);
-        sim.run(&stop).final_state
+        run_to_extinction(&mut sim, 1_000_000);
+        sim.state().clone()
     });
 
     assert!(
@@ -72,24 +78,24 @@ fn direct_and_jump_chain_agree_on_majority_probability() {
 #[test]
 fn jump_chain_agrees_with_direct_on_consensus_events() {
     let (net, _, _) = lv_self_destructive();
-    let stop = StopCondition::any_species_extinct().with_max_events(1_000_000);
     let trials = 200;
 
     let mean_events = |which: &str| -> f64 {
         let mut total = 0u64;
         for t in 0..trials {
             let initial = State::from(vec![25, 15]);
-            let outcome = match which {
+            total += match which {
                 "direct" => {
                     let mut sim = GillespieDirect::new(&net, initial, rng(500 + t));
-                    sim.run(&stop)
+                    run_to_extinction(&mut sim, 1_000_000);
+                    sim.events()
                 }
                 _ => {
                     let mut sim = JumpChain::new(&net, initial, rng(500 + t));
-                    sim.run(&stop)
+                    run_to_extinction(&mut sim, 1_000_000);
+                    sim.events()
                 }
             };
-            total += outcome.events;
         }
         total as f64 / trials as f64
     };
@@ -116,19 +122,19 @@ fn tau_leaping_tracks_exact_mean_population() {
 
     let horizon = 5.0;
     let trials = 40;
+    let count_at = |sim: &mut dyn StochasticSimulator| {
+        while sim.time() < horizon && sim.step().is_some() {}
+        sim.state().counts()[0] as f64
+    };
     let mean_final = |exact: bool| -> f64 {
         let mut total = 0.0;
         for t in 0..trials {
             let initial = State::from(vec![50]);
-            let stop = StopCondition::never().with_max_time(horizon);
-            let final_state = if exact {
-                let mut sim = GillespieDirect::new(&net, initial, rng(900 + t));
-                sim.run(&stop).final_state
+            total += if exact {
+                count_at(&mut GillespieDirect::new(&net, initial, rng(900 + t)))
             } else {
-                let mut sim = TauLeaping::new(&net, initial, 0.02, rng(900 + t));
-                sim.run(&stop).final_state
+                count_at(&mut TauLeaping::new(&net, initial, 0.02, rng(900 + t)))
             };
-            total += final_state.counts()[0] as f64;
         }
         total / trials as f64
     };
@@ -146,12 +152,16 @@ fn tau_leaping_tracks_exact_mean_population() {
 fn trajectory_gap_series_starts_at_initial_gap() {
     let (net, x0, x1) = lv_self_destructive();
     let mut sim = JumpChain::new(&net, State::from(vec![70, 30]), rng(42));
-    let (_, trajectory) = sim.run_recording(&StopCondition::any_species_extinct());
-    let gaps = trajectory.gap_series(x0, x1);
-    assert_eq!(gaps.first().unwrap().1, 40);
+    let gap = |state: &State| state.count(x0) as i64 - state.count(x1) as i64;
+    let mut gaps = vec![gap(sim.state())];
+    while !sim.state().any_extinct() && sim.step().is_some() {
+        gaps.push(gap(sim.state()));
+    }
+    assert_eq!(gaps[0], 40);
+    assert_eq!(gaps.len() as u64, sim.events() + 1);
     // The gap changes by at most 1 per event under self-destructive
     // competition with individual births/deaths.
     for w in gaps.windows(2) {
-        assert!((w[0].1 - w[1].1).abs() <= 1);
+        assert!((w[0] - w[1]).abs() <= 1);
     }
 }

@@ -123,9 +123,13 @@ impl<'a> Driver<'a> {
         self.steps
     }
 
-    /// Checks the scenario's stop condition and budgets, in the same order
-    /// as `StochasticSimulator::run_with_observer`: state condition first,
-    /// then the event budget, then the time budget.
+    /// Checks the scenario's stop condition and budgets before each step:
+    /// the state condition first, then the event budget, then the time
+    /// budget, so a run that meets its condition exactly as a budget binds
+    /// reports [`StopReason::ConditionMet`]. This is the one run loop's stop
+    /// rule, the paper's consensus time `T(S) = inf{t : S_t has reached
+    /// consensus}` under budgets; backends that skip it on a fast path (the
+    /// jump chain's `run_to_consensus`) report in the same order.
     pub(crate) fn check_stop(&self) -> Option<StopReason> {
         let stop = self.scenario.stop();
         if stop.is_met(&self.scratch) {

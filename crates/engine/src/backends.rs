@@ -216,11 +216,11 @@ fn adaptive_step(y: &[f64], dy: &[f64], step_cap: f64, remaining: f64) -> f64 {
 /// so every budgeted scenario still terminates (and truncates) on this
 /// backend like on the stochastic ones. Step sizes adapt to the local
 /// dynamics (at most ~5% relative change per species per step, capped at
-/// [`Scenario::ode_step`]), which keeps the integration stable for the large
+/// [`ODE_MAX_STEP`]), which keeps the integration stable for the large
 /// mass-action propensities of big populations. A species is considered
 /// extinct when its density drops below one half (the rounded count hits
 /// zero). When the stop condition has no `max_time`, integration stops at
-/// [`Scenario::ode_horizon`].
+/// [`ODE_HORIZON`].
 pub(crate) fn ode(name: &'static str, scenario: &Scenario, _rng: &mut StdRng) -> RunReport {
     match scenario.model() {
         ScenarioModel::TwoSpecies(model) => {
@@ -253,6 +253,12 @@ pub(crate) fn ode(name: &'static str, scenario: &Scenario, _rng: &mut StdRng) ->
     }
 }
 
+/// The ODE backend's maximum integration step.
+const ODE_MAX_STEP: f64 = 0.5;
+
+/// The ODE backend's time horizon for stop conditions without `max_time`.
+const ODE_HORIZON: f64 = 1_000.0;
+
 /// The shared ODE driver loop, parameterised over the derivative and the
 /// RK4 step (two-species const-generic path vs `k`-species dynamic path —
 /// identical control flow, so both truncate, adapt and round the same way).
@@ -262,11 +268,7 @@ fn run_ode(
     mut derivative: impl FnMut(&[f64], &mut [f64]),
     mut rk4_step: impl FnMut(&mut [f64], f64),
 ) -> RunReport {
-    let step_cap = scenario.ode_step();
-    let horizon = scenario
-        .stop()
-        .max_time()
-        .unwrap_or_else(|| scenario.ode_horizon());
+    let horizon = scenario.stop().max_time().unwrap_or(ODE_HORIZON);
     let mut y: Vec<f64> = scenario
         .initial()
         .counts()
@@ -294,7 +296,7 @@ fn run_ode(
             return driver.finish(name, StopReason::MaxTimeReached);
         }
         derivative(&y, &mut dy);
-        let h = adaptive_step(&y, &dy, step_cap, horizon - t);
+        let h = adaptive_step(&y, &dy, ODE_MAX_STEP, horizon - t);
         rk4_step(&mut y, h);
         for value in y.iter_mut() {
             *value = value.max(0.0);

@@ -105,7 +105,7 @@ static BACKENDS: [BackendRow; 9] = [
     BackendRow {
         name: "ode",
         aliases: &["deterministic", "mean-field"],
-        description: "deterministic mean-field ODE (Eq. 4, k-species) via adaptive-step RK4 (capped at the scenario's ode_step); ignores the RNG",
+        description: "deterministic mean-field ODE (Eq. 4, k-species) via adaptive-step RK4 (steps capped at 0.5); ignores the RNG",
         k_species: true,
         family: Family::MeanField,
         run: ode,

@@ -122,8 +122,6 @@ pub struct Scenario {
     stop: StopCondition,
     observers: Vec<ObserverSpec>,
     tau: f64,
-    ode_step: f64,
-    ode_horizon: f64,
     /// Lazily-built CRN form shared across runs (cloning a scenario shares
     /// the already-built network through the `Arc`).
     crn: OnceLock<Arc<CrnForm>>,
@@ -131,8 +129,8 @@ pub struct Scenario {
 
 /// Event budget for a consensus run over total population `n`:
 /// `events_per_individual · max(n, 16)` events, at least 100 000 — the one
-/// formula [`Scenario::majority`], [`Scenario::plurality`] and
-/// `MonteCarlo`'s configurable `max_events_factor` derive from.
+/// formula [`Scenario::majority`], [`Scenario::plurality`] and the
+/// server's per-request budgets derive from.
 pub fn majority_budget(n: u64, events_per_individual: u64) -> u64 {
     events_per_individual.saturating_mul(n.max(16)).max(100_000)
 }
@@ -169,8 +167,6 @@ impl Scenario {
             stop: StopCondition::consensus(),
             observers: Vec::new(),
             tau: 1e-3,
-            ode_step: 0.5,
-            ode_horizon: 1_000.0,
             crn: OnceLock::new(),
         }
     }
@@ -246,33 +242,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the *maximum* integration step of the ODE backend (the backend
-    /// adapts its step to the local dynamics below this cap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not a positive finite number.
-    pub fn with_ode_step(mut self, step: f64) -> Self {
-        assert!(step.is_finite() && step > 0.0, "step must be positive");
-        self.ode_step = step;
-        self
-    }
-
-    /// Sets the ODE backend's fallback time horizon, used when the stop
-    /// condition carries no `max_time` budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not a positive finite number.
-    pub fn with_ode_horizon(mut self, horizon: f64) -> Self {
-        assert!(
-            horizon.is_finite() && horizon > 0.0,
-            "horizon must be positive"
-        );
-        self.ode_horizon = horizon;
-        self
-    }
-
     /// The model to simulate.
     pub fn model(&self) -> &ScenarioModel {
         &self.model
@@ -301,16 +270,6 @@ impl Scenario {
     /// The tau-leaping leap length.
     pub fn tau(&self) -> f64 {
         self.tau
-    }
-
-    /// The ODE maximum integration step.
-    pub fn ode_step(&self) -> f64 {
-        self.ode_step
-    }
-
-    /// The ODE fallback horizon.
-    pub fn ode_horizon(&self) -> f64 {
-        self.ode_horizon
     }
 }
 

@@ -517,7 +517,6 @@ impl OnlineAccumulator for PluralityTally {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyStop {
     target_half_width: f64,
-    z: f64,
     min_trials: u64,
     boundary: Option<f64>,
 }
@@ -536,7 +535,6 @@ impl EarlyStop {
         );
         EarlyStop {
             target_half_width,
-            z: 1.96,
             min_trials: 1,
             boundary: None,
         }
@@ -559,17 +557,6 @@ impl EarlyStop {
         self
     }
 
-    /// Replaces the z-value (1.96 for 95%, 2.576 for 99%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is not a positive finite number.
-    pub fn with_z(mut self, z: f64) -> Self {
-        assert!(z.is_finite() && z > 0.0, "z must be a positive number");
-        self.z = z;
-        self
-    }
-
     /// Requires at least `min_trials` trials before the rule may fire.
     pub fn with_min_trials(mut self, min_trials: u64) -> Self {
         self.min_trials = min_trials.max(1);
@@ -586,16 +573,16 @@ impl EarlyStop {
         self.boundary
     }
 
-    /// The Wilson score half-width of `successes / trials` at this rule's
-    /// z-value (the same interval `lv_sim::SuccessEstimate` reports).
+    /// The Wilson score half-width of `successes / trials` at `z = 1.96`
+    /// (the same interval `lv_sim::SuccessEstimate` reports).
     pub fn half_width(&self, successes: u64, trials: u64) -> f64 {
-        crate::wilson::half_width(successes, trials, self.z)
+        crate::wilson::half_width(successes, trials, crate::wilson::Z95)
     }
 
-    /// The Wilson score interval of `successes / trials` at this rule's
-    /// z-value, clamped to `[0, 1]` (`(0, 1)` over the empty sample).
+    /// The Wilson score interval of `successes / trials` at `z = 1.96`,
+    /// clamped to `[0, 1]` (`(0, 1)` over the empty sample).
     pub fn interval(&self, successes: u64, trials: u64) -> (f64, f64) {
-        crate::wilson::interval(successes, trials, self.z)
+        crate::wilson::interval(successes, trials, crate::wilson::Z95)
     }
 
     /// Whether the rule fires for the given running tally: the half-width

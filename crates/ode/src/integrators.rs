@@ -85,15 +85,20 @@ impl OdeIntegrator for Rk4 {
 }
 
 /// The adaptive Runge–Kutta–Fehlberg 4(5) method with step-size control.
+///
+/// Integration starts at step `10⁻²` and keeps every step within
+/// `[10⁻¹⁰, 1]`; a step at the minimum is accepted whatever its error
+/// estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rkf45 {
     tolerance: f64,
-    initial_step: f64,
-    min_step: f64,
-    max_step: f64,
 }
 
 impl Rkf45 {
+    const INITIAL_STEP: f64 = 1e-2;
+    const MIN_STEP: f64 = 1e-10;
+    const MAX_STEP: f64 = 1.0;
+
     /// Creates an adaptive integrator with the given local error tolerance.
     ///
     /// # Panics
@@ -104,28 +109,7 @@ impl Rkf45 {
             tolerance.is_finite() && tolerance > 0.0,
             "tolerance must be positive"
         );
-        Rkf45 {
-            tolerance,
-            initial_step: 1e-2,
-            min_step: 1e-10,
-            max_step: 1.0,
-        }
-    }
-
-    /// Sets the initial, minimum and maximum step sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min_step <= initial_step <= max_step`.
-    pub fn with_steps(mut self, initial_step: f64, min_step: f64, max_step: f64) -> Self {
-        assert!(
-            min_step > 0.0 && min_step <= initial_step && initial_step <= max_step,
-            "step sizes must satisfy 0 < min <= initial <= max"
-        );
-        self.initial_step = initial_step;
-        self.min_step = min_step;
-        self.max_step = max_step;
-        self
+        Rkf45 { tolerance }
     }
 
     /// The configured tolerance.
@@ -210,12 +194,12 @@ impl OdeIntegrator for Rkf45 {
         let mut solution = OdeSolution::new();
         let mut t = t0;
         let mut y = y0;
-        let mut h = self.initial_step;
+        let mut h = Rkf45::INITIAL_STEP;
         solution.push(t, y);
         while t < t1 {
-            h = h.min(t1 - t).min(self.max_step);
+            h = h.min(t1 - t).min(Rkf45::MAX_STEP);
             let (candidate, error) = Rkf45::rkf_step(system, y, h);
-            if error <= self.tolerance || h <= self.min_step {
+            if error <= self.tolerance || h <= Rkf45::MIN_STEP {
                 // Accept the step.
                 t += h;
                 y = candidate;
@@ -228,7 +212,7 @@ impl OdeIntegrator for Rkf45 {
             } else {
                 4.0
             };
-            h = (h * scale_factor).clamp(self.min_step, self.max_step);
+            h = (h * scale_factor).clamp(Rkf45::MIN_STEP, Rkf45::MAX_STEP);
         }
         solution
     }

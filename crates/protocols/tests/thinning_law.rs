@@ -14,6 +14,9 @@
 //! `CountedSimulation::step` loop. Every assertion holds a correct sampler
 //! to a false-alarm rate of 10⁻³.
 
+mod common;
+
+use common::{ks_statistic, wilson};
 use lv_protocols::{
     ApproximateMajority, BridgedConversionWalk, CountedDynamics, CountedSimulation,
     ExactMajority4State, SelfDestructiveLvProtocol,
@@ -50,18 +53,6 @@ fn step_run(counts: &[u64], budget: u64, seed: u64) -> (Vec<u64>, u64) {
     (sim.counts().to_vec(), sim.interactions())
 }
 
-/// The Wilson score interval at z = 3.29 (99.9%).
-fn wilson_999(wins: u64, trials: u64) -> (f64, f64) {
-    let z = 3.29f64;
-    let n = trials as f64;
-    let p = wins as f64 / n;
-    let z2 = z * z;
-    let denominator = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denominator;
-    let half_width = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denominator;
-    (center - half_width, center + half_width)
-}
-
 /// Checks every species' win frequency against `cᵢ/n`.
 fn assert_proportional_law(counts: &[u64], trials: u64, seed_base: u64) {
     let n: u64 = counts.iter().sum();
@@ -72,7 +63,7 @@ fn assert_proportional_law(counts: &[u64], trials: u64, seed_base: u64) {
         wins[winner] += 1;
     }
     for (species, (&won, &count)) in wins.iter().zip(counts).enumerate() {
-        let (lo, hi) = wilson_999(won, trials);
+        let (lo, hi) = wilson(won, trials, 3.29);
         let law = count as f64 / n as f64;
         assert!(
             lo <= law && law <= hi,
@@ -166,26 +157,6 @@ fn two_sample_chi2(x: &[Vec<u64>], y: &[Vec<u64>]) -> (f64, usize) {
         add(pooled);
     }
     (chi2, dof - 1)
-}
-
-/// Two-sample Kolmogorov–Smirnov statistic `sup |F₁ − F₂|`.
-fn ks_statistic(xs: &mut [u64], ys: &mut [u64]) -> f64 {
-    xs.sort_unstable();
-    ys.sort_unstable();
-    let (m, n) = (xs.len(), ys.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < m && j < n {
-        let t = xs[i].min(ys[j]);
-        while i < m && xs[i] == t {
-            i += 1;
-        }
-        while j < n && ys[j] == t {
-            j += 1;
-        }
-        d = d.max((i as f64 / m as f64 - j as f64 / n as f64).abs());
-    }
-    d
 }
 
 #[test]

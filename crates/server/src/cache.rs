@@ -175,18 +175,17 @@ impl ThresholdSurface {
         let n_lo = ns.iter().copied().filter(|&cn| cn <= n).max()?;
         let n_hi = ns.iter().copied().filter(|&cn| cn >= n).min()?;
 
-        let line_lo = gap_line(entry, n_lo, gap, z)?;
-        let line_hi = gap_line(entry, n_hi, gap, z)?;
-        let point = if n_hi == n_lo {
-            line_lo.point
+        let line_lo = gap_line(entry, n_lo, gap)?;
+        // A probed `n` is its own bracket: one line, each corner once.
+        let (point, corners) = if n_hi == n_lo {
+            (line_lo.point, line_lo.corners)
         } else {
+            let line_hi = gap_line(entry, n_hi, gap)?;
             let u = (n - n_lo) as f64 / (n_hi - n_lo) as f64;
-            line_lo.point * (1.0 - u) + line_hi.point * u
+            let mut corners = line_lo.corners;
+            corners.extend(line_hi.corners);
+            (line_lo.point * (1.0 - u) + line_hi.point * u, corners)
         };
-
-        let mut corners = line_lo.corners;
-        corners.extend(line_hi.corners);
-        corners.dedup();
         let corner_stats: Vec<CellStats> = corners.iter().map(|&key| entry.cells[&key]).collect();
         let widest = corner_stats
             .iter()
@@ -269,7 +268,7 @@ struct GapLine {
     corners: Vec<(u64, u64)>,
 }
 
-fn gap_line(entry: &SurfaceEntry, n: u64, gap: u64, _z: f64) -> Option<GapLine> {
+fn gap_line(entry: &SurfaceEntry, n: u64, gap: u64) -> Option<GapLine> {
     let row: Vec<(u64, CellStats)> = entry
         .cells
         .range((n, 0)..=(n, u64::MAX))
@@ -455,6 +454,10 @@ mod tests {
         let exact = surface.interpolate(fp, 100, 4, Z95).unwrap();
         assert!((exact.point - 0.2).abs() < 1e-12);
         assert_eq!(exact.corners, vec![(100, 4)]);
+        // A probed population between two probed gaps lists each corner once.
+        let on_row = surface.interpolate(fp, 100, 6, Z95).unwrap();
+        assert!((on_row.point - 0.5).abs() < 1e-12, "point {}", on_row.point);
+        assert_eq!(on_row.corners, vec![(100, 4), (100, 8)]);
         // Unbracketed queries refuse instead of extrapolating.
         assert!(surface.interpolate(fp, 300, 6, Z95).is_none());
         assert!(surface.interpolate(fp, 150, 2, Z95).is_none());

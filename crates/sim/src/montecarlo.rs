@@ -5,7 +5,7 @@ use lv_engine::stream::{
     EarlyStop, OnlineAccumulator, Progress, ReportStream, StreamConfig, SuccessTally,
     TrialRngFactory,
 };
-use lv_engine::{RunReport, Scenario};
+use lv_engine::{default_majority_budget, RunReport, Scenario};
 use lv_lotka::LvModel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -409,7 +409,6 @@ pub struct MonteCarlo {
     trials: u64,
     seed: Seed,
     threads: usize,
-    max_events_factor: u64,
     backend: &'static str,
 }
 
@@ -429,7 +428,6 @@ impl MonteCarlo {
             trials,
             seed,
             threads,
-            max_events_factor: 200,
             backend: "jump-chain",
         }
     }
@@ -442,14 +440,6 @@ impl MonteCarlo {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread is required");
         self.threads = threads;
-        self
-    }
-
-    /// Sets the per-trial event budget to `factor · n` where `n` is the total
-    /// initial population (default 200, generous relative to the `O(n)`
-    /// consensus time of Theorem 13).
-    pub fn with_max_events_factor(mut self, factor: u64) -> Self {
-        self.max_events_factor = factor;
         self
     }
 
@@ -482,22 +472,20 @@ impl MonteCarlo {
         self.backend
     }
 
-    fn budget(&self, n: u64) -> u64 {
-        lv_engine::majority_budget(n, self.max_events_factor)
-    }
-
-    /// The majority scenario for `(a, b)` under this runner's event budget,
+    /// The majority scenario for `(a, b)` under the default event budget,
     /// with the observers needed by the derived `MajorityOutcome` view.
     fn majority_scenario(&self, model: &LvModel, a: u64, b: u64) -> Scenario {
-        Scenario::majority(*model, a, b)
-            .with_stop(StopCondition::any_species_extinct().with_max_events(self.budget(a + b)))
+        Scenario::majority(*model, a, b).with_stop(
+            StopCondition::any_species_extinct().with_max_events(default_majority_budget(a + b)),
+        )
     }
 
     /// A lean consensus scenario (no observers) for estimates that only need
     /// the run summary — winner, consensus, truncation.
     fn lean_scenario(&self, model: &LvModel, a: u64, b: u64) -> Scenario {
-        Scenario::new(*model, (a, b))
-            .with_stop(StopCondition::any_species_extinct().with_max_events(self.budget(a + b)))
+        Scenario::new(*model, (a, b)).with_stop(
+            StopCondition::any_species_extinct().with_max_events(default_majority_budget(a + b)),
+        )
     }
 
     /// The resolved backend for this runner.

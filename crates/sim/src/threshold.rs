@@ -623,15 +623,6 @@ impl ThresholdSearch {
     pub fn sweep(&self, model: &LvModel, sizes: &[u64]) -> Vec<ThresholdResult> {
         sizes.iter().map(|&n| self.find(model, n)).collect()
     }
-
-    /// Finds plurality-margin thresholds for a whole sweep of population
-    /// sizes.
-    pub fn sweep_plurality(&self, model: &MultiLvModel, sizes: &[u64]) -> Vec<ThresholdResult> {
-        sizes
-            .iter()
-            .map(|&n| self.find_plurality(model, n))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! The scenario follows the paper's biological interpretation (Section 1.3):
 //! two engineered E. coli strains in a well-mixed bioreactor during the
 //! exponential growth phase, with a lysis-based (self-destructive)
-//! interference circuit. We track wall-clock time with the Gillespie direct
-//! method, show a full trajectory, and demonstrate what happens when the
+//! interference circuit. We step the Gillespie direct method by hand to
+//! track simulated time, record the trajectory as we go, and demonstrate
+//! what happens when the
 //! strains additionally carry an intraspecific-competition circuit (Table 1
 //! row 2: the amplification property collapses).
 //!
@@ -15,7 +16,6 @@
 //! ```
 
 use lv_consensus::crn::prelude::*;
-use lv_consensus::crn::StopCondition;
 use lv_consensus::lotka::{CompetitionKind, LvModel};
 use lv_consensus::sim::{MonteCarlo, Seed};
 use rand::SeedableRng;
@@ -31,35 +31,39 @@ fn main() {
     let x0 = network.species_by_name("X0").unwrap();
     let x1 = network.species_by_name("X1").unwrap();
 
-    // Inoculate with 620 vs 580 cells (a ~3% difference).
+    // Inoculate with 620 vs 580 cells (a ~3% difference) and step until one
+    // strain is extinct (at most 5·10⁶ reactions), recording
+    // `(time, X0, X1)` before the first reaction and after every one.
     let initial = State::from(vec![620, 580]);
     let rng = rand::rngs::StdRng::seed_from_u64(33);
     let mut sim = GillespieDirect::new(&network, initial, rng);
-    let (outcome, trajectory) =
-        sim.run_recording(&StopCondition::any_species_extinct().with_max_events(5_000_000));
+    let point = |time: f64, state: &State| (time, state.count(x0), state.count(x1));
+    let mut points = vec![point(sim.time(), sim.state())];
+    while !sim.state().any_extinct() && sim.events() < 5_000_000 && sim.step().is_some() {
+        points.push(point(sim.time(), sim.state()));
+    }
 
     println!("bioreactor run ({}):", model);
     println!(
         "  consensus after {:.2} simulated hours and {} reactions",
-        outcome.time, outcome.events
+        sim.time(),
+        sim.events()
     );
     println!(
         "  final composition: X0 = {}, X1 = {}",
-        outcome.final_state.count(x0),
-        outcome.final_state.count(x1)
+        sim.state().count(x0),
+        sim.state().count(x1)
     );
 
     // Print a coarse time series of the two strains.
     println!("  time series (every ~tenth of the run):");
-    let points = trajectory.points();
-    for i in (0..points.len()).step_by((points.len() / 10).max(1)) {
-        let p = &points[i];
+    for &(time, a, b) in points.iter().step_by((points.len() / 10).max(1)) {
         println!(
             "    t = {:6.2} h   X0 = {:6}   X1 = {:6}   gap = {:5}",
-            p.time,
-            p.state.count(x0),
-            p.state.count(x1),
-            p.state.count(x0) as i64 - p.state.count(x1) as i64
+            time,
+            a,
+            b,
+            a as i64 - b as i64
         );
     }
 

@@ -29,8 +29,9 @@ fn crn_layer_is_usable_directly() {
         State::from(vec![50, 50]),
         rand::rngs::StdRng::seed_from_u64(1),
     );
-    let outcome = sim.run(&StopCondition::any_species_extinct().with_max_events(100_000));
-    assert!(outcome.events > 0);
+    let stop = StopCondition::any_species_extinct();
+    while !stop.is_met(sim.state()) && sim.events() < 100_000 && sim.step().is_some() {}
+    assert!(sim.events() > 0);
 }
 
 #[test]
