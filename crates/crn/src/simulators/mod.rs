@@ -154,6 +154,26 @@ mod tests {
         });
     }
 
+    /// Recording a stepped run until extinction keeps the initial point and
+    /// one point per event, each at the time its event reports.
+    #[test]
+    fn run_recording_captures_every_event() {
+        let net = pure_death();
+        let stop = crate::stop::StopCondition::any_species_extinct();
+        let mut sim = JumpChain::new(&net, State::from(vec![5]), rng(5));
+        let mut recorded = vec![(sim.time(), sim.state().counts()[0])];
+        while !stop.is_met(sim.state()) {
+            let event = sim.step().expect("a live population can always die");
+            recorded.push((event.time, sim.state().counts()[0]));
+        }
+        assert_eq!(sim.events(), 5);
+        assert_eq!(recorded.len(), 6);
+        let counts: Vec<u64> = recorded.iter().map(|&(_, c)| c).collect();
+        assert_eq!(counts, vec![5, 4, 3, 2, 1, 0]);
+        let times: Vec<f64> = recorded.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
     /// Every event reports the clock after it, and the clock never runs
     /// backwards.
     #[test]
